@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .acceptance import format_report, run_all
 from .funceq import (
     GammaMap,
@@ -37,9 +39,10 @@ from .funceq import (
     suq2_bridge_check,
 )
 from .gridfn import GridFunction
-from .laurent import LaurentParseError, LaurentPoly, parse_laurent
+from .laurent import LaurentError, LaurentParseError, LaurentPoly, parse_laurent
 from .qdeform import AlgebraParams, check_closure, verify_general_closure
 from .scaling import (
+    CascadeDivergenceError,
     b2_system,
     box_grid,
     box_midpoint_profile,
@@ -110,6 +113,13 @@ def _as_float_list(v) -> list[float]:
     out = [_as_float(p) for p in _split(v)]
     if not out:
         raise ValueError("list must not be empty")
+    return out
+
+
+def _as_order_list(v) -> list[int]:
+    out = _as_int_list(v)
+    if min(out) < 1:
+        raise ValueError(f"orders must be at least 1, got {min(out)}")
     return out
 
 
@@ -250,7 +260,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
             _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings, comma-separated"),
-            _Opt("--modes", _as_int_list, [2, 3, 4, 8], "oscillating mode orders"),
+            _Opt("--modes", _as_order_list, [2, 3, 4, 8], "oscillating mode orders (>= 1)"),
         ),
     ),
     "closure": (
@@ -272,7 +282,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         "solve the refinement-commutant equation for the detail symbol",
         (
             _Opt("--c", _as_symbol, None, "mask symbol, e.g. '1 + T^-1'", required=True),
-            _Opt("--window", _as_int, 4, "support bound in quarter-integer exponents"),
+            _Opt("--window", _as_int, 4, "support bound: |exponent| <= window"),
             _Opt("--nullspace-tol", _as_float, 1e-10, "relative singular-value cutoff"),
         ),
     ),
@@ -818,9 +828,11 @@ def dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"error: {exc} (offending flag: {exc.flag})\n{usage}\n")
         return 2
     cfg = RunConfig(ns.subcommand, params)
+    # catch what a valid configuration can still run into; a bug keeps its traceback
     try:
         result = _RUNNERS[cfg.subcommand](cfg.params)
-    except Exception as exc:
+    except (ValueError, LaurentError, CascadeDivergenceError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     csv_name, manifest_name = _write_outputs(cfg, result)

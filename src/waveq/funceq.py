@@ -51,19 +51,18 @@ class RefinementSolve:
     support_bound: int
 
 
-def _exact_sixteenths(p: LaurentPoly, what: str) -> list[tuple[int, complex]]:
-    # integer indexing in sixteenth steps keeps every row key exact; the
-    # denominator cap guarantees halved exponents still land on the grid
-    out = []
-    for e, c in p.terms():
+def _mask_exponents(p: LaurentPoly, what: str) -> tuple[int, list[tuple[int, complex]]]:
+    """(q, [(a, c)]) with each exponent of p equal to a / 2**q; q is the finest
+    denominator exponent, at least 2 (quarters), and at most 3."""
+    terms = p.terms()
+    for e, _ in terms:
         if not e.is_exact or e.dyadic.log2_den > 3:
             raise ValueError(
                 f"{what} exponents must be dyadic with denominator at most 8, "
                 f"got {e!r}"
             )
-        d = e.dyadic
-        out.append((d.num << (4 - d.log2_den), c))
-    return out
+    q = max([2] + [e.dyadic.log2_den for e, _ in terms])
+    return q, [(e.dyadic.num << (q - e.dyadic.log2_den), c) for e, c in terms]
 
 
 def _nullspace(a: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -79,8 +78,9 @@ def solve_refinement(
 ) -> RefinementSolve:
     """Find the detail symbol b and scalar rho for a given mask symbol c.
 
-    Coefficient matching runs over quarter-integer exponents with
-    |exponent| <= support_bound.  Since any solution satisfies
+    Coefficient matching runs over exponents on the grid 2^-q Z with
+    |exponent| <= support_bound, 2^-q the finest spacing in the mask but
+    at most a quarter.  Since any solution satisfies
     rho = c(1) / 2^m with m the order of the zero of b at T = 1, candidate
     scalars are scanned in ascending m and the first unique nullvector is
     returned with its leading coefficient normalized to one.
@@ -91,24 +91,25 @@ def solve_refinement(
     """
     if support_bound < 1:
         raise ValueError(f"support_bound must be at least 1, got {support_bound}")
-    c16 = _exact_sixteenths(c, "mask")
+    q, mask = _mask_exponents(c, "mask")
     c_at_one = c.eval_phase(0.0)
     if abs(c_at_one) <= 1e-12:
         raise ValueError("mask must not vanish at T = 1")
 
-    cols = list(range(-4 * support_bound, 4 * support_bound + 1))
-    col_of = {n4: i for i, n4 in enumerate(cols)}
-    for m in range(4 * support_bound + 5):
+    steps = support_bound << q
+    cols = list(range(-steps, steps + 1))  # column n holds the exponent n / 2**q
+    col_of = {n: i for i, n in enumerate(cols)}
+    for m in range(steps + 5):
         rho = c_at_one / 2.0**m
         row_of: dict[int, int] = {}
         entries: list[tuple[int, int, complex]] = []
-        for n4 in cols:
-            j = col_of[n4]
-            for e16, cc in c16:
-                # product exponent: e/2 + q/2 with q = n4/4, in sixteenths
-                key = (e16 >> 1) + 2 * n4
+        for n in cols:
+            j = col_of[n]
+            for a, cc in mask:
+                # product exponent a/2**q/2 + n/2**q/2, in units of 2**-(q+1)
+                key = a + n
                 entries.append((row_of.setdefault(key, len(row_of)), j, cc))
-            key = 4 * n4
+            key = 2 * n
             entries.append((row_of.setdefault(key, len(row_of)), j, -rho))
         a = np.zeros((len(row_of), len(cols)), dtype=complex)
         for i, j, v in entries:
@@ -117,13 +118,13 @@ def solve_refinement(
         if not basis:
             continue
         if len(basis) > 1:
-            polys = [_vector_to_poly(v, cols) for v in basis]
+            polys = [_vector_to_poly(v, cols, q) for v in basis]
             raise NonUniqueSolutionError(
                 f"non-unique solution at rho = {rho!r}: "
                 f"nullspace dimension {len(basis)}",
                 polys,
             )
-        b = _vector_to_poly(basis[0], cols)
+        b = _vector_to_poly(basis[0], cols, q)
         residual = _refinement_residual(c, b, rho)
         if residual <= RESIDUAL_TOL:
             return RefinementSolve(b, rho, residual, m, support_bound)
@@ -132,12 +133,12 @@ def solve_refinement(
     )
 
 
-def _vector_to_poly(v: np.ndarray, cols: Sequence[int]) -> LaurentPoly:
+def _vector_to_poly(v: np.ndarray, cols: Sequence[int], q: int) -> LaurentPoly:
     peak = float(np.abs(v).max())
     live = [i for i in range(len(cols)) if abs(v[i]) > 1e-11 * peak]
     lead = v[live[-1]]  # cols ascend, so the last survivor is the leading term
     return LaurentPoly(
-        (Exponent.exact(Dyadic(cols[i], 2)), complex(v[i] / lead)) for i in live
+        (Exponent.exact(Dyadic(cols[i], q)), complex(v[i] / lead)) for i in live
     )
 
 

@@ -5,7 +5,8 @@ masks, functional-equation solvers) lives in the dyadic rationals p/2^m, and
 several checks are required to come out *exactly* zero in floating point.
 That only works if exponents are carried as exact integers rather than
 floats, so this module keeps a hard split between exact `Dyadic` exponents
-and approximate float ones and never demotes the former silently.
+and approximate float ones and never demotes the former silently.  It also
+holds the normal form that LaurentPoly shares with opalgebra's OpExpr.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ class Dyadic:
             # normalize negative "denominators" into the numerator
             num <<= -log2_den
             log2_den = 0
-        while log2_den > 0 and num % 2 == 0:
-            num //= 2
-            log2_den -= 1
         if num == 0:
             log2_den = 0
+        elif log2_den > 0:
+            shift = min((num & -num).bit_length() - 1, log2_den)
+            num >>= shift
+            log2_den -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "log2_den", log2_den)
 
@@ -203,7 +205,7 @@ class Exponent:
         if isinstance(value, Exponent):
             return value
         if isinstance(value, (int, Dyadic)):
-            return Exponent.exact(value)
+            return _ZERO if type(value) is int and not value else Exponent.exact(value)
         d = Dyadic.from_float(float(value))
         if d is not None:
             return Exponent.exact(d)
@@ -256,24 +258,6 @@ class Exponent:
         return f"Exponent[~{self.approx!r}]"
 
 
-def _exp_sort_key(e: Exponent) -> float:
-    return e.value
-
-
-def _merge_exponent(a: Exponent, b: Exponent) -> Exponent | None:
-    """The representative of a merged pair, or None when they stay apart."""
-    if a.is_exact and b.is_exact:
-        return a if a.dyadic == b.dyadic else None
-    if abs(a.value - b.value) <= EXPONENT_MERGE_TOL:
-        # keep the exact representative when one side has it
-        if a.is_exact:
-            return a
-        if b.is_exact:
-            return b
-        return a
-    return None
-
-
 def _format_real(v: float) -> str:
     s = format(v, ".17g")
     return s
@@ -293,21 +277,322 @@ def _format_exponent(e: Exponent) -> str:
     return _format_real(e.approx)
 
 
-class LaurentPoly:
+# ---------------------------------------------------------------------------
+# The normal form shared by LaurentPoly and OpExpr (README, "Normal form"):
+# a sum of terms c * P^mu * D^beta * T^alpha held column by column, as a
+# struct of arrays (Python lists):
+#
+#   _re, _im   coefficient parts, floats
+#   _val       exponent values, floats, in three rows MU, BETA, ALPHA
+#   _exact     which exponents are exact dyadics, in the same three rows
+#   _num       exact exponents as integer numerators over 2**_den, 0 where
+#              approximate, in the same three rows
+#
+# An exact exponent's value is its numerator rounded once to a float.  _den
+# need not be minimal: Dyadic reduces each exponent when terms() builds it.
+
+MU, BETA, ALPHA = 0, 1, 2
+_ZERO = Exponent.exact(0)  # the Exponent.of(0) every caller shares
+
+
+def _columns(coeffs: list, rows: list) -> tuple:
+    """Columns of complex coefficients and three rows (mu, beta, alpha) of
+    Exponents; a row given as None is all exact zeros."""
+    n = len(coeffs)
+    den = max([e.dyadic.log2_den for row in rows if row for e in row if e.dyadic is not None] or [0])
+    num, val, exact = ([], [], []), ([], [], []), ([], [], [])
+    for r, row in enumerate(rows):
+        if row is None:
+            num[r][:], val[r][:], exact[r][:] = [0] * n, [0.0] * n, [True] * n
+        for e in row or ():
+            d = e.dyadic
+            num[r].append(0 if d is None else d.num << (den - d.log2_den))
+            val[r].append(e.approx if d is None else d.num / (1 << d.log2_den))
+            exact[r].append(d is not None)
+    return [c.real for c in coeffs], [c.imag for c in coeffs], num, den, val, exact
+
+
+def _clusters(order, val, exact) -> tuple[list, list]:
+    """Cluster number of each entry of one exponent row, and the entry that
+    represents each cluster; `order` sorts the row by (value, not exact).
+
+    The merge rule: distinct values chain into one cluster while each step
+    is at most EXPONENT_MERGE_TOL, except that a second exact value starts a
+    new cluster, so distinct exact exponents never fuse.  A cluster is
+    represented by its exact value if it has one, else by its first entry.
+    """
+    ids, reps = [0] * len(order), []
+    prev, has_exact = None, False
+    for t in order:
+        v = val[t]
+        if v != prev:
+            if prev is None or v - prev > EXPONENT_MERGE_TOL or (exact[t] and has_exact):
+                reps.append(t)
+                has_exact = False
+            if exact[t]:
+                reps[-1], has_exact = t, True
+            prev = v
+        ids[t] = len(reps) - 1
+    return ids, reps
+
+
+def _merged(re, im, num, den, val, exact, merge: bool = True) -> tuple:
+    """Snap, order, merge and prune raw columns.
+
+    Every exponent takes its cluster's representative, terms are ordered by
+    descending (beta, mu, alpha) cluster, stably, and the coefficients of
+    equal words are added in that order; then |c| < COEFF_PRUNE_TOL goes.
+    """
+    n = len(re)
+    if merge and n > 1:
+        rep_of, keys = [None] * 3, []  # rep_of[r][t]: the entry whose exponent t takes
+        for r in (BETA, MU, ALPHA):
+            v, x, k = val[r], exact[r], num[r]
+            if v.count(v[0]) + x.count(x[0]) + k.count(k[0]) < 3 * n:  # else nothing to snap
+                by = v if x.count(x[0]) == n else list(zip(v, [not e for e in x]))
+                ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x)
+                keys.append(ids)
+                rep_of[r] = [reps[c] for c in ids]
+        word = list(zip(*keys)) if keys else [()] * n
+        firsts, re_out, im_out, last = [], [], [], None
+        for t in sorted(range(n), key=word.__getitem__, reverse=True):  # stable
+            if word[t] == last:
+                re_out[-1] += re[t]
+                im_out[-1] += im[t]
+            else:
+                firsts.append(t)
+                re_out.append(re[t])
+                im_out.append(im[t])
+                last = word[t]
+        re, im, cols = re_out, im_out, ([], [], [])
+        for r, m in enumerate(rep_of):
+            pick = m and [m[t] for t in firsts]
+            for a, c in zip((num, val, exact), cols):
+                c.append(a[r][:len(firsts)] if pick is None else [a[r][i] for i in pick])
+        num, val, exact = cols
+    keep = [abs(complex(r, i)) >= COEFF_PRUNE_TOL for r, i in zip(re, im)]
+    if not all(keep):
+        re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
+        num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
+                           for a in (num, val, exact))
+    return re, im, num, den, val, exact
+
+
+def _alignment(a: "_NormalForm", b: "_NormalForm") -> tuple:
+    """Each dilation power of a and b as an int when it is an exact integer
+    (else None), the product's denominator exponent, and the shifts that
+    bring a's and b's numerators to it."""
+    ka, kb = ([k >> f._den if x and not k & ((1 << f._den) - 1) else None
+               for k, x in zip(f._num[BETA], f._exact[BETA])] for f in (a, b))
+    den = max(a._den, b._den) - min([0] + [k for k in ka + kb if k is not None])
+    return ka, kb, den, den - a._den, den - b._den
+
+
+def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
+    """Raw columns of every product a_i b_j, in row-major (i, j) order:
+
+        (c1 P^m1 D^b1 T^a1)(c2 P^m2 D^b2 T^a2)
+            = c1 c2 e^{i m2 a1} P^(m1 + 2^b1 m2) D^(b1+b2) T^(2^b2 a1 + a2)
+
+    The phase factor is applied only where m2 and a1 are both nonzero; 2^b x
+    is exact when x is exact and b an exact integer, or x is exactly 0.
+    """
+    ka, kb, den, sa, sb = _alignment(a, b)
+    pa, pb, unit = [2.0**v for v in a._val[BETA]], [2.0**v for v in b._val[BETA]], 1 << den
+    out = []
+    for r1, i1, m1, b1, a1, vm1, vb1, va1, xm1, xb1, xa1, p1, k1 in zip(
+            a._re, a._im, *a._num, *a._val, *a._exact, pa, ka):
+        m1, b1 = m1 << sa, b1 << sa
+        for r2, i2, m2, b2, a2, vm2, vb2, va2, xm2, xb2, xa2, p2, k2 in zip(
+                b._re, b._im, *b._num, *b._val, *b._exact, pb, kb):
+            cr, ci = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            if va1 != 0.0 and vm2 != 0.0:
+                p = cmath.exp(1j * (va1 * vm2))
+                cr, ci = cr * p.real - ci * p.imag, cr * p.imag + ci * p.real
+            xm = xm1 and xm2 and (m2 == 0 or k1 is not None)
+            xb = xb1 and xb2
+            xa = xa1 and xa2 and (a1 == 0 or k2 is not None)
+            nm = m1 + (m2 << (sb + (k1 or 0))) if xm else 0
+            nb = b1 + (b2 << sb) if xb else 0
+            na = (a1 << (sa + (k2 or 0))) + (a2 << sb) if xa else 0
+            out.append((cr, ci, nm, nb, na, nm / unit if xm else vm1 + vm2 * p1,
+                        nb / unit if xb else vb1 + vb2, na / unit if xa else va1 * p2 + va2,
+                        xm, xb, xa))
+    re, im, *cols = map(list, zip(*out))
+    return re, im, cols[0:3], den, cols[3:6], cols[6:9]
+
+
+def _exponents(num: list, val: list, exact: list, den: int) -> list:
+    """Exponent objects of one row, one object per distinct value."""
+    made: dict = {}
+    out = []
+    for k, v, x in zip(num, val, exact):
+        key = (x, k if x else v)
+        if key not in made:
+            made[key] = Exponent.exact(Dyadic(k, den)) if x else Exponent.approximate(v)
+        out.append(made[key])
+    return out
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, (int, float, complex))
+
+
+class _NormalForm:
+    """Normalized sum of terms, immutable by convention (only private slots
+    exist): the arithmetic of LaurentPoly and OpExpr, which build their own
+    term tuples in terms()."""
+
+    __slots__ = ("_re", "_im", "_num", "_den", "_val", "_exact", "_terms")
+
+    def _assign(self, columns: tuple) -> None:
+        self._re, self._im, self._num, self._den, self._val, self._exact = columns
+        self._terms = None
+
+    @classmethod
+    def _normal(cls, *columns, merge: bool = True):
+        """A normalized instance of raw columns."""
+        out = object.__new__(cls)
+        out._assign(_merged(*columns, merge=merge))
+        return out
+
+    @classmethod
+    def _constant(cls, c: complex):
+        c = complex(c)
+        return cls._normal([c.real], [c.imag], [[0], [0], [0]], 0, [[0.0], [0.0], [0.0]],
+                           [[True], [True], [True]])
+
+    def _rows(self) -> tuple:
+        """The coefficients, then the Exponent objects of each row."""
+        return (list(map(complex, self._re, self._im)),
+                *(_exponents(*row, self._den) for row in zip(self._num, self._val, self._exact)))
+
+    def __len__(self):
+        return len(self._re)
+
+    def is_zero(self) -> bool:
+        return not self._re
+
+    def max_abs_coeff(self) -> float:
+        return max(map(abs, map(complex, self._re, self._im)), default=0.0)
+
+    def isclose(self, other, tol: float = 1e-12) -> bool:
+        return (self - other).max_abs_coeff() <= tol
+
+    def _coerce(self, other):
+        if _is_scalar(other):
+            return self._constant(other)
+        return other if type(other) is type(self) else None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = max(self._den, other._den)
+        sa, sb = den - self._den, den - other._den
+        return self._normal(
+            self._re + other._re, self._im + other._im,
+            [[k << sa for k in p] + [k << sb for k in q] for p, q in zip(self._num, other._num)],
+            den, [p + q for p, q in zip(self._val, other._val)],
+            [p + q for p, q in zip(self._exact, other._exact)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = object.__new__(type(self))
+        out._assign(([-x for x in self._re], [-x for x in self._im], self._num, self._den,
+                     self._val, self._exact))
+        return out
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if _is_scalar(other):
+            c, pairs = complex(other), list(zip(self._re, self._im))
+            return self._normal([x * c.real - y * c.imag for x, y in pairs],
+                                [x * c.imag + y * c.real for x, y in pairs],
+                                self._num, self._den, self._val, self._exact, merge=False)
+        if type(other) is not type(self):
+            return NotImplemented
+        if not (self._re and other._re):
+            return self._constant(0.0)
+        return self._normal(*_compose(self, other))
+
+    def __rmul__(self, other):
+        return self * other if _is_scalar(other) else NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers must be nonnegative integers")
+        # square-and-multiply: word powers grow to 2^n terms, so the last
+        # squaring dominates and repeated multiplication would double it
+        out, base = self._constant(1.0), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        sa, sb = (max(self._den, other._den) - f._den for f in (self, other))
+        return self._re == other._re and self._im == other._im and all(
+            (p << sa == q << sb) if x and y else abs(u - v) <= EXPONENT_MERGE_TOL
+            for rows in zip(self._num, other._num, self._val, other._val, self._exact,
+                            other._exact)
+            for p, q, u, v, x, y in zip(*rows))
+
+    __hash__ = None
+
+    def __str__(self):
+        pieces = []
+        for i, t in enumerate(self.terms()):
+            body, negative = self._text(t)
+            pieces.append(("-" if negative else "") + body if i == 0
+                          else (" - " if negative else " + ") + body)
+        return "".join(pieces) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+def _own_arithmetic(cls):
+    """Bind the shared public methods in cls's own namespace, where
+    per-class instrumentation (bench/tracer.py walks vars(cls)) finds them."""
+    for name in ("is_zero", "max_abs_coeff", "isclose", "__add__", "__radd__", "__neg__",
+                 "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__"):
+        setattr(cls, name, vars(_NormalForm)[name])
+    return cls
+
+
+@_own_arithmetic
+class LaurentPoly(_NormalForm):
     """Finite sum of c_alpha * T^alpha with complex c and Exponent alpha.
 
-    Stored normalized: exponents strictly descending, coefficients with
-    |c| < COEFF_PRUNE_TOL removed, exponents equal under the merge rule
-    combined.  All operations return new normalized instances.
+    The mu = beta = 0 case of the shared normal form: exponents strictly
+    descending, coefficients with |c| < COEFF_PRUNE_TOL removed, exponents
+    equal under the merge rule combined.  All operations return new
+    normalized instances.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "_terms", _normalize_terms(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        coeffs, alpha = [], []
+        for e, c in terms:
+            alpha.append(Exponent.of(e))
+            coeffs.append(complex(c))
+        self._assign(_merged(*_columns(coeffs, [None, None, alpha])))
 
     # -- constructors ----------------------------------------------------
 
@@ -317,11 +602,11 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly([(Exponent.exact(0), 1.0 + 0j)])
+        return LaurentPoly._constant(1.0)
 
     @staticmethod
     def scalar(c: complex) -> "LaurentPoly":
-        return LaurentPoly([(Exponent.exact(0), complex(c))])
+        return LaurentPoly._constant(c)
 
     @staticmethod
     def term(coeff: complex, exponent) -> "LaurentPoly":
@@ -335,104 +620,36 @@ class LaurentPoly:
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> tuple:
+        """(Exponent, complex) pairs, exponents descending; built once."""
+        if self._terms is None:
+            coeffs, _, _, alpha = self._rows()
+            self._terms = tuple(zip(alpha, coeffs))
         return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coeff_at(self, exponent) -> complex:
         target = Exponent.of(exponent)
-        for e, c in self._terms:
+        for e, c in self.terms():
             if e == target:
                 return c
         return 0j
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, c in self._terms), default=0.0)
-
-    def __len__(self):
-        return len(self._terms)
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = LaurentPoly.scalar(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(list(self._terms) + list(other._terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly([(e, -c) for e, c in self._terms])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = LaurentPoly.scalar(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return LaurentPoly([(e, c * other) for e, c in self._terms])
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        prods = []
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                prods.append((e1.add(e2), c1 * c2))
-        return LaurentPoly(prods)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if len(self._terms) != len(other._terms):
-            return False
-        return all(
-            e1 == e2 and c1 == c2
-            for (e1, c1), (e2, c2) in zip(self._terms, other._terms)
-        )
-
-    __hash__ = None
-
-    def isclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
 
     # -- the operations the rest of the package needs ---------------------
 
     def substitute_power(self, m) -> "LaurentPoly":
         """T -> T^m: multiply every exponent by m (integer or Dyadic), m != 0."""
-        if isinstance(m, int):
-            m = Dyadic(m)
-        if isinstance(m, Dyadic):
-            if m.num == 0:
-                raise ValueError("substitution power must be nonzero")
-            return LaurentPoly([(e.times_dyadic(m), c) for e, c in self._terms])
-        mf = float(m)
-        if mf == 0.0:
+        if (m.num if isinstance(m, Dyadic) else float(m)) == 0:
             raise ValueError("substitution power must be nonzero")
-        return LaurentPoly([(e.times_float(mf), c) for e, c in self._terms])
+        return self.substitute_scaled(m, 0.0)
 
     def substitute_scaled(self, m, phase: float) -> "LaurentPoly":
         """T -> e^{i*phase} T^m: exponents scale by m, coefficients pick up
         e^{i*phase*alpha}.  phase == 0 keeps coefficients bit-identical."""
+        m = Dyadic(m) if isinstance(m, int) else m
         out = []
-        for e, c in self._terms:
+        for e, c in self.terms():
             if phase != 0.0:
                 c = c * cmath.exp(1j * phase * e.value)
-            if isinstance(m, int):
-                out.append((e.times_dyadic(Dyadic(m)), c))
-            elif isinstance(m, Dyadic):
-                out.append((e.times_dyadic(m), c))
-            else:
-                out.append((e.times_float(float(m)), c))
+            out.append((e.times_dyadic(m) if isinstance(m, Dyadic) else e.times_float(float(m)), c))
         return LaurentPoly(out)
 
     def eval_phase(self, lam: complex) -> complex:
@@ -443,7 +660,7 @@ class LaurentPoly:
         """
         lam = complex(lam)
         total = 0j
-        for e, c in self._terms:
+        for e, c in self.terms():
             z = lam * e.value
             if abs(z.real) > PHASE_OVERFLOW_LIMIT:
                 raise EvaluationOverflowError(
@@ -452,22 +669,9 @@ class LaurentPoly:
             total += c * cmath.exp(z)
         return total
 
-    # -- text form ---------------------------------------------------------
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        pieces = []
-        for i, (e, c) in enumerate(self._terms):
-            body, negative = _term_text(e, c)
-            if i == 0:
-                pieces.append(("-" if negative else "") + body)
-            else:
-                pieces.append((" - " if negative else " + ") + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
+    @staticmethod
+    def _text(t) -> tuple[str, bool]:
+        return _term_text(*t)
 
 
 def _term_text(e: Exponent, c: complex) -> tuple[str, bool]:
@@ -483,44 +687,6 @@ def _term_text(e: Exponent, c: complex) -> tuple[str, bool]:
     if c == 1:
         return f"T^{exp_s}", negative
     return f"{_format_coeff(c)}*T^{exp_s}", negative
-
-
-def _normalize_terms(terms) -> tuple:
-    pairs = [(Exponent.of(e), complex(c)) for e, c in terms]
-    pairs.sort(key=lambda p: -_exp_sort_key(p[0]))
-    merged: list[list] = []
-    for e, c in pairs:
-        if merged:
-            rep = _merge_exponent(merged[-1][0], e)
-            if rep is not None:
-                merged[-1][0] = rep
-                merged[-1][1] += c
-                continue
-        merged.append([e, c])
-    return tuple(
-        (e, c) for e, c in merged if abs(c) >= COEFF_PRUNE_TOL
-    )
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def lp_substitute_power(p: LaurentPoly, m) -> LaurentPoly:
-    return p.substitute_power(m)
-
-
-def lp_eval_phase(p: LaurentPoly, lam: complex) -> complex:
-    return p.eval_phase(lam)
-
-
-def lp_pow(p: LaurentPoly, n: int) -> LaurentPoly:
-    if n < 0:
-        raise ValueError("negative powers are not defined here")
-    out = LaurentPoly.one()
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,24 +21,29 @@ integer, so products of translation/dilation words with dyadic data are
 bit-exact.  The sigma prefactor never enters composition: all three
 supported conventions are exponential in beta, so they factor out of any
 product and are applied only when an operator meets an actual function.
+
+The columns, the composition and the merge rule live in the normal-form core
+of `laurent`; a LaurentPoly is the mu = beta = 0 case of an OpExpr.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import Iterable, NamedTuple
 
 from .laurent import (
-    EXPONENT_MERGE_TOL,
+    ALPHA,
+    BETA,
+    MU,
     Dyadic,
     Exponent,
     LaurentPoly,
+    _columns,
     _format_coeff,
     _format_exponent,
-    _merge_exponent,
+    _merged,
+    _NormalForm,
+    _own_arithmetic,
 )
-
-COEFF_PRUNE_TOL = 1e-15
 
 DILATION_CONVENTIONS = ("one", "paper", "unitary")
 
@@ -63,113 +68,16 @@ class OpTerm(NamedTuple):
     alpha: Exponent
 
 
-_ZERO = Exponent.exact(0)
-
-
-def _scale_by_pow2(e: Exponent, beta: Exponent) -> Exponent:
-    """e * 2**beta, exact whenever that is possible."""
-    if e.is_exact and e.dyadic.num == 0:
-        return e
-    if beta.is_exact and beta.dyadic.is_integer():
-        return e.scaled_pow2(beta.dyadic.num)
-    return e.times_float(2.0 ** beta.value)
-
-
-def _compose_terms(t1: OpTerm, t2: OpTerm) -> OpTerm:
-    coeff = t1.coeff * t2.coeff
-    if t2.mu.value != 0.0 and t1.alpha.value != 0.0:
-        coeff *= cmath.exp(1j * t2.mu.value * t1.alpha.value)
-    mu = t1.mu.add(_scale_by_pow2(t2.mu, t1.beta))
-    beta = t1.beta.add(t2.beta)
-    alpha = _scale_by_pow2(t1.alpha, t2.beta).add(t2.alpha)
-    return OpTerm(coeff, mu, beta, alpha)
-
-
-def _sort_key(t: OpTerm):
-    return (-t.beta.value, -t.mu.value, -t.alpha.value)
-
-
-def _same_word(t1: OpTerm, t2: OpTerm) -> bool:
-    return t1.mu == t2.mu and t1.beta == t2.beta and t1.alpha == t2.alpha
-
-
-def _snap_coordinate(terms: list[OpTerm], field: int) -> list[OpTerm]:
-    """Replace near-duplicate exponent values in one coordinate by a shared
-    representative.
-
-    Sorting alone cannot make mergeable terms adjacent: two terms whose mu
-    differ by 1e-16 but whose alpha differ by 1 interleave with everything
-    between their mu values.  Snapping each coordinate to one object per
-    tolerance cluster makes equal-after-merge keys bitwise equal, so the
-    adjacent-merge pass sees them.  Two *exact* exponents with distinct
-    canonical values never fuse, matching the merge rule for single
-    exponents.
-    """
-    by_value: dict[float, Exponent] = {}
-    for t in terms:
-        e = t[field]
-        prev = by_value.get(e.value)
-        if prev is None or (not prev.is_exact and e.is_exact):
-            by_value[e.value] = e
-    if len(by_value) < 2:
-        return terms
-    vals = sorted(by_value)
-    mapping: dict[float, Exponent] = {}
-
-    def flush(cluster: list[float]) -> None:
-        exacts = [v for v in cluster if by_value[v].is_exact]
-        rep = by_value[exacts[0] if exacts else cluster[0]]
-        for v in cluster:
-            mapping[v] = rep
-
-    cluster = [vals[0]]
-    for v in vals[1:]:
-        near = v - cluster[-1] <= EXPONENT_MERGE_TOL
-        exact_clash = by_value[v].is_exact and any(
-            by_value[u].is_exact for u in cluster
-        )
-        if near and not exact_clash:
-            cluster.append(v)
-        else:
-            flush(cluster)
-            cluster = [v]
-    flush(cluster)
-    if all(mapping[v] is by_value[v] for v in vals):
-        return terms
-    name = OpTerm._fields[field]
-    return [t._replace(**{name: mapping[t[field].value]}) for t in terms]
-
-
-def _normalize(terms: Iterable[OpTerm]) -> tuple[OpTerm, ...]:
-    snapped = list(terms)
-    for field in (1, 2, 3):  # mu, beta, alpha
-        snapped = _snap_coordinate(snapped, field)
-    ordered = sorted(snapped, key=_sort_key)
-    merged: list[OpTerm] = []
-    for t in ordered:
-        if merged and _same_word(merged[-1], t):
-            prev = merged[-1]
-            merged[-1] = OpTerm(
-                prev.coeff + t.coeff,
-                _merge_exponent(prev.mu, t.mu),
-                _merge_exponent(prev.beta, t.beta),
-                _merge_exponent(prev.alpha, t.alpha),
-            )
-        else:
-            merged.append(t)
-    return tuple(t for t in merged if abs(t.coeff) >= COEFF_PRUNE_TOL)
-
-
-class OpExpr:
+@_own_arithmetic
+class OpExpr(_NormalForm):
     """Normalized sum of OpTerms; immutable, supports ring arithmetic."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[OpTerm] = ()):
-        object.__setattr__(self, "_terms", _normalize(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OpExpr is immutable")
+        terms = list(terms)
+        rows = list(zip(*[(t.mu, t.beta, t.alpha) for t in terms])) or [(), (), ()]
+        self._assign(_merged(*_columns([complex(t.coeff) for t in terms], rows)))
 
     # -- constructors ----------------------------------------------------
 
@@ -179,17 +87,16 @@ class OpExpr:
 
     @staticmethod
     def identity() -> "OpExpr":
-        return OpExpr([OpTerm(1.0 + 0j, _ZERO, _ZERO, _ZERO)])
+        return OpExpr._constant(1.0)
 
     @staticmethod
     def scalar(c: complex) -> "OpExpr":
-        return OpExpr([OpTerm(complex(c), _ZERO, _ZERO, _ZERO)])
+        return OpExpr._constant(c)
 
     @staticmethod
     def term(coeff: complex, mu=0, beta=0, alpha=0) -> "OpExpr":
-        return OpExpr(
-            [OpTerm(complex(coeff), Exponent.of(mu), Exponent.of(beta), Exponent.of(alpha))]
-        )
+        rows = [[Exponent.of(mu)], [Exponent.of(beta)], [Exponent.of(alpha)]]
+        return OpExpr._normal(*_columns([complex(coeff)], rows))
 
     @staticmethod
     def translation(alpha, coeff: complex = 1.0) -> "OpExpr":
@@ -206,117 +113,33 @@ class OpExpr:
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "OpExpr":
         """A pure translation polynomial g(T)."""
-        return OpExpr([OpTerm(c, _ZERO, _ZERO, e) for e, c in p.terms()])
+        out = object.__new__(OpExpr)
+        out._assign((p._re, p._im, p._num, p._den, p._val, p._exact))
+        return out
 
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> tuple[OpTerm, ...]:
+        """The terms in normal-form order; built once."""
+        if self._terms is None:
+            self._terms = tuple(map(OpTerm, *self._rows()))
         return self._terms
 
-    def __len__(self):
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self._terms), default=0.0)
-
     def is_translation_only(self) -> bool:
-        return all(t.mu.value == 0.0 and t.beta.value == 0.0 for t in self._terms)
+        return not (any(self._val[MU]) or any(self._val[BETA]))
 
     def to_laurent(self) -> LaurentPoly:
         if not self.is_translation_only():
             raise ValueError("operator has dilation or phase parts")
-        return LaurentPoly([(t.alpha, t.coeff) for t in self._terms])
+        n = len(self)
+        return LaurentPoly._normal(
+            self._re, self._im, [[0] * n, [0] * n, self._num[ALPHA]], self._den,
+            [[0.0] * n, [0.0] * n, self._val[ALPHA]], [[True] * n, [True] * n, self._exact[ALPHA]],
+            merge=False)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = OpExpr.scalar(other)
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        return OpExpr(self._terms + other._terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OpExpr([OpTerm(-t.coeff, t.mu, t.beta, t.alpha) for t in self._terms])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = OpExpr.scalar(other)
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return OpExpr(
-                [OpTerm(t.coeff * other, t.mu, t.beta, t.alpha) for t in self._terms]
-            )
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        return OpExpr(
-            [_compose_terms(t1, t2) for t1 in self._terms for t2 in other._terms]
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "OpExpr":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        # square-and-multiply: word powers grow to 2^n terms, so the last
-        # squaring dominates and repeated multiplication would double it
-        out = OpExpr.identity()
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        if len(self._terms) != len(other._terms):
-            return False
-        return all(
-            t1.coeff == t2.coeff and _same_word(t1, t2)
-            for t1, t2 in zip(self._terms, other._terms)
-        )
-
-    __hash__ = None
-
-    def isclose(self, other: "OpExpr", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
-
-    # -- text ---------------------------------------------------------------
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        pieces = []
-        for i, t in enumerate(self._terms):
-            body, negative = _opterm_text(t)
-            if i == 0:
-                pieces.append(("-" if negative else "") + body)
-            else:
-                pieces.append((" - " if negative else " + ") + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"OpExpr({self})"
+    @staticmethod
+    def _text(t: OpTerm) -> tuple[str, bool]:
+        return _opterm_text(t)
 
 
 def _opterm_text(t: OpTerm) -> tuple[str, bool]:
@@ -346,11 +169,12 @@ def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
 def translation_sum(count: int, step) -> OpExpr:
     """1 + T^step + T^(2 step) + ... + T^((count-1) step), exact for dyadic step."""
     step = Exponent.of(step)
+    zero = Exponent.exact(0)
     terms = []
     for k in range(count):
         if step.is_exact:
             alpha = Exponent.exact(step.dyadic * Dyadic(k))
         else:
             alpha = step.times_float(float(k))
-        terms.append(OpTerm(1.0 + 0j, _ZERO, _ZERO, alpha))
+        terms.append(OpTerm(1.0 + 0j, zero, zero, alpha))
     return OpExpr(terms)

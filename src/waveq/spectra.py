@@ -276,17 +276,13 @@ def fig1_csv(rows: Iterable[tuple[float, int, float]]) -> str:
 
 
 def zero_crossing_count(values: Sequence[float]) -> int:
-    """Count sign changes along a sampled curve; exact zeros count once."""
-    count = 0
-    prev = None
-    for v in values:
-        if v == 0.0:
-            count += 1
-            continue
-        if prev is not None and (v > 0.0) != (prev > 0.0):
-            count += 1
-        prev = v
-    return count
+    """Count sign changes between consecutive nonzero samples of a curve.
+
+    Exact zeros are skipped, so a zero at a sign change counts once and a
+    zero the curve only touches counts not at all.
+    """
+    positive = [v > 0.0 for v in values if v != 0.0]
+    return sum(a != b for a, b in zip(positive, positive[1:]))
 
 
 def fig1_report(n_list: Iterable[int], grid_size: int = 512) -> dict:

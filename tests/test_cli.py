@@ -174,3 +174,19 @@ def test_window_flag_round_trips(tmp_path):
     assert run(tmp_path, "cascade", "--window=-2,3", "--resolution", "6") == 0
     manifest = load_manifest(tmp_path, "cascade")
     assert manifest["config"]["window"] == [-2, 3]
+
+
+def test_mode_order_below_one_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "ladder", "--modes", "2,0") == 2
+    assert "--modes" in capsys.readouterr().err
+
+
+def test_programming_error_propagates_instead_of_exit_one(tmp_path, monkeypatch):
+    import waveq.cli as cli
+
+    def broken(params):
+        raise TypeError("a bug, not a computation error")
+
+    monkeypatch.setitem(cli._RUNNERS, "closure", broken)
+    with pytest.raises(TypeError):
+        run(tmp_path, "closure")

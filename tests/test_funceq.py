@@ -50,6 +50,23 @@ def test_refinement_constant_mask():
     assert solve.zero_order == 0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("window", [1, 4])
+def test_refinement_eighth_step_bspline_mask(m, window):
+    """c = 2((1 + T^-1/8)/2)^m has b = (1 - T^-1/8)^m and rho = 2^(1-m)."""
+    step = Dyadic(-1, 3)
+    half = LaurentPoly.from_dict({0: 0.5, step: 0.5})
+    diff = LaurentPoly.from_dict({0: 1.0, step: -1.0})
+    c, want = LaurentPoly.scalar(2.0), LaurentPoly.one()
+    for _ in range(m):
+        c, want = c * half, want * diff
+    solve = solve_refinement(c, window)
+    assert solve.rho == 2.0 ** (1 - m)
+    assert solve.zero_order == m
+    assert solve.b.isclose(want, 1e-9)
+    assert all(e.is_exact and e.dyadic.log2_den <= 3 for e, _ in solve.b.terms())
+
+
 def test_refinement_unique_in_growing_windows():
     c = parse_laurent("1 + T^-1")
     want = parse_laurent("1 - T^-1")

@@ -195,8 +195,16 @@ def test_fig1_self_similarity():
 
 def test_zero_crossing_counter():
     assert zero_crossing_count([1.0, -1.0, 1.0]) == 2
-    assert zero_crossing_count([1.0, 0.0, 1.0]) == 1
+    assert zero_crossing_count([1.0, 0.0, 1.0]) == 0
     assert zero_crossing_count([1.0, 2.0, 3.0]) == 0
+
+
+def test_zero_crossing_counts_an_exact_zero_at_a_sign_change_once():
+    assert zero_crossing_count([1.0, 0.0, -1.0]) == 1
+    assert zero_crossing_count([-1.0, 0.0, 0.0, 1.0, 0.0, -2.0]) == 2
+    assert zero_crossing_count([0.0, 0.0, 1.0]) == 0
+    assert zero_crossing_count([0.0, 0.0]) == 0
+    assert zero_crossing_count([]) == 0
 
 
 def test_trace_csv_roundtrip():
