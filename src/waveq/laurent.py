@@ -88,45 +88,33 @@ class Dyadic:
         return self.log2_den == 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num == other.num and self.log2_den == other.log2_den
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] == p[1]
 
     def __hash__(self):
         return hash((self.num, self.log2_den))
 
-    def _pair(self, other) -> "tuple[int, int] | None":
+    def _pair(self, other) -> "tuple[int, int, int] | None":
+        """The numerators of self and other over their common 2**m, and m;
+        None unless other is an int or a Dyadic."""
         if isinstance(other, int):
             other = Dyadic(other)
         if not isinstance(other, Dyadic):
             return None
-        # common denominator 2**max(m1, m2)
         m = max(self.log2_den, other.log2_den)
-        return (self.num << (m - self.log2_den), other.num << (m - other.log2_den))
+        return self.num << (m - self.log2_den), other.num << (m - other.log2_den), m
 
     def __lt__(self, other):
         p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        return p[0] < p[1]
+        return NotImplemented if p is None else p[0] < p[1]
 
     def __le__(self, other):
         p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        return p[0] <= p[1]
+        return NotImplemented if p is None else p[0] <= p[1]
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        m = max(self.log2_den, other.log2_den)
-        return Dyadic(
-            (self.num << (m - self.log2_den)) + (other.num << (m - other.log2_den)), m
-        )
+        p = self._pair(other)
+        return NotImplemented if p is None else Dyadic(p[0] + p[1], p[2])
 
     __radd__ = __add__
 
@@ -134,18 +122,12 @@ class Dyadic:
         return Dyadic(-self.num, self.log2_den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self + (-other)
+        p = self._pair(other)
+        return NotImplemented if p is None else Dyadic(p[0] - p[1], p[2])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.log2_den + other.log2_den)
+        p = self._pair(other)
+        return NotImplemented if p is None else Dyadic(p[0] * p[1], 2 * p[2])
 
     __rmul__ = __mul__
 
@@ -259,8 +241,7 @@ class Exponent:
 
 
 def _format_real(v: float) -> str:
-    s = format(v, ".17g")
-    return s
+    return format(v, ".17g")
 
 
 def _format_coeff(c: complex) -> str:
@@ -277,6 +258,20 @@ def _format_exponent(e: Exponent) -> str:
     return _format_real(e.approx)
 
 
+def _term_text(c: complex, factors) -> tuple[str, bool]:
+    """Return (body, negative) with the sign pulled out for real coefficients;
+    factors are (symbol, Exponent) pairs, of which exact zeros are left out."""
+    negative = c.imag == 0.0 and c.real < 0
+    if negative:
+        c = -c
+    factors = [f"{s}^{_format_exponent(e)}" for s, e in factors if not e.is_exact or e.dyadic.num]
+    if not factors:
+        return _format_coeff(c), negative
+    if c == 1:
+        return "*".join(factors), negative
+    return "*".join([_format_coeff(c)] + factors), negative
+
+
 # ---------------------------------------------------------------------------
 # The normal form shared by LaurentPoly and OpExpr (README, "Normal form"):
 # a sum of terms c * P^mu * D^beta * T^alpha held column by column, as a
@@ -288,50 +283,71 @@ def _format_exponent(e: Exponent) -> str:
 #   _num       exact exponents as integer numerators over 2**_den, 0 where
 #              approximate, in the same three rows
 #
-# An exact exponent's value is its numerator rounded once to a float.  _den
-# need not be minimal: Dyadic reduces each exponent when terms() builds it.
+# A row of exact zeros is None in all three, so a LaurentPoly carries only
+# its alpha row.  An exact exponent's value is its numerator rounded once to
+# a float.  _den need not be minimal: Dyadic reduces each exponent when
+# terms() builds it.
 
 MU, BETA, ALPHA = 0, 1, 2
 _ZERO = Exponent.exact(0)  # the Exponent.of(0) every caller shares
 
 
-def _columns(coeffs: list, rows: list) -> tuple:
-    """Columns of complex coefficients and three rows (mu, beta, alpha) of
-    Exponents; a row given as None is all exact zeros."""
-    n = len(coeffs)
-    den = max([e.dyadic.log2_den for row in rows if row for e in row if e.dyadic is not None] or [0])
-    num, val, exact = ([], [], []), ([], [], []), ([], [], [])
+def _split(e) -> tuple:
+    """An exponent-like, read as Exponent.of reads it: (numerator, log2
+    denominator) when it is exact, else (value, None)."""
+    if type(e) is int:
+        return e, 0
+    if type(e) is float:
+        e = Dyadic.from_float(e) or e
+    elif type(e) is not Dyadic:
+        e = Exponent.of(e)
+        e = e.approx if e.dyadic is None else e.dyadic
+    return (e, None) if type(e) is float else (e.num, e.log2_den)
+
+
+def _columns(coeffs, rows: list) -> tuple:
+    """Columns of coefficients (numbers) and three rows (mu, beta, alpha) of
+    exponent-likes; a row given as None is all exact zeros."""
+    rows, den = [row if row is None else list(map(_split, row)) for row in rows], 0
+    for row in rows:  # loops and appends: cheaper than comprehensions on short rows
+        for _, m in row or ():
+            if m and m > den:
+                den = m
+    num, val, exact, re, im = [None] * 3, [None] * 3, [None] * 3, [], []
     for r, row in enumerate(rows):
-        if row is None:
-            num[r][:], val[r][:], exact[r][:] = [0] * n, [0.0] * n, [True] * n
-        for e in row or ():
-            d = e.dyadic
-            num[r].append(0 if d is None else d.num << (den - d.log2_den))
-            val[r].append(e.approx if d is None else d.num / (1 << d.log2_den))
-            exact[r].append(d is not None)
-    return [c.real for c in coeffs], [c.imag for c in coeffs], num, den, val, exact
+        if row is not None:
+            num[r], val[r], exact[r] = nr, vr, xr = [], [], []
+            for k, m in row:
+                nr.append(0 if m is None else k << den - m)
+                vr.append(k if m is None else k / (1 << m))
+                xr.append(m is not None)
+    for c in map(complex, coeffs):
+        re.append(c.real), im.append(c.imag)
+    return re, im, num, den, val, exact
 
 
-def _clusters(order, val, exact) -> tuple[list, list]:
+def _clusters(order, val, exact, num) -> tuple[list, list]:
     """Cluster number of each entry of one exponent row, and the entry that
-    represents each cluster; `order` sorts the row by (value, not exact).
+    represents each cluster; `order` sorts the row by (value, not exact,
+    numerator).
 
-    The merge rule: distinct values chain into one cluster while each step
-    is at most EXPONENT_MERGE_TOL, except that a second exact value starts a
-    new cluster, so distinct exact exponents never fuse.  A cluster is
-    represented by its exact value if it has one, else by its first entry.
+    The merge rule: values chain into one cluster while each step is at
+    most EXPONENT_MERGE_TOL, except that a second exact value starts a new
+    cluster, so distinct exact exponents never fuse, even where their floats
+    coincide.  A cluster is represented by its exact value if it has one,
+    else by its first entry.
     """
     ids, reps = [0] * len(order), []
-    prev, has_exact = None, False
+    prev, rep = None, None  # rep: the cluster's exact entry, if any
     for t in order:
         v = val[t]
-        if v != prev:
-            if prev is None or v - prev > EXPONENT_MERGE_TOL or (exact[t] and has_exact):
-                reps.append(t)
-                has_exact = False
-            if exact[t]:
-                reps[-1], has_exact = t, True
-            prev = v
+        if prev is None or v - prev > EXPONENT_MERGE_TOL or (
+                exact[t] and rep is not None and num[t] != num[rep]):
+            reps.append(t)
+            rep = None
+        if exact[t] and rep is None:
+            reps[-1] = rep = t
+        prev = v
         ids[t] = len(reps) - 1
     return ids, reps
 
@@ -341,19 +357,28 @@ def _merged(re, im, num, den, val, exact, merge: bool = True) -> tuple:
 
     Every exponent takes its cluster's representative, terms are ordered by
     descending (beta, mu, alpha) cluster, stably, and the coefficients of
-    equal words are added in that order; then |c| < COEFF_PRUNE_TOL goes.
+    equal words are added in that order; then |c| < COEFF_PRUNE_TOL goes and
+    rows left all exact zeros become None.  A row of exact exponents needs
+    no snapping: its numerators are its clusters.
     """
     n = len(re)
     if merge and n > 1:
-        rep_of, keys = [None] * 3, []  # rep_of[r][t]: the entry whose exponent t takes
+        # rep_of[r][t]: the entry t takes; None for a constant row, True for an exact one
+        rep_of, keys, snapped = [None] * 3, [], False
         for r in (BETA, MU, ALPHA):
             v, x, k = val[r], exact[r], num[r]
-            if v.count(v[0]) + x.count(x[0]) + k.count(k[0]) < 3 * n:  # else nothing to snap
-                by = v if x.count(x[0]) == n else list(zip(v, [not e for e in x]))
-                ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x)
+            if x is None:  # exact zeros
+                continue
+            if x.count(True) == n:  # each entry its own representative
+                if k.count(k[0]) < n:
+                    keys.append(k)
+                    rep_of[r] = True
+            elif x.count(True) or v.count(v[0]) < n:  # else nothing to snap
+                by = list(zip(v, [not e for e in x], k))
+                ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x, k)
                 keys.append(ids)
-                rep_of[r] = [reps[c] for c in ids]
-        word = list(zip(*keys)) if keys else [()] * n
+                rep_of[r], snapped = [reps[c] for c in ids], True
+        word = list(zip(*keys)) if len(keys) > 1 else keys[0] if keys else [0] * n
         firsts, re_out, im_out, last = [], [], [], None
         for t in sorted(range(n), key=word.__getitem__, reverse=True):  # stable
             if word[t] == last:
@@ -364,28 +389,42 @@ def _merged(re, im, num, den, val, exact, merge: bool = True) -> tuple:
                 re_out.append(re[t])
                 im_out.append(im[t])
                 last = word[t]
-        re, im, cols = re_out, im_out, ([], [], [])
-        for r, m in enumerate(rep_of):
-            pick = m and [m[t] for t in firsts]
-            for a, c in zip((num, val, exact), cols):
-                c.append(a[r][:len(firsts)] if pick is None else [a[r][i] for i in pick])
-        num, val, exact = cols
-    keep = [abs(complex(r, i)) >= COEFF_PRUNE_TOL for r, i in zip(re, im)]
-    if not all(keep):
+        re, im, m = re_out, im_out, len(firsts)
+        if snapped or firsts != list(range(n)):  # else the rows stand as they are
+            num, val, exact = [*num], [*val], [*exact]
+            for r, reps in enumerate(rep_of):
+                if num[r] is not None:
+                    pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
+                    for a in (num, val, exact):
+                        a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
+    if re and min(map(abs, re)) < COEFF_PRUNE_TOL:  # else no |c| can be below it
+        keep = [abs(complex(r, i)) >= COEFF_PRUNE_TOL for r, i in zip(re, im)]
         re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
-        num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
+        num, val, exact = ([row and [x for x, k in zip(row, keep) if k] for row in a]
                            for a in (num, val, exact))
+    for r in (MU, BETA, ALPHA):
+        if exact[r] is not None and not any(num[r]) and all(exact[r]):
+            num, val, exact = [*num], [*val], [*exact]
+            num[r] = val[r] = exact[r] = None
     return re, im, num, den, val, exact
 
 
-def _alignment(a: "_NormalForm", b: "_NormalForm") -> tuple:
-    """Each dilation power of a and b as an int when it is an exact integer
-    (else None), the product's denominator exponent, and the shifts that
-    bring a's and b's numerators to it."""
-    ka, kb = ([k >> f._den if x and not k & ((1 << f._den) - 1) else None
-               for k, x in zip(f._num[BETA], f._exact[BETA])] for f in (a, b))
-    den = max(a._den, b._den) - min([0] + [k for k in ka + kb if k is not None])
-    return ka, kb, den, den - a._den, den - b._den
+def _compose_translations(a: "_NormalForm", b: "_NormalForm") -> tuple:
+    """_compose for pure translations: (c1 T^a1)(c2 T^a2) = c1 c2 T^(a1 + a2)."""
+    den = max(a._den, b._den)
+    sa, sb, unit = den - a._den, den - b._den, 1 << den
+    re, im, num, val, exact = [], [], [], [], []
+    terms_b = list(zip(b._re, b._im, *b._row(ALPHA)))
+    for r1, i1, k1, v1, x1 in zip(a._re, a._im, *a._row(ALPHA)):
+        k1 <<= sa
+        for r2, i2, k2, v2, x2 in terms_b:
+            re.append(r1 * r2 - i1 * i2)
+            im.append(r1 * i2 + i1 * r2)
+            x = x1 and x2
+            num.append(k1 + (k2 << sb) if x else 0)
+            val.append(num[-1] / unit if x else v1 + v2)
+            exact.append(x)
+    return re, im, [None, None, num], den, [None, None, val], [None, None, exact]
 
 
 def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
@@ -396,15 +435,22 @@ def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
 
     The phase factor is applied only where m2 and a1 are both nonzero; 2^b x
     is exact when x is exact and b an exact integer, or x is exactly 0.
+    2.0**b is taken once per term, and again only where it is 0 or overflows
+    a float, for a nonzero x.
     """
-    ka, kb, den, sa, sb = _alignment(a, b)
-    pa, pb, unit = [2.0**v for v in a._val[BETA]], [2.0**v for v in b._val[BETA]], 1 << den
+    ka, kb = ([k >> f._den if x and not k & ((1 << f._den) - 1) else None  # exact integer betas
+               for k, _, x in zip(*f._row(BETA))] for f in (a, b))
+    den = max(a._den, b._den) - min([0] + [k for k in ka + kb if k is not None])
+    sa, sb = den - a._den, den - b._den
+    (na, va, xa), (nb, vb, xb) = (zip(*map(f._row, (MU, BETA, ALPHA))) for f in (a, b))
+    pa, pb = ([2.0**v if v < 1024.0 else None for v in vals[BETA]] for vals in (va, vb))
+    unit = 1 << den
     out = []
+    terms_b = list(zip(b._re, b._im, *nb, *vb, *xb, pb, kb))
     for r1, i1, m1, b1, a1, vm1, vb1, va1, xm1, xb1, xa1, p1, k1 in zip(
-            a._re, a._im, *a._num, *a._val, *a._exact, pa, ka):
+            a._re, a._im, *na, *va, *xa, pa, ka):
         m1, b1 = m1 << sa, b1 << sa
-        for r2, i2, m2, b2, a2, vm2, vb2, va2, xm2, xb2, xa2, p2, k2 in zip(
-                b._re, b._im, *b._num, *b._val, *b._exact, pb, kb):
+        for r2, i2, m2, b2, a2, vm2, vb2, va2, xm2, xb2, xa2, p2, k2 in terms_b:
             cr, ci = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             if va1 != 0.0 and vm2 != 0.0:
                 p = cmath.exp(1j * (va1 * vm2))
@@ -415,17 +461,20 @@ def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
             nm = m1 + (m2 << (sb + (k1 or 0))) if xm else 0
             nb = b1 + (b2 << sb) if xb else 0
             na = (a1 << (sa + (k2 or 0))) + (a2 << sb) if xa else 0
-            out.append((cr, ci, nm, nb, na, nm / unit if xm else vm1 + vm2 * p1,
-                        nb / unit if xb else vb1 + vb2, na / unit if xa else va1 * p2 + va2,
+            out.append((cr, ci, nm, nb, na,
+                        nm / unit if xm else vm1 + (vm2 * p1 if p1 else vm2 and vm2 * 2.0**vb1),
+                        nb / unit if xb else vb1 + vb2,
+                        na / unit if xa else (va1 * p2 if p2 else va1 and va1 * 2.0**vb2) + va2,
                         xm, xb, xa))
     re, im, *cols = map(list, zip(*out))
     return re, im, cols[0:3], den, cols[3:6], cols[6:9]
 
 
-def _exponents(num: list, val: list, exact: list, den: int) -> list:
-    """Exponent objects of one row, one object per distinct value."""
-    made: dict = {}
-    out = []
+def _exponents(num: list, val: list, exact: list, den: int, n: int) -> list:
+    """Exponent objects of one row of n terms, one object per distinct value."""
+    if num is None:
+        return [_ZERO] * n
+    made, out = {}, []
     for k, v, x in zip(num, val, exact):
         key = (x, k if x else v)
         if key not in made:
@@ -459,13 +508,20 @@ class _NormalForm:
     @classmethod
     def _constant(cls, c: complex):
         c = complex(c)
-        return cls._normal([c.real], [c.imag], [[0], [0], [0]], 0, [[0.0], [0.0], [0.0]],
-                           [[True], [True], [True]])
+        return cls._normal([c.real], [c.imag], [None] * 3, 0, [None] * 3, [None] * 3)
 
     def _rows(self) -> tuple:
         """The coefficients, then the Exponent objects of each row."""
         return (list(map(complex, self._re, self._im)),
-                *(_exponents(*row, self._den) for row in zip(self._num, self._val, self._exact)))
+                *(_exponents(*row, self._den, len(self._re))
+                  for row in zip(self._num, self._val, self._exact)))
+
+    def _row(self, r: int) -> tuple:
+        """Row r as (numerators, values, exact flags), a None row filled in."""
+        if self._num[r] is not None:
+            return self._num[r], self._val[r], self._exact[r]
+        n = len(self._re)
+        return [0] * n, [0.0] * n, [True] * n
 
     def __len__(self):
         return len(self._re)
@@ -489,12 +545,14 @@ class _NormalForm:
         if other is None:
             return NotImplemented
         den = max(self._den, other._den)
-        sa, sb = den - self._den, den - other._den
-        return self._normal(
-            self._re + other._re, self._im + other._im,
-            [[k << sa for k in p] + [k << sb for k in q] for p, q in zip(self._num, other._num)],
-            den, [p + q for p, q in zip(self._val, other._val)],
-            [p + q for p, q in zip(self._exact, other._exact)])
+        num, val, exact = [None] * 3, [None] * 3, [None] * 3
+        for r in (MU, BETA, ALPHA):
+            if self._num[r] is not None or other._num[r] is not None:
+                (p, u, x), (q, v, y) = self._row(r), other._row(r)
+                p = [k << den - self._den for k in p] if self._den < den else p
+                q = [k << den - other._den for k in q] if other._den < den else q
+                num[r], val[r], exact[r] = p + q, u + v, x + y
+        return self._normal(self._re + other._re, self._im + other._im, num, den, val, exact)
 
     __radd__ = __add__
 
@@ -523,7 +581,8 @@ class _NormalForm:
             return NotImplemented
         if not (self._re and other._re):
             return self._constant(0.0)
-        return self._normal(*_compose(self, other))
+        pure = [None, None] == self._num[:ALPHA] == other._num[:ALPHA]  # translations
+        return self._normal(*(_compose_translations if pure else _compose)(self, other))
 
     def __rmul__(self, other):
         return self * other if _is_scalar(other) else NotImplemented
@@ -548,16 +607,16 @@ class _NormalForm:
         sa, sb = (max(self._den, other._den) - f._den for f in (self, other))
         return self._re == other._re and self._im == other._im and all(
             (p << sa == q << sb) if x and y else abs(u - v) <= EXPONENT_MERGE_TOL
-            for rows in zip(self._num, other._num, self._val, other._val, self._exact,
-                            other._exact)
-            for p, q, u, v, x, y in zip(*rows))
+            for (pn, pv, px), (qn, qv, qx) in zip(map(self._row, (MU, BETA, ALPHA)),
+                                                  map(other._row, (MU, BETA, ALPHA)))
+            for p, q, u, v, x, y in zip(pn, qn, pv, qv, px, qx))
 
     __hash__ = None
 
     def __str__(self):
         pieces = []
-        for i, t in enumerate(self.terms()):
-            body, negative = self._text(t)
+        for i, (c, *exps) in enumerate(zip(*self._rows())):
+            body, negative = _term_text(c, zip("PDT", exps))
             pieces.append(("-" if negative else "") + body if i == 0
                           else (" - " if negative else " + ") + body)
         return "".join(pieces) or "0"
@@ -588,10 +647,7 @@ class LaurentPoly(_NormalForm):
     __slots__ = ()
 
     def __init__(self, terms=()):
-        coeffs, alpha = [], []
-        for e, c in terms:
-            alpha.append(Exponent.of(e))
-            coeffs.append(complex(c))
+        alpha, coeffs = list(zip(*terms)) or ((), ())
         self._assign(_merged(*_columns(coeffs, [None, None, alpha])))
 
     # -- constructors ----------------------------------------------------
@@ -610,12 +666,15 @@ class LaurentPoly(_NormalForm):
 
     @staticmethod
     def term(coeff: complex, exponent) -> "LaurentPoly":
-        return LaurentPoly([(Exponent.of(exponent), complex(coeff))])
+        (k, m), c = _split(exponent), complex(coeff)  # _columns of one term, spelled out
+        x = m is not None
+        return LaurentPoly._normal([c.real], [c.imag], [None, None, [k if x else 0]], m or 0,
+                                   [None, None, [k / (1 << m) if x else k]], [None, None, [x]])
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentPoly":
         """Build from {exponent-like: coeff}; handy in tests."""
-        return LaurentPoly([(Exponent.of(k), complex(v)) for k, v in d.items()])
+        return LaurentPoly(d.items())
 
     # -- inspection ------------------------------------------------------
 
@@ -660,33 +719,12 @@ class LaurentPoly(_NormalForm):
         """
         lam = complex(lam)
         total = 0j
-        for e, c in self.terms():
-            z = lam * e.value
+        for alpha, re, im in zip(self._row(ALPHA)[1], self._re, self._im):
+            z = lam * alpha
             if abs(z.real) > PHASE_OVERFLOW_LIMIT:
-                raise EvaluationOverflowError(
-                    f"evaluation overflow: Re(lambda*alpha) = {z.real!r}"
-                )
-            total += c * cmath.exp(z)
+                raise EvaluationOverflowError(f"evaluation overflow: Re(lambda*alpha) = {z.real!r}")
+            total += complex(re, im) * cmath.exp(z)
         return total
-
-    @staticmethod
-    def _text(t) -> tuple[str, bool]:
-        return _term_text(*t)
-
-
-def _term_text(e: Exponent, c: complex) -> tuple[str, bool]:
-    """Return (body, negative) with the sign pulled out for real coefficients."""
-    negative = False
-    if c.imag == 0.0 and c.real < 0:
-        negative = True
-        c = -c
-    is_zero_exp = e.is_exact and e.dyadic == Dyadic(0)
-    if is_zero_exp:
-        return _format_coeff(c), negative
-    exp_s = _format_exponent(e)
-    if c == 1:
-        return f"T^{exp_s}", negative
-    return f"{_format_coeff(c)}*T^{exp_s}", negative
 
 
 # ---------------------------------------------------------------------------

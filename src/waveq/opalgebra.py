@@ -38,8 +38,6 @@ from .laurent import (
     Exponent,
     LaurentPoly,
     _columns,
-    _format_coeff,
-    _format_exponent,
     _merged,
     _NormalForm,
     _own_arithmetic,
@@ -75,9 +73,8 @@ class OpExpr(_NormalForm):
     __slots__ = ()
 
     def __init__(self, terms: Iterable[OpTerm] = ()):
-        terms = list(terms)
-        rows = list(zip(*[(t.mu, t.beta, t.alpha) for t in terms])) or [(), (), ()]
-        self._assign(_merged(*_columns([complex(t.coeff) for t in terms], rows)))
+        coeffs, *rows = list(zip(*terms)) or [(), (), (), ()]  # OpTerm fields, transposed
+        self._assign(_merged(*_columns(coeffs, rows)))
 
     # -- constructors ----------------------------------------------------
 
@@ -95,8 +92,7 @@ class OpExpr(_NormalForm):
 
     @staticmethod
     def term(coeff: complex, mu=0, beta=0, alpha=0) -> "OpExpr":
-        rows = [[Exponent.of(mu)], [Exponent.of(beta)], [Exponent.of(alpha)]]
-        return OpExpr._normal(*_columns([complex(coeff)], rows))
+        return OpExpr._normal(*_columns([coeff], [[mu], [beta], [alpha]]))
 
     @staticmethod
     def translation(alpha, coeff: complex = 1.0) -> "OpExpr":
@@ -126,40 +122,13 @@ class OpExpr(_NormalForm):
         return self._terms
 
     def is_translation_only(self) -> bool:
-        return not (any(self._val[MU]) or any(self._val[BETA]))
+        return not (any(self._val[MU] or ()) or any(self._val[BETA] or ()))
 
     def to_laurent(self) -> LaurentPoly:
         if not self.is_translation_only():
             raise ValueError("operator has dilation or phase parts")
-        n = len(self)
-        return LaurentPoly._normal(
-            self._re, self._im, [[0] * n, [0] * n, self._num[ALPHA]], self._den,
-            [[0.0] * n, [0.0] * n, self._val[ALPHA]], [[True] * n, [True] * n, self._exact[ALPHA]],
-            merge=False)
-
-    @staticmethod
-    def _text(t: OpTerm) -> tuple[str, bool]:
-        return _opterm_text(t)
-
-
-def _opterm_text(t: OpTerm) -> tuple[str, bool]:
-    c = t.coeff
-    negative = False
-    if c.imag == 0.0 and c.real < 0:
-        negative = True
-        c = -c
-    factors = []
-    if t.mu.value != 0.0 or not t.mu.is_exact:
-        factors.append(f"P^{_format_exponent(t.mu)}")
-    if t.beta.value != 0.0 or not t.beta.is_exact:
-        factors.append(f"D^{_format_exponent(t.beta)}")
-    if t.alpha.value != 0.0 or not t.alpha.is_exact:
-        factors.append(f"T^{_format_exponent(t.alpha)}")
-    if not factors:
-        return _format_coeff(c), negative
-    if c == 1:
-        return "*".join(factors), negative
-    return "*".join([_format_coeff(c)] + factors), negative
+        num, val, exact = ([None, None, a[ALPHA]] for a in (self._num, self._val, self._exact))
+        return LaurentPoly._normal(self._re, self._im, num, self._den, val, exact, merge=False)
 
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
@@ -169,12 +138,5 @@ def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
 def translation_sum(count: int, step) -> OpExpr:
     """1 + T^step + T^(2 step) + ... + T^((count-1) step), exact for dyadic step."""
     step = Exponent.of(step)
-    zero = Exponent.exact(0)
-    terms = []
-    for k in range(count):
-        if step.is_exact:
-            alpha = Exponent.exact(step.dyadic * Dyadic(k))
-        else:
-            alpha = step.times_float(float(k))
-        terms.append(OpTerm(1.0 + 0j, zero, zero, alpha))
-    return OpExpr(terms)
+    alphas = [step.times_dyadic(Dyadic(k)) for k in range(count)]
+    return OpExpr._normal(*_columns([1.0] * count, [None, None, alphas]))

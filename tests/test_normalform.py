@@ -102,6 +102,17 @@ def test_laurent_power_is_repeated_product(pairs, n):
     assert p**n == expected
 
 
+@given(st.lists(st.tuples(coeff, st.one_of(dyadic, st.floats(-2, 2))), min_size=1, max_size=4),
+       st.lists(st.tuples(coeff, st.one_of(dyadic, st.floats(-2, 2))), min_size=1, max_size=4))
+def test_translation_products_agree_with_the_general_composition(p, q):
+    # a product of pure translations takes its own path; carrying a dilation
+    # through the other factor sends the same product down the general one
+    a, b = (sum((OpExpr.translation(e, c) for c, e in terms), OpExpr.zero()) for terms in (p, q))
+    d = OpExpr.dilation(1)
+    assert (a * b) * d == a * (b * d)
+    assert OpExpr.from_laurent(a.to_laurent() * b.to_laurent()) == a * b
+
+
 def test_large_dilation_shifts_stay_exact():
     (t,) = (OpExpr.translation(1) * OpExpr.dilation(70)).terms()
     assert t.alpha.is_exact and t.alpha.dyadic == Dyadic(2**70)
@@ -151,6 +162,26 @@ def test_distinct_exact_exponents_never_fuse():
     assert [(e.dyadic, c) for e, c in q.terms()] == [(tiny, 4.0), (Dyadic(0), 3.0)]
     op = OpExpr.translation(0) + OpExpr.translation(tiny)
     assert len(op) == 2 and len(op * op) == 3
+
+
+def test_exact_exponents_with_equal_floats_never_fuse():
+    big = 2**60  # float(big + 1) == float(big)
+    p = LaurentPoly.from_dict({big: 1, big + 1: 1})
+    assert [(e.dyadic, c) for e, c in p.terms()] == [(Dyadic(big + 1), 1), (Dyadic(big), 1)]
+    word = OpExpr.translation(1) * OpExpr.dilation(60) * (1 + OpExpr.translation(1))
+    assert [t.alpha.dyadic for t in word.terms()] == [Dyadic(big + 1), Dyadic(big)]
+    assert len(word * word) == 4
+    # an approximate value equal to both floats joins one of them, not both
+    q = LaurentPoly([(Exponent.exact(big), 1.0), (approx(float(big)), 2.0),
+                     (Exponent.exact(big + 1), 4.0)])
+    assert sorted(c.real for _, c in q.terms()) == [1.0, 6.0]
+
+
+def test_dilations_beyond_the_float_range_compose():
+    (t,) = (OpExpr.dilation(1100) * OpExpr.translation(1)).terms()
+    assert t.beta.dyadic == Dyadic(1100) and t.alpha.dyadic == Dyadic(1)
+    (t,) = (OpExpr.term(1.0, mu=0.3, beta=1100) * OpExpr.translation(1)).terms()
+    assert t.mu.value == 0.3 and not t.mu.is_exact and t.beta.dyadic == Dyadic(1100)
 
 
 def test_shared_arithmetic_is_bound_on_each_class():
