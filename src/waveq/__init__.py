@@ -65,6 +65,7 @@ from .scaling import (
     CascadeDivergenceError,
     CascadeResult,
     ScalingSystem,
+    WordTooLargeError,
     algebraic_form_check,
     b2_system,
     box_grid,
@@ -121,6 +122,7 @@ __all__ = [
     "RefinementSolve",
     "ScalingSystem",
     "SpectrumTrace",
+    "WordTooLargeError",
     "a2half_step",
     "algebraic_form_check",
     "apply_op_expsum",

@@ -31,7 +31,6 @@ from .acceptance import format_report, run_all
 from .funceq import (
     GammaMap,
     casimir_constancy_check,
-    gamma_eval,
     gamma_ladder_report,
     prop1_solve,
     solve_casimir_chi,
@@ -618,17 +617,9 @@ def _run_prop1(p: dict) -> RunResult:
 def _run_gamma(p: dict) -> RunResult:
     m = GammaMap(b_const=p["b"], sign=p["sign"])
     rep = gamma_ladder_report(m, p["points"], p["lo"], p["hi"])
-    rows = []
-    lg_lo, lg_hi = math.log10(p["lo"]), math.log10(p["hi"])
-    for i in range(p["points"]):
-        xi = 10.0 ** (lg_lo + (lg_hi - lg_lo) * i / (p["points"] - 1))
-        g = gamma_eval(m, xi)
-        stepped = gamma_eval(m, 2.0 * xi * xi - 1.0)
-        rows.append([xi, g, stepped, abs(stepped - (g - m.sign))])
-    results = dict(rep)
     return RunResult(
-        _csv("xi,gamma,gamma_after_step,step_error", rows),
-        results,
+        _csv("xi,gamma,gamma_after_step,step_error", rep["rows"]),
+        {key: v for key, v in rep.items() if key != "rows"},
         f"max step error {rep['max_step_error']:.2e} on {p['points']} points",
     )
 
@@ -833,7 +824,7 @@ def dispatch(argv: list[str]) -> int:
         result = _RUNNERS[cfg.subcommand](cfg.params)
     except (ValueError, LaurentError, CascadeDivergenceError, OverflowError,
             np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     csv_name, manifest_name = _write_outputs(cfg, result)
     print(result.summary)

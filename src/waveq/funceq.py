@@ -457,24 +457,26 @@ def gamma_ladder_report(
 
     Checked on a log-spaced grid in (1, hi]; the grid starts a hair above 1
     because arccosh loses half its digits as xi -> 1+.  The report also
-    carries the round trip through the inverse and two anchor values.
+    carries the inverse round trip, two anchors and the grid rows [xi, G, G(2xi^2-1), err].
     """
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     if not 1.0 < lo < hi:
         raise ValueError(f"need 1 < lo < hi, got {lo!r}, {hi!r}")
-    step_err = 0.0
+    rows = []
     round_err = 0.0
     lg_lo, lg_hi = math.log10(lo), math.log10(hi)
     for i in range(points):
         xi = 10.0 ** (lg_lo + (lg_hi - lg_lo) * i / (points - 1))
         g = gamma_eval(m, xi)
         stepped = gamma_eval(m, 2.0 * xi * xi - 1.0)
-        step_err = max(step_err, abs(stepped - (g - m.sign)))
+        rows.append([xi, g, stepped, abs(stepped - (g - m.sign))])
         round_err = max(round_err, abs(gamma_inverse(m, g) - xi) / max(1.0, xi))
+    step_err = max(0.0, *(r[3] for r in rows))
     return {
         "points": points,
         "grid": (lo, hi),
+        "rows": rows,
         "max_step_error": step_err,
         "max_roundtrip_error": round_err,
         "ladder_ok": step_err <= 1e-12,

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import groupby
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .laurent import EvaluationOverflowError, Exponent, PHASE_OVERFLOW_LIMIT
+from .laurent import (ALPHA, BETA, COEFF_PRUNE_TOL, MU, PHASE_OVERFLOW_LIMIT,
+                      EvaluationOverflowError, Exponent)
 from .opalgebra import OpExpr, dilation_prefactor
 
 RATE_MERGE_TOL = 1e-12
-COEFF_PRUNE_TOL = 1e-15
+SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per call of f in sample_op_applied
 
 
 class GridResolutionError(ValueError):
@@ -243,21 +245,30 @@ def sample_op_applied(
     xs: np.ndarray,
     convention: str = "one",
 ) -> np.ndarray:
-    """Evaluate (expr f)(xs) for an analytically known f.
+    """Evaluate (expr f)(xs) for an analytically known f, at any real
+    dilation power (the deformed scaling construction needs that).
 
-    No lattice constraints: works for any real dilation power, which is
-    what the deformed scaling construction needs.  f must accept a numpy
-    array of points and return values of the same shape.
+    Runs of terms sharing (beta, mu) are applied in blocks of at most
+    SAMPLE_BLOCK samples: f gets points of shape (k, *xs.shape), so it must
+    work elementwise.  The weighted rows are added in term order, with the
+    weight as the left factor, so the result is the term-by-term sum bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
-    for t in expr.terms():
-        pts = (2.0 ** t.beta.value) * xs + t.alpha.value
-        vals = np.asarray(f(pts), dtype=complex)
-        weight = t.coeff * dilation_prefactor(convention, t.beta.value)
-        if t.mu.value != 0.0:
-            vals = vals * np.exp(1j * t.mu.value * xs)
-        out += weight * vals
+    mu, beta, alpha = (expr._row(r)[1] for r in (MU, BETA, ALPHA))
+    coeffs, column = list(map(complex, expr._re, expr._im)), (-1,) + (1,) * xs.ndim
+    step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
+    for (b, m), run in groupby(zip(beta, mu)):
+        start, end = end, end + len(list(run))
+        scaled, sigma = (2.0**b) * xs, dilation_prefactor(convention, b)
+        phase = np.exp(1j * m * xs) if m != 0.0 else None
+        for i in range(start, end, step):
+            j = min(i + step, end)
+            vals = np.asarray(f(scaled + np.reshape(alpha[i:j], column)), dtype=complex)
+            if phase is not None:
+                vals = vals * phase
+            for row in np.reshape([c * sigma for c in coeffs[i:j]], column) * vals:
+                out += row
     return out
 
 

@@ -678,16 +678,18 @@ class LaurentPoly(_NormalForm):
 
     # -- inspection ------------------------------------------------------
 
-    def terms(self) -> tuple:
+    def _pairs(self) -> tuple:
         """(Exponent, complex) pairs, exponents descending; built once."""
         if self._terms is None:
             coeffs, _, _, alpha = self._rows()
             self._terms = tuple(zip(alpha, coeffs))
         return self._terms
 
+    terms = _pairs  # the public name; methods below call _pairs, so a wrapper of terms misses them
+
     def coeff_at(self, exponent) -> complex:
         target = Exponent.of(exponent)
-        for e, c in self.terms():
+        for e, c in self._pairs():
             if e == target:
                 return c
         return 0j
@@ -705,7 +707,7 @@ class LaurentPoly(_NormalForm):
         e^{i*phase*alpha}.  phase == 0 keeps coefficients bit-identical."""
         m = Dyadic(m) if isinstance(m, int) else m
         out = []
-        for e, c in self.terms():
+        for e, c in self._pairs():
             if phase != 0.0:
                 c = c * cmath.exp(1j * phase * e.value)
             out.append((e.times_dyadic(m) if isinstance(m, Dyadic) else e.times_float(float(m)), c))

@@ -30,10 +30,15 @@ from .opalgebra import OpExpr
 from .qdeform import w_minus
 
 DIVERGENCE_L2_LIMIT = 1e6
+MAX_WORD_ORDER = 20  # 2^n terms, expanded term by term: n = 17 takes 2 s and 0.2 GB
 
 
 class CascadeDivergenceError(RuntimeError):
     pass
+
+
+class WordTooLargeError(ValueError):
+    """A deformed word order above MAX_WORD_ORDER: (2 W-(s))^n has 2^n terms."""
 
 
 def _to_dyadic(step) -> Dyadic:
@@ -456,6 +461,8 @@ def deformed_scaling(
         raise ValueError(f"s must lie in [0, 1], got {s}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_WORD_ORDER:  # refused before anything is expanded
+        raise WordTooLargeError(f"word order {n} is above MAX_WORD_ORDER = {MAX_WORD_ORDER}")
     word = (2.0 * w_minus(s)) ** n
     op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * word
     out = GridFunction.zeros(resolution, window)

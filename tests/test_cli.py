@@ -190,3 +190,27 @@ def test_programming_error_propagates_instead_of_exit_one(tmp_path, monkeypatch)
     monkeypatch.setitem(cli._RUNNERS, "closure", broken)
     with pytest.raises(TypeError):
         run(tmp_path, "closure")
+
+
+def test_oversized_deformed_word_exits_one_naming_the_error(tmp_path, capsys, monkeypatch):
+    import waveq.scaling as scaling
+
+    def no_word(s):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr(scaling, "w_minus", no_word)
+    assert run(tmp_path, "fig2", "--n", "40") == 1
+    assert "WordTooLargeError" in capsys.readouterr().err
+    assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_gamma_writes_the_report_rows_and_keeps_them_out_of_the_manifest(tmp_path):
+    from waveq.funceq import GammaMap, gamma_ladder_report
+
+    assert run(tmp_path, "gamma", "--points", "20") == 0
+    lines = (tmp_path / "gamma.csv").read_text().splitlines()
+    rows = gamma_ladder_report(GammaMap(), 20)["rows"]
+    assert lines[0] == "xi,gamma,gamma_after_step,step_error"
+    assert [[float(v) for v in ln.split(",")] for ln in lines[1:]] == rows
+    results = load_manifest(tmp_path, "gamma")["results"]
+    assert "rows" not in results and results["points"] == 20

@@ -253,6 +253,8 @@ def test_gamma_ladder_on_log_grid():
     assert report["ladder_ok"]
     assert report["max_step_error"] <= 1e-12
     assert report["max_roundtrip_error"] <= 1e-12
+    assert len(report["rows"]) == 100
+    assert report["max_step_error"] == max(row[3] for row in report["rows"])
 
 
 def test_gamma_ladder_spot_values():

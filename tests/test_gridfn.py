@@ -1,9 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from waveq import gridfn
 from waveq.laurent import Dyadic, EvaluationOverflowError
 from waveq.gridfn import (
     ExpSum,
@@ -14,7 +18,8 @@ from waveq.gridfn import (
     apply_op_grid,
     sample_op_applied,
 )
-from waveq.opalgebra import OpExpr
+from waveq.opalgebra import DILATION_CONVENTIONS, OpExpr, dilation_prefactor
+from waveq.qdeform import w_minus
 
 
 def box(xs):
@@ -216,6 +221,106 @@ def test_sampler_respects_convention():
     one = sample_op_applied(OpExpr.dilation(2), f, xs, convention="one")
     paper = sample_op_applied(OpExpr.dilation(2), f, xs, convention="paper")
     assert np.allclose(paper, 4.0 * one)
+
+
+# -- blocked sampling against the term-by-term rule -------------------------
+
+
+def term_by_term(expr, f, xs, convention="one"):
+    """The sampling rule written out one term at a time."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape, dtype=complex)
+    for t in expr.terms():
+        vals = np.asarray(f((2.0 ** t.beta.value) * xs + t.alpha.value), dtype=complex)
+        if t.mu.value != 0.0:
+            vals = vals * np.exp(1j * t.mu.value * xs)
+        out += t.coeff * dilation_prefactor(convention, t.beta.value) * vals
+    return out
+
+
+def seed(p):
+    return np.arctan(2.0 * p) / np.pi
+
+
+def wave(p):
+    return np.exp(0.3j * p) / (1.0 + p * p)
+
+
+exponent = st.sampled_from([0, 1, -1, 0.37, -1.3, Dyadic(1, 1), Dyadic(-3, 2)])
+part = st.floats(-2, 2, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+op_term = st.tuples(part, part, exponent, exponent, exponent)  # re, im, mu, beta, alpha
+shape = st.sampled_from([(1,), (7,), (40,), (3, 5), (2, 3, 4)])
+
+
+def build_op(terms, word_order):
+    """A sum of single terms, plus a deformed word (one long (beta, mu) run)."""
+    op = OpExpr.zero()
+    for re, im, mu, beta, alpha in terms:
+        op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=alpha)
+    if word_order:
+        op = op + (2.0 * w_minus(0.6)) ** word_order
+    return op
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(op_term, max_size=8),
+    word_order=st.sampled_from([0, 3, 6]),
+    dims=shape,
+    block=st.sampled_from([1, 5, 64, 1 << 13]),
+    convention=st.sampled_from(DILATION_CONVENTIONS),
+    f=st.sampled_from([seed, wave, box]),
+)
+@example(terms=[], word_order=0, dims=(3, 5), block=1, convention="one", f=seed)  # empty operator
+def test_blocked_sampling_is_the_term_by_term_sum_bit_for_bit(
+    terms, word_order, dims, block, convention, f
+):
+    op = build_op(terms, word_order)
+    xs = np.linspace(-1.5, 2.5, math.prod(dims)).reshape(dims)
+    with mock.patch.object(gridfn, "SAMPLE_BLOCK", block):  # blocks of a few terms or one
+        got = sample_op_applied(op, f, xs, convention=convention)
+    want = term_by_term(op, f, xs, convention)
+    assert got.shape == want.shape == dims
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sampling_calls_f_once_per_block_with_stacked_points():
+    op = (2.0 * w_minus(0.6)) ** 6  # 64 terms, one (beta, mu) run
+    xs = np.linspace(0.0, 1.0, 10)
+    shapes = []
+
+    def spy(p):
+        shapes.append(p.shape)
+        return seed(p)
+
+    with mock.patch.object(gridfn, "SAMPLE_BLOCK", 300):
+        sample_op_applied(op, spy, xs)
+    assert shapes == [(30, 10), (30, 10), (4, 10)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.tuples(part, part, st.sampled_from([0, 0.5, -1.25]), st.integers(0, 2),
+                  st.integers(-40, 40)),
+        min_size=1, max_size=6,
+    ),
+    convention=st.sampled_from(DILATION_CONVENTIONS),
+)
+def test_grid_application_agrees_with_sampling_on_lattice_operators(terms, convention):
+    """Integer dilations and translations on the 2^-5 lattice: reading the
+    source grid by index equals sampling the same function at 2^b x + a."""
+
+    def windowed(p):
+        return np.where((p >= -4.0) & (p < 4.0), np.exp(-p * p) + 0.3j * np.sin(p), 0.0)
+
+    op = OpExpr.zero()
+    for re, im, mu, beta, k in terms:
+        op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=Dyadic(k, 5))
+    src = GridFunction.from_callable(windowed, 5, (-4, 4))
+    via_grid = apply_op_grid(op, src, convention=convention, out_window=(-1, 1))
+    sampled = sample_op_applied(op, windowed, via_grid.x_points(), convention=convention)
+    assert np.max(np.abs(via_grid.values - sampled)) <= 1e-13
 
 
 # -- CSV -----------------------------------------------------------------

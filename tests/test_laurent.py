@@ -247,3 +247,18 @@ def test_print_parse_roundtrip_random():
         p = LaurentPoly.from_dict(terms)
         q = parse_laurent(str(p))
         assert (p - q).max_abs_coeff() == 0.0
+
+
+def test_coefficient_lookup_and_substitution_read_the_private_rows(monkeypatch):
+    p = LaurentPoly.from_dict({0: 1.0, Dyadic(-1, 1): 2.0 - 1j, 1.3: 0.5})
+    lookups = [p.coeff_at(e) for e in (0, Dyadic(-1, 1), 1.3, 7)]
+    scaled = p.substitute_scaled(2.0, 0.3)
+
+    def no_terms(self):
+        raise AssertionError("terms() was called")
+
+    monkeypatch.setattr(LaurentPoly, "terms", no_terms)
+    fresh = LaurentPoly.from_dict({0: 1.0, Dyadic(-1, 1): 2.0 - 1j, 1.3: 0.5})
+    assert [fresh.coeff_at(e) for e in (0, Dyadic(-1, 1), 1.3, 7)] == lookups == [1, 2 - 1j, 0.5, 0]
+    assert fresh.substitute_scaled(2.0, 0.3) == scaled
+    assert fresh.substitute_power(-1).coeff_at(Dyadic(1, 1)) == 2 - 1j

@@ -5,7 +5,9 @@ import pytest
 
 from waveq.gridfn import GridFunction, GridResolutionError
 from waveq.laurent import Dyadic, EvaluationOverflowError, parse_laurent
+from waveq import scaling
 from waveq.scaling import (
+    MAX_WORD_ORDER,
     CascadeDivergenceError,
     ScalingSystem,
     algebraic_form_check,
@@ -22,6 +24,7 @@ from waveq.scaling import (
     hat_profile,
     limit_build,
     limit_build_report,
+    WordTooLargeError,
     wavelet_from_scaling,
     wavelet_selfequation_report,
 )
@@ -306,6 +309,19 @@ def test_deformed_scaling_validation():
         deformed_scaling(-0.1, 4, 6)
     with pytest.raises(ValueError):
         deformed_scaling(0.5, 0, 6)
+
+
+def test_oversized_word_is_refused_before_anything_is_built(monkeypatch):
+    def no_word(s):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr(scaling, "w_minus", no_word)
+    n = MAX_WORD_ORDER + 1
+    assert issubclass(WordTooLargeError, ValueError)
+    with pytest.raises(WordTooLargeError, match=f"word order {n} "):
+        deformed_scaling(0.5, n, 4)
+    with pytest.raises(WordTooLargeError):
+        deformed_scaling_report((0.5, 1.0), n, 4)
 
 
 # -- wavelet self-similarity report ------------------------------------------------------
