@@ -44,6 +44,7 @@ from .laurent import (
     Dyadic,
     EvaluationOverflowError,
     Exponent,
+    ExponentRangeError,
     LaurentError,
     LaurentParseError,
     LaurentPoly,
@@ -105,6 +106,7 @@ __all__ = [
     "ChiSolve",
     "Dyadic",
     "EvaluationOverflowError",
+    "ExponentRangeError",
     "ExpSum",
     "Exponent",
     "GammaMap",

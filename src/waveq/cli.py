@@ -18,6 +18,7 @@ usage string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -724,6 +725,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="waveq", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")

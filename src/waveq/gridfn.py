@@ -6,7 +6,8 @@ Two representations cover everything downstream:
   integer window [lo, hi).  Operator application is exact index arithmetic;
   a source point that falls off the lattice raises instead of interpolating.
 * `ExpSum`: finite sums of a*e^(rate*x), closed under the full algebra
-  including non-integer dilation powers, which grids cannot represent.
+  including non-integer dilation powers, which grids cannot represent;
+  it shares the normal form of LaurentPoly and OpExpr.
 
 The dilation prefactor sigma(beta) is applied here, at application time,
 under the convention name the caller picks ("one" by default).
@@ -14,18 +15,14 @@ under the convention name the caller picks ("one" by default).
 
 from __future__ import annotations
 
-import cmath
-import math
 from itertools import groupby
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .laurent import (ALPHA, BETA, COEFF_PRUNE_TOL, MU, PHASE_OVERFLOW_LIMIT,
-                      EvaluationOverflowError, Exponent)
+from .laurent import Exponent, _exp, _merged, _NormalForm, _own_arithmetic
 from .opalgebra import OpExpr, dilation_prefactor
 
-RATE_MERGE_TOL = 1e-12
 SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per call of f in sample_op_applied
 
 
@@ -255,7 +252,7 @@ def sample_op_applied(
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
-    mu, beta, alpha = (expr._row(r)[1] for r in (MU, BETA, ALPHA))
+    mu, beta, alpha = expr._val
     coeffs, column = list(map(complex, expr._re, expr._im)), (-1,) + (1,) * xs.ndim
     step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
     for (b, m), run in groupby(zip(beta, mu)):
@@ -272,83 +269,57 @@ def sample_op_applied(
     return out
 
 
-class ExpSum:
+@_own_arithmetic
+class ExpSum(_NormalForm):
     """Finite sum of coeff * e^(rate * x) with complex coeff and rate.
 
+    The shared normal form with rows Re(rate) and Im(rate), built as floats:
+    rates descend and merge by the shared rule, and products add them.
     Closed under the full operator algebra: phases shift the rate by i*mu,
     dilations scale it by 2^beta, translations multiply the coefficient by
-    e^(rate*alpha).  Rates closer than RATE_MERGE_TOL merge.
+    e^(rate*alpha).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _ORDER = (0, 1)
 
     def __init__(self, terms: Iterable[tuple[complex, complex]] = ()):
-        object.__setattr__(self, "_terms", _normalize_expsum(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpSum is immutable")
+        coeffs, rates = (list(map(complex, col)) for col in list(zip(*terms)) or ((), ()))
+        n = len(rates)
+        self._assign(_merged(self._ORDER, [c.real for c in coeffs], [c.imag for c in coeffs],
+                             [[0] * n, [0] * n], 0,
+                             [[r.real for r in rates], [r.imag for r in rates]],
+                             [[False] * n, [False] * n]))
 
     @staticmethod
     def exponential(rate: complex, coeff: complex = 1.0) -> "ExpSum":
-        return ExpSum([(complex(coeff), complex(rate))])
+        return ExpSum([(coeff, rate)])
 
     @staticmethod
     def constant(c: complex = 1.0) -> "ExpSum":
-        return ExpSum([(complex(c), 0j)])
+        return ExpSum([(c, 0j)])
 
-    def terms(self) -> tuple[tuple[complex, complex], ...]:
+    def _pairs(self) -> tuple:
+        """(coeff, rate) pairs, rates descending; built once."""
+        if self._terms is None:
+            self._terms = tuple(zip(map(complex, self._re, self._im), map(complex, *self._val)))
         return self._terms
 
-    def __len__(self):
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    terms = _pairs  # the public name; methods below call _pairs, so a wrapper of terms misses them
 
     def coefficient_of(self, rate: complex, tol: float = 1e-9) -> complex:
-        hits = [c for c, r in self._terms if abs(r - rate) <= tol]
+        hits = [c for c, r in self._pairs() if abs(r - rate) <= tol]
         return sum(hits, 0j)
-
-    def __add__(self, other):
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        return ExpSum(self._terms + other._terms)
-
-    def __neg__(self):
-        return ExpSum([(-c, r) for c, r in self._terms])
-
-    def __sub__(self, other):
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        return ExpSum([(c * scalar, r) for c, r in self._terms])
-
-    __rmul__ = __mul__
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c, _ in self._terms), default=0.0)
-
-    def isclose(self, other: "ExpSum", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
 
     def eval(self, x):
         if isinstance(x, np.ndarray):
             out = np.zeros(x.shape, dtype=complex)
-            for c, r in self._terms:
+            for c, r in self._pairs():
                 out += c * np.exp(r * x)
             return out
         total = 0j
-        for c, r in self._terms:
-            z = r * x
-            if abs(z.real) > PHASE_OVERFLOW_LIMIT:
-                raise EvaluationOverflowError(
-                    f"evaluation overflow: Re(rate*x) = {z.real!r}"
-                )
-            total += c * cmath.exp(z)
+        for c, r in self._pairs():
+            total += c * _exp(r * x, "rate*x")
         return total
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
@@ -358,43 +329,21 @@ class ExpSum:
         gf = GridFunction.zeros(resolution, window)
         return GridFunction(resolution, window, self.sample(gf.x_points()))
 
-    def __repr__(self):
-        inner = " + ".join(f"({c})e^({r})x" for c, r in self._terms)
+    def __str__(self):
+        inner = " + ".join(f"({c})e^({r})x" for c, r in self._pairs())
         return f"ExpSum[{inner or '0'}]"
 
-
-def _normalize_expsum(terms) -> tuple:
-    pairs = [(complex(c), complex(r)) for c, r in terms]
-    pairs.sort(key=lambda p: (p[1].real, p[1].imag))
-    # greedy clustering: sums stay small, so the quadratic scan is fine and,
-    # unlike adjacency after a lexicographic sort, actually catches every
-    # near-duplicate complex rate
-    merged: list[list[complex]] = []
-    for c, r in pairs:
-        for slot in merged:
-            if abs(slot[1] - r) <= RATE_MERGE_TOL:
-                slot[0] += c
-                break
-        else:
-            merged.append([c, r])
-    return tuple((c, r) for c, r in merged if abs(c) >= COEFF_PRUNE_TOL)
+    __repr__ = __str__
 
 
 def apply_op_expsum(expr: OpExpr, es: ExpSum, convention: str = "one") -> ExpSum:
     """Exact closed-form action of a normal-form operator on an ExpSum."""
     out = []
-    for t in expr.terms():
-        sigma = dilation_prefactor(convention, t.beta.value)
-        for a, rate in es.terms():
-            coeff = t.coeff * a * sigma
-            alpha = t.alpha.value
+    for coeff, mu, beta, alpha in zip(map(complex, expr._re, expr._im), *expr._val):
+        sigma = dilation_prefactor(convention, beta)
+        for a, rate in es._pairs():
+            c = coeff * a * sigma
             if alpha != 0.0:
-                z = rate * alpha
-                if abs(z.real) > PHASE_OVERFLOW_LIMIT:
-                    raise EvaluationOverflowError(
-                        f"evaluation overflow: Re(rate*alpha) = {z.real!r}"
-                    )
-                coeff *= cmath.exp(z)
-            new_rate = rate * (2.0 ** t.beta.value) + 1j * t.mu.value
-            out.append((coeff, new_rate))
+                c *= _exp(rate * alpha, "rate*alpha")
+            out.append((c, rate * (2.0**beta) + 1j * mu))
     return ExpSum(out)

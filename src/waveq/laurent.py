@@ -18,6 +18,7 @@ import warnings
 COEFF_PRUNE_TOL = 1e-15
 EXPONENT_MERGE_TOL = 1e-12
 PHASE_OVERFLOW_LIMIT = 700.0
+MAX_LOG2_DEN = 30  # Dyadic.from_float: finer floats stay approximate
 
 
 class LaurentError(Exception):
@@ -34,6 +35,19 @@ class LaurentParseError(LaurentError):
 
 class EvaluationOverflowError(LaurentError):
     pass
+
+
+class ExponentRangeError(LaurentError, ValueError):
+    """An exponent whose value lies beyond the float range."""
+
+
+def _exact_value(num: int, log2_den: int) -> float:
+    """num / 2**log2_den rounded once to a float: the value of an exact exponent."""
+    try:
+        return num / (1 << log2_den)
+    except OverflowError:
+        bits = num.bit_length() - 1 - log2_den
+        raise ExponentRangeError(f"exact exponent ~2^{bits} is beyond the float range") from None
 
 
 class ApproximateExponentWarning(UserWarning):
@@ -67,22 +81,22 @@ class Dyadic:
         raise AttributeError("Dyadic is immutable")
 
     @staticmethod
-    def from_float(x: float, max_log2_den: int = 30) -> "Dyadic | None":
+    def from_float(x: float) -> "Dyadic | None":
         """Exact conversion when x is a dyadic with a small denominator.
 
-        Returns None when x is not exactly representable within the given
-        denominator bound; callers then fall back to approximate exponents.
+        Returns None when x is not exactly representable over 2**MAX_LOG2_DEN;
+        callers then fall back to approximate exponents.
         """
         if x != x or math.isinf(x):
             return None
         num, den = float(x).as_integer_ratio()
         log2_den = den.bit_length() - 1
-        if log2_den > max_log2_den:
+        if log2_den > MAX_LOG2_DEN:
             return None
         return Dyadic(num, log2_den)
 
     def __float__(self) -> float:
-        return self.num / (1 << self.log2_den)
+        return _exact_value(self.num, self.log2_den)
 
     def is_integer(self) -> bool:
         return self.log2_den == 0
@@ -187,7 +201,7 @@ class Exponent:
         if isinstance(value, Exponent):
             return value
         if isinstance(value, (int, Dyadic)):
-            return _ZERO if type(value) is int and not value else Exponent.exact(value)
+            return Exponent.exact(value)
         d = Dyadic.from_float(float(value))
         if d is not None:
             return Exponent.exact(d)
@@ -273,23 +287,21 @@ def _term_text(c: complex, factors) -> tuple[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# The normal form shared by LaurentPoly and OpExpr (README, "Normal form"):
-# a sum of terms c * P^mu * D^beta * T^alpha held column by column, as a
-# struct of arrays (Python lists):
+# The normal form of LaurentPoly, OpExpr and gridfn's ExpSum (README, "Normal
+# form"): a sum of terms held column by column, as Python lists:
 #
 #   _re, _im   coefficient parts, floats
-#   _val       exponent values, floats, in three rows MU, BETA, ALPHA
-#   _exact     which exponents are exact dyadics, in the same three rows
+#   _val       exponent values, floats, one list per exponent row
+#   _exact     which exponents are exact dyadics, in the same rows
 #   _num       exact exponents as integer numerators over 2**_den, 0 where
-#              approximate, in the same three rows
+#              approximate, in the same rows
 #
-# A row of exact zeros is None in all three, so a LaurentPoly carries only
-# its alpha row.  An exact exponent's value is its numerator rounded once to
-# a float.  _den need not be minimal: Dyadic reduces each exponent when
-# terms() builds it.
+# Each class holds only its own rows: LaurentPoly alpha, ExpSum the real and
+# imaginary parts of a rate, OpExpr mu, beta and alpha.  An exact exponent's
+# value is its numerator rounded once to a float.  _den need not be minimal:
+# Dyadic reduces each exponent when terms() builds it.
 
-MU, BETA, ALPHA = 0, 1, 2
-_ZERO = Exponent.exact(0)  # the Exponent.of(0) every caller shares
+MU, BETA, ALPHA = 0, 1, 2  # OpExpr's rows
 
 
 def _split(e) -> tuple:
@@ -306,21 +318,20 @@ def _split(e) -> tuple:
 
 
 def _columns(coeffs, rows: list) -> tuple:
-    """Columns of coefficients (numbers) and three rows (mu, beta, alpha) of
-    exponent-likes; a row given as None is all exact zeros."""
-    rows, den = [row if row is None else list(map(_split, row)) for row in rows], 0
+    """Columns of coefficients (numbers) and rows of exponent-likes."""
+    rows, den = [list(map(_split, row)) for row in rows], 0
     for row in rows:  # loops and appends: cheaper than comprehensions on short rows
-        for _, m in row or ():
+        for _, m in row:
             if m and m > den:
                 den = m
-    num, val, exact, re, im = [None] * 3, [None] * 3, [None] * 3, [], []
-    for r, row in enumerate(rows):
-        if row is not None:
-            num[r], val[r], exact[r] = nr, vr, xr = [], [], []
-            for k, m in row:
-                nr.append(0 if m is None else k << den - m)
-                vr.append(k if m is None else k / (1 << m))
-                xr.append(m is not None)
+    num, val, exact, re, im = [], [], [], [], []
+    for row in rows:
+        nr, vr, xr = [], [], []
+        for k, m in row:
+            nr.append(0 if m is None else k << den - m)
+            vr.append(k if m is None else _exact_value(k, m))
+            xr.append(m is not None)
+        num.append(nr), val.append(vr), exact.append(xr)
     for c in map(complex, coeffs):
         re.append(c.real), im.append(c.imag)
     return re, im, num, den, val, exact
@@ -352,23 +363,21 @@ def _clusters(order, val, exact, num) -> tuple[list, list]:
     return ids, reps
 
 
-def _merged(re, im, num, den, val, exact, merge: bool = True) -> tuple:
+def _merged(order, re, im, num, den, val, exact) -> tuple:
     """Snap, order, merge and prune raw columns.
 
     Every exponent takes its cluster's representative, terms are ordered by
-    descending (beta, mu, alpha) cluster, stably, and the coefficients of
-    equal words are added in that order; then |c| < COEFF_PRUNE_TOL goes and
-    rows left all exact zeros become None.  A row of exact exponents needs
-    no snapping: its numerators are its clusters.
+    descending clusters of the rows taken in `order`, stably, and the
+    coefficients of equal terms are added in that order; then
+    |c| < COEFF_PRUNE_TOL goes.  A row of exact exponents needs no snapping:
+    its numerators are its clusters.  Normalized columns merge to themselves.
     """
     n = len(re)
-    if merge and n > 1:
+    if n > 1:
         # rep_of[r][t]: the entry t takes; None for a constant row, True for an exact one
-        rep_of, keys, snapped = [None] * 3, [], False
-        for r in (BETA, MU, ALPHA):
+        rep_of, keys, snapped = [None] * len(order), [], False
+        for r in order:
             v, x, k = val[r], exact[r], num[r]
-            if x is None:  # exact zeros
-                continue
             if x.count(True) == n:  # each entry its own representative
                 if k.count(k[0]) < n:
                     keys.append(k)
@@ -393,42 +402,45 @@ def _merged(re, im, num, den, val, exact, merge: bool = True) -> tuple:
         if snapped or firsts != list(range(n)):  # else the rows stand as they are
             num, val, exact = [*num], [*val], [*exact]
             for r, reps in enumerate(rep_of):
-                if num[r] is not None:
-                    pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
-                    for a in (num, val, exact):
-                        a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
+                pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
+                for a in (num, val, exact):
+                    a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
     if re and min(map(abs, re)) < COEFF_PRUNE_TOL:  # else no |c| can be below it
         keep = [abs(complex(r, i)) >= COEFF_PRUNE_TOL for r, i in zip(re, im)]
         re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
-        num, val, exact = ([row and [x for x, k in zip(row, keep) if k] for row in a]
+        num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
                            for a in (num, val, exact))
-    for r in (MU, BETA, ALPHA):
-        if exact[r] is not None and not any(num[r]) and all(exact[r]):
-            num, val, exact = [*num], [*val], [*exact]
-            num[r] = val[r] = exact[r] = None
     return re, im, num, den, val, exact
 
 
 def _compose_translations(a: "_NormalForm", b: "_NormalForm") -> tuple:
-    """_compose for pure translations: (c1 T^a1)(c2 T^a2) = c1 c2 T^(a1 + a2)."""
+    """Raw columns of every product a_i b_j, in row-major (i, j) order, of
+    terms whose exponents add row by row: (c1 T^a1)(c2 T^a2) = c1 c2 T^(a1 + a2)."""
     den = max(a._den, b._den)
     sa, sb, unit = den - a._den, den - b._den, 1 << den
     re, im, num, val, exact = [], [], [], [], []
-    terms_b = list(zip(b._re, b._im, *b._row(ALPHA)))
-    for r1, i1, k1, v1, x1 in zip(a._re, a._im, *a._row(ALPHA)):
-        k1 <<= sa
-        for r2, i2, k2, v2, x2 in terms_b:
+    pairs_b = list(zip(b._re, b._im))
+    for r1, i1 in zip(a._re, a._im):
+        for r2, i2 in pairs_b:
             re.append(r1 * r2 - i1 * i2)
             im.append(r1 * i2 + i1 * r2)
-            x = x1 and x2
-            num.append(k1 + (k2 << sb) if x else 0)
-            val.append(num[-1] / unit if x else v1 + v2)
-            exact.append(x)
-    return re, im, [None, None, num], den, [None, None, val], [None, None, exact]
+    for row_a, row_b in zip(zip(a._num, a._val, a._exact), zip(b._num, b._val, b._exact)):
+        nr, vr, xr = [], [], []
+        terms_b = list(zip(*row_b))
+        for k1, v1, x1 in zip(*row_a):
+            k1 <<= sa
+            for k2, v2, x2 in terms_b:
+                x = x1 and x2
+                nr.append(k1 + (k2 << sb) if x else 0)
+                vr.append(nr[-1] / unit if x else v1 + v2)
+                xr.append(x)
+        num.append(nr), val.append(vr), exact.append(xr)
+    return re, im, num, den, val, exact
 
 
 def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
-    """Raw columns of every product a_i b_j, in row-major (i, j) order:
+    """Raw columns of every product a_i b_j of OpExpr terms, in row-major
+    (i, j) order:
 
         (c1 P^m1 D^b1 T^a1)(c2 P^m2 D^b2 T^a2)
             = c1 c2 e^{i m2 a1} P^(m1 + 2^b1 m2) D^(b1+b2) T^(2^b2 a1 + a2)
@@ -439,16 +451,14 @@ def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
     a float, for a nonzero x.
     """
     ka, kb = ([k >> f._den if x and not k & ((1 << f._den) - 1) else None  # exact integer betas
-               for k, _, x in zip(*f._row(BETA))] for f in (a, b))
+               for k, x in zip(f._num[BETA], f._exact[BETA])] for f in (a, b))
     den = max(a._den, b._den) - min([0] + [k for k in ka + kb if k is not None])
     sa, sb = den - a._den, den - b._den
-    (na, va, xa), (nb, vb, xb) = (zip(*map(f._row, (MU, BETA, ALPHA))) for f in (a, b))
-    pa, pb = ([2.0**v if v < 1024.0 else None for v in vals[BETA]] for vals in (va, vb))
-    unit = 1 << den
-    out = []
-    terms_b = list(zip(b._re, b._im, *nb, *vb, *xb, pb, kb))
+    pa, pb = ([2.0**v if v < 1024.0 else None for v in f._val[BETA]] for f in (a, b))
+    out, unit = [], 1 << den
+    terms_b = list(zip(b._re, b._im, *b._num, *b._val, *b._exact, pb, kb))
     for r1, i1, m1, b1, a1, vm1, vb1, va1, xm1, xb1, xa1, p1, k1 in zip(
-            a._re, a._im, *na, *va, *xa, pa, ka):
+            a._re, a._im, *a._num, *a._val, *a._exact, pa, ka):
         m1, b1 = m1 << sa, b1 << sa
         for r2, i2, m2, b2, a2, vm2, vb2, va2, xm2, xb2, xa2, p2, k2 in terms_b:
             cr, ci = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
@@ -470,10 +480,8 @@ def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
     return re, im, cols[0:3], den, cols[3:6], cols[6:9]
 
 
-def _exponents(num: list, val: list, exact: list, den: int, n: int) -> list:
-    """Exponent objects of one row of n terms, one object per distinct value."""
-    if num is None:
-        return [_ZERO] * n
+def _exponents(num: list, val: list, exact: list, den: int) -> list:
+    """Exponent objects of one row, one object per distinct value."""
     made, out = {}, []
     for k, v, x in zip(num, val, exact):
         key = (x, k if x else v)
@@ -483,45 +491,38 @@ def _exponents(num: list, val: list, exact: list, den: int, n: int) -> list:
     return out
 
 
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, float, complex))
+_SCALARS = (int, float, complex)
 
 
 class _NormalForm:
     """Normalized sum of terms, immutable by convention (only private slots
-    exist): the arithmetic of LaurentPoly and OpExpr, which build their own
-    term tuples in terms()."""
+    exist): the arithmetic of LaurentPoly, OpExpr and ExpSum.  A subclass
+    declares its rows in merge order (_ORDER), their printed symbols
+    (_SYMBOLS) and builds its own term tuples in terms()."""
 
     __slots__ = ("_re", "_im", "_num", "_den", "_val", "_exact", "_terms")
+    _product = _compose_translations  # the one product, unless a subclass has its own
 
     def _assign(self, columns: tuple) -> None:
         self._re, self._im, self._num, self._den, self._val, self._exact = columns
         self._terms = None
 
     @classmethod
-    def _normal(cls, *columns, merge: bool = True):
+    def _normal(cls, *columns):
         """A normalized instance of raw columns."""
         out = object.__new__(cls)
-        out._assign(_merged(*columns, merge=merge))
+        out._assign(_merged(cls._ORDER, *columns))
         return out
 
     @classmethod
     def _constant(cls, c: complex):
-        c = complex(c)
-        return cls._normal([c.real], [c.imag], [None] * 3, 0, [None] * 3, [None] * 3)
+        c, n = complex(c), len(cls._ORDER)  # rows are never changed in place: sharing is safe
+        return cls._normal([c.real], [c.imag], [[0]] * n, 0, [[0.0]] * n, [[True]] * n)
 
     def _rows(self) -> tuple:
         """The coefficients, then the Exponent objects of each row."""
         return (list(map(complex, self._re, self._im)),
-                *(_exponents(*row, self._den, len(self._re))
-                  for row in zip(self._num, self._val, self._exact)))
-
-    def _row(self, r: int) -> tuple:
-        """Row r as (numerators, values, exact flags), a None row filled in."""
-        if self._num[r] is not None:
-            return self._num[r], self._val[r], self._exact[r]
-        n = len(self._re)
-        return [0] * n, [0.0] * n, [True] * n
+                *(_exponents(*row, self._den) for row in zip(self._num, self._val, self._exact)))
 
     def __len__(self):
         return len(self._re)
@@ -536,7 +537,7 @@ class _NormalForm:
         return (self - other).max_abs_coeff() <= tol
 
     def _coerce(self, other):
-        if _is_scalar(other):
+        if isinstance(other, _SCALARS):
             return self._constant(other)
         return other if type(other) is type(self) else None
 
@@ -545,13 +546,11 @@ class _NormalForm:
         if other is None:
             return NotImplemented
         den = max(self._den, other._den)
-        num, val, exact = [None] * 3, [None] * 3, [None] * 3
-        for r in (MU, BETA, ALPHA):
-            if self._num[r] is not None or other._num[r] is not None:
-                (p, u, x), (q, v, y) = self._row(r), other._row(r)
-                p = [k << den - self._den for k in p] if self._den < den else p
-                q = [k << den - other._den for k in q] if other._den < den else q
-                num[r], val[r], exact[r] = p + q, u + v, x + y
+        sa, sb = den - self._den, den - other._den
+        num = [([k << sa for k in p] if sa else p) + ([k << sb for k in q] if sb else q)
+               for p, q in zip(self._num, other._num)]
+        val = [u + v for u, v in zip(self._val, other._val)]
+        exact = [x + y for x, y in zip(self._exact, other._exact)]
         return self._normal(self._re + other._re, self._im + other._im, num, den, val, exact)
 
     __radd__ = __add__
@@ -572,20 +571,23 @@ class _NormalForm:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, _SCALARS):
             c, pairs = complex(other), list(zip(self._re, self._im))
             return self._normal([x * c.real - y * c.imag for x, y in pairs],
                                 [x * c.imag + y * c.real for x, y in pairs],
-                                self._num, self._den, self._val, self._exact, merge=False)
+                                self._num, self._den, self._val, self._exact)
         if type(other) is not type(self):
             return NotImplemented
         if not (self._re and other._re):
             return self._constant(0.0)
-        pure = [None, None] == self._num[:ALPHA] == other._num[:ALPHA]  # translations
-        return self._normal(*(_compose_translations if pure else _compose)(self, other))
+        try:
+            columns = self._product(other)
+        except OverflowError:  # products divide inline: a call per value costs ~10%
+            raise ExponentRangeError("a product's exponent is beyond the float range") from None
+        return self._normal(*columns)
 
     def __rmul__(self, other):
-        return self * other if _is_scalar(other) else NotImplemented
+        return self * other if isinstance(other, _SCALARS) else NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -607,16 +609,16 @@ class _NormalForm:
         sa, sb = (max(self._den, other._den) - f._den for f in (self, other))
         return self._re == other._re and self._im == other._im and all(
             (p << sa == q << sb) if x and y else abs(u - v) <= EXPONENT_MERGE_TOL
-            for (pn, pv, px), (qn, qv, qx) in zip(map(self._row, (MU, BETA, ALPHA)),
-                                                  map(other._row, (MU, BETA, ALPHA)))
-            for p, q, u, v, x, y in zip(pn, qn, pv, qv, px, qx))
+            for rows in zip(self._num, other._num, self._val, other._val,
+                            self._exact, other._exact)
+            for p, q, u, v, x, y in zip(*rows))
 
     __hash__ = None
 
     def __str__(self):
         pieces = []
         for i, (c, *exps) in enumerate(zip(*self._rows())):
-            body, negative = _term_text(c, zip("PDT", exps))
+            body, negative = _term_text(c, zip(self._SYMBOLS, exps))
             pieces.append(("-" if negative else "") + body if i == 0
                           else (" - " if negative else " + ") + body)
         return "".join(pieces) or "0"
@@ -638,17 +640,19 @@ def _own_arithmetic(cls):
 class LaurentPoly(_NormalForm):
     """Finite sum of c_alpha * T^alpha with complex c and Exponent alpha.
 
-    The mu = beta = 0 case of the shared normal form: exponents strictly
+    The shared normal form with one exponent row, alpha: exponents strictly
     descending, coefficients with |c| < COEFF_PRUNE_TOL removed, exponents
     equal under the merge rule combined.  All operations return new
     normalized instances.
     """
 
     __slots__ = ()
+    _ORDER = (0,)
+    _SYMBOLS = "T"
 
     def __init__(self, terms=()):
         alpha, coeffs = list(zip(*terms)) or ((), ())
-        self._assign(_merged(*_columns(coeffs, [None, None, alpha])))
+        self._assign(_merged(self._ORDER, *_columns(coeffs, [alpha])))
 
     # -- constructors ----------------------------------------------------
 
@@ -665,13 +669,6 @@ class LaurentPoly(_NormalForm):
         return LaurentPoly._constant(c)
 
     @staticmethod
-    def term(coeff: complex, exponent) -> "LaurentPoly":
-        (k, m), c = _split(exponent), complex(coeff)  # _columns of one term, spelled out
-        x = m is not None
-        return LaurentPoly._normal([c.real], [c.imag], [None, None, [k if x else 0]], m or 0,
-                                   [None, None, [k / (1 << m) if x else k]], [None, None, [x]])
-
-    @staticmethod
     def from_dict(d: dict) -> "LaurentPoly":
         """Build from {exponent-like: coeff}; handy in tests."""
         return LaurentPoly(d.items())
@@ -681,7 +678,7 @@ class LaurentPoly(_NormalForm):
     def _pairs(self) -> tuple:
         """(Exponent, complex) pairs, exponents descending; built once."""
         if self._terms is None:
-            coeffs, _, _, alpha = self._rows()
+            coeffs, alpha = self._rows()
             self._terms = tuple(zip(alpha, coeffs))
         return self._terms
 
@@ -719,14 +716,18 @@ class LaurentPoly(_NormalForm):
         Raises EvaluationOverflowError when any |Re(lam*alpha)| exceeds
         PHASE_OVERFLOW_LIMIT instead of returning inf.
         """
-        lam = complex(lam)
-        total = 0j
-        for alpha, re, im in zip(self._row(ALPHA)[1], self._re, self._im):
-            z = lam * alpha
-            if abs(z.real) > PHASE_OVERFLOW_LIMIT:
-                raise EvaluationOverflowError(f"evaluation overflow: Re(lambda*alpha) = {z.real!r}")
-            total += complex(re, im) * cmath.exp(z)
+        lam, total = complex(lam), 0j
+        for alpha, re, im in zip(self._val[0], self._re, self._im):
+            total += complex(re, im) * _exp(lam * alpha, "lambda*alpha")
         return total
+
+
+def _exp(z: complex, what: str) -> complex:
+    """e^z, or EvaluationOverflowError naming `what` (the product z stands
+    for) when |Re z| exceeds PHASE_OVERFLOW_LIMIT."""
+    if abs(z.real) > PHASE_OVERFLOW_LIMIT:
+        raise EvaluationOverflowError(f"evaluation overflow: Re({what}) = {z.real!r}")
+    return cmath.exp(z)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ supported conventions are exponential in beta, so they factor out of any
 product and are applied only when an operator meets an actual function.
 
 The columns, the composition and the merge rule live in the normal-form core
-of `laurent`; a LaurentPoly is the mu = beta = 0 case of an OpExpr.
+of `laurent`; an OpExpr holds three exponent rows (mu, beta, alpha), a
+LaurentPoly only the alpha row.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .laurent import (
     Exponent,
     LaurentPoly,
     _columns,
+    _compose,
     _merged,
     _NormalForm,
     _own_arithmetic,
@@ -71,10 +73,13 @@ class OpExpr(_NormalForm):
     """Normalized sum of OpTerms; immutable, supports ring arithmetic."""
 
     __slots__ = ()
+    _ORDER = (BETA, MU, ALPHA)
+    _SYMBOLS = "PDT"
+    _product = _compose
 
     def __init__(self, terms: Iterable[OpTerm] = ()):
         coeffs, *rows = list(zip(*terms)) or [(), (), (), ()]  # OpTerm fields, transposed
-        self._assign(_merged(*_columns(coeffs, rows)))
+        self._assign(_merged(self._ORDER, *_columns(coeffs, rows)))
 
     # -- constructors ----------------------------------------------------
 
@@ -108,9 +113,10 @@ class OpExpr(_NormalForm):
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "OpExpr":
-        """A pure translation polynomial g(T)."""
-        out = object.__new__(OpExpr)
-        out._assign((p._re, p._im, p._num, p._den, p._val, p._exact))
+        """A pure translation polynomial g(T): its alpha row under two rows of exact zeros."""
+        n, out = len(p), object.__new__(OpExpr)
+        out._assign((p._re, p._im, [[0] * n, [0] * n, *p._num], p._den,
+                     [[0.0] * n, [0.0] * n, *p._val], [[True] * n, [True] * n, *p._exact]))
         return out
 
     # -- inspection ------------------------------------------------------
@@ -122,13 +128,13 @@ class OpExpr(_NormalForm):
         return self._terms
 
     def is_translation_only(self) -> bool:
-        return not (any(self._val[MU] or ()) or any(self._val[BETA] or ()))
+        return not (any(self._val[MU]) or any(self._val[BETA]))
 
     def to_laurent(self) -> LaurentPoly:
         if not self.is_translation_only():
             raise ValueError("operator has dilation or phase parts")
-        num, val, exact = ([None, None, a[ALPHA]] for a in (self._num, self._val, self._exact))
-        return LaurentPoly._normal(self._re, self._im, num, self._den, val, exact, merge=False)
+        return LaurentPoly._normal(self._re, self._im, [self._num[ALPHA]], self._den,
+                                   [self._val[ALPHA]], [self._exact[ALPHA]])
 
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
@@ -139,4 +145,4 @@ def translation_sum(count: int, step) -> OpExpr:
     """1 + T^step + T^(2 step) + ... + T^((count-1) step), exact for dyadic step."""
     step = Exponent.of(step)
     alphas = [step.times_dyadic(Dyadic(k)) for k in range(count)]
-    return OpExpr._normal(*_columns([1.0] * count, [None, None, alphas]))
+    return OpExpr._normal(*_columns([1.0] * count, [[0] * count, [0] * count, alphas]))

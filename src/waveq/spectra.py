@@ -68,21 +68,18 @@ def iterate_spectrum(
     a0: float,
     step: Callable[[float], float] = doubling_step,
     n: int = 16,
-    closed_form_tag: str | None = None,
 ) -> SpectrumTrace:
     """Iterate ``step`` n times from a0, recording (index, value) pairs.
 
-    The default step is the coarsening recursion.  ``closed_form_tag`` is
-    inferred for the default step (cosine branch for |a0| <= 1, hyperbolic
-    branch otherwise) and "none" for a caller-supplied map.
+    The default step is the coarsening recursion.  The trace's closed-form
+    tag follows from step and a0: the cosine branch for the default step and
+    |a0| <= 1, the hyperbolic branch otherwise, "none" for any other map.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if closed_form_tag is None:
-        if step is doubling_step:
-            closed_form_tag = "cos-branch" if abs(a0) <= 1.0 else "cosh-branch"
-        else:
-            closed_form_tag = "none"
+    closed_form_tag = "none"
+    if step is doubling_step:
+        closed_form_tag = "cos-branch" if abs(a0) <= 1.0 else "cosh-branch"
     values = [(0, float(a0))]
     overflow_at = None
     current = float(a0)

@@ -131,6 +131,25 @@ def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys):
     assert "usage: waveq cascade" in err
 
 
+def test_repeated_bad_flags_print_the_same_usage_line(tmp_path, capsys):
+    # the parser is built once per process; a second run must not see the first
+    usages = []
+    for _ in range(2):
+        assert run(tmp_path, "cascade", "--iters", "x") == 2
+        usages.append(capsys.readouterr().err.splitlines()[-1])
+    assert usages[0] == usages[1] and usages[0].startswith("usage: waveq cascade")
+
+
+def test_exponent_beyond_the_float_range_is_usage_error_naming_the_flag(tmp_path, capsys):
+    huge = f"T^{2**1100}"
+    assert run(tmp_path, "general-closure", "--j0", huge, "--j", "1/2 + 1/2*T^-1") == 2
+    assert "--j0" in capsys.readouterr().err
+    for flag, sub in (("--c", "solve-b"), ("--r", "casimir")):
+        assert run(tmp_path, sub, flag, f"1 + {huge}") == 2
+        err = capsys.readouterr().err
+        assert flag in err and "beyond the float range" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert dispatch(["bogus"]) == 2
     assert "usage:" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveq import gridfn
-from waveq.laurent import Dyadic, EvaluationOverflowError
+from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError
 from waveq.gridfn import (
     ExpSum,
     GridFunction,
@@ -178,6 +178,56 @@ def test_expsum_merge_and_prune():
     es = ExpSum([(1.0, 1j), (2.0, 1j + 1e-14), (-3.0, 2j), (3.0, 2j)])
     assert len(es) == 1
     assert abs(es.coefficient_of(1j) - 3.0) < 1e-15
+
+
+def test_expsum_rates_merge_by_the_shared_chain_rule():
+    step = 0.6 * EXPONENT_MERGE_TOL
+    chain = [0.3 + k * step for k in range(4)]  # spans 1.8e-12 > tolerance
+    ((c, r),) = ExpSum([(1.0, complex(v, 1.0)) for v in reversed(chain)]).terms()
+    assert c == 4.0 and r == complex(chain[0], 1.0)  # the chain's first rate represents it
+    assert len(ExpSum([(1.0, complex(-2.0, 0.5 + k * step)) for k in range(4)])) == 1
+    assert len(ExpSum([(1.0, 0.3), (1.0, 0.3 + 1.5 * EXPONENT_MERGE_TOL)])) == 2
+    # terms come in descending order of (real, imaginary) rate; cancelled ones go
+    es = ExpSum([(1.0, -1.0), (1.0, 1j), (1.0, 2.0), (1e-16, 3.0), (1.0, 5j), (-1.0, 5j)])
+    assert [r for _, r in es.terms()] == [2.0, 1j, -1.0]
+
+
+def test_expsum_products_multiply_the_functions():
+    a = ExpSum([(1.5, 0.25j), (-0.5 + 1j, 0.1 - 1j)])
+    b = ExpSum([(2.0, 0.5), (1j, -0.3j)]) + 1  # a scalar is the rate-0 term
+    xs = np.linspace(-2, 2, 17)
+    assert np.allclose((a * b).sample(xs), a.sample(xs) * b.sample(xs), rtol=1e-14, atol=0)
+    assert len(a * b) == 6 and a * b == b * a
+    assert ExpSum.constant(2.0) * a == 2 * a and (a * ExpSum()).is_zero()
+
+
+def test_expsum_text_form():
+    es = ExpSum.exponential(0.5, 2.0)
+    assert str(es) == repr(es) == "ExpSum[((2+0j))e^((0.5+0j))x]"
+    assert str(ExpSum()) == "ExpSum[0]"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.sampled_from([0, 0.5, -1.25, math.pi]),
+                          st.sampled_from([0, 1, -1, Dyadic(1, 1), 0.3]), st.floats(-2, 2)),
+                min_size=1, max_size=6),
+       st.floats(-0.5, 0.5), st.floats(-3, 3))
+def test_closed_form_action_matches_sampling(spec, lam_re, lam_im):
+    op = OpExpr.zero()
+    for re, im, mu, beta, alpha in spec:
+        op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=alpha)
+    lam, xs = complex(lam_re, lam_im), np.linspace(-2, 2, 9)
+    closed = apply_op_expsum(op, ExpSum.exponential(lam)).sample(xs)
+    sampled = sample_op_applied(op, lambda p: np.exp(lam * p), xs)
+    # each term is c e^(lam (2^beta x + alpha)) e^(i mu x) on both sides, with
+    # its exponent rounded in a different order: a relative error of a few
+    # units of rounding u per unit of |exponent|, plus u per term in the sum
+    u, bound = np.finfo(float).eps, np.zeros(xs.shape)
+    for t in op.terms():
+        mu, scale, alpha = t.mu.value, 2.0**t.beta.value, t.alpha.value
+        size = abs(t.coeff) * np.abs(np.exp(lam * (scale * xs + alpha)))
+        bound += size * (len(op) + abs(lam) * (scale * np.abs(xs) + abs(alpha)) + abs(mu * xs))
+    assert np.all(np.abs(closed - sampled) <= 16 * u * bound)
 
 
 def test_expsum_eval_overflow():

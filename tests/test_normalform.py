@@ -1,4 +1,4 @@
-"""Properties of the normal form shared by OpExpr and LaurentPoly.
+"""Properties of the normal form shared by OpExpr, LaurentPoly and ExpSum.
 
 Exact identities are checked against a composition rule on Fractions
 written here, independent of the package:
@@ -11,10 +11,13 @@ sum is exact in floating point and equality can be bit for bit.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, Exponent, LaurentPoly
+from waveq.gridfn import ExpSum
+from waveq.laurent import (EXPONENT_MERGE_TOL, Dyadic, Exponent, ExponentRangeError, LaurentError,
+                           LaurentPoly, parse_laurent)
 from waveq.opalgebra import OpExpr, OpTerm, commutator, translation_sum
 
 settings.register_profile("waveq", max_examples=60, deadline=None, derandomize=True)
@@ -105,12 +108,32 @@ def test_laurent_power_is_repeated_product(pairs, n):
 @given(st.lists(st.tuples(coeff, st.one_of(dyadic, st.floats(-2, 2))), min_size=1, max_size=4),
        st.lists(st.tuples(coeff, st.one_of(dyadic, st.floats(-2, 2))), min_size=1, max_size=4))
 def test_translation_products_agree_with_the_general_composition(p, q):
-    # a product of pure translations takes its own path; carrying a dilation
-    # through the other factor sends the same product down the general one
+    # each type has one product: LaurentPoly adds its one exponent row, OpExpr
+    # composes all three, and a dilation carried through one factor changes
+    # which terms OpExpr's composition rescales
     a, b = (sum((OpExpr.translation(e, c) for c, e in terms), OpExpr.zero()) for terms in (p, q))
     d = OpExpr.dilation(1)
     assert (a * b) * d == a * (b * d)
     assert OpExpr.from_laurent(a.to_laurent() * b.to_laurent()) == a * b
+
+
+def test_to_laurent_keeps_only_the_alpha_row():
+    op = OpExpr.phase(0.1) * OpExpr.phase(-0.1) * OpExpr.translation(1)
+    assert str(op) == "P^0*T^1"  # an approximate zero phase is still a phase
+    assert str(op.to_laurent()) == "T^1"
+    assert op.to_laurent() == LaurentPoly.from_dict({1: 1.0})
+
+
+@given(word, word)
+def test_each_type_holds_only_its_own_rows(p, q):
+    a, b = build(p), build(q)
+    symbol = LaurentPoly([(alpha, c) for c, _, alpha in p])
+    forms = [(a * b, 3), (a - a, 3), (a + 1, 3), (OpExpr.from_laurent(symbol), 3),
+             (symbol, 1), (symbol * symbol, 1), (OpExpr.from_laurent(symbol).to_laurent(), 1),
+             (LaurentPoly.zero(), 1), (ExpSum(), 2), (ExpSum.exponential(1j) * 2 + 1, 2)]
+    for form, rows in forms:
+        assert len(form._num) == len(form._val) == len(form._exact) == rows
+        assert all(len(row) == len(form) for row in form._num + form._val + form._exact)
 
 
 def test_large_dilation_shifts_stay_exact():
@@ -184,9 +207,23 @@ def test_dilations_beyond_the_float_range_compose():
     assert t.mu.value == 0.3 and not t.mu.is_exact and t.beta.dyadic == Dyadic(1100)
 
 
+def test_exponents_beyond_the_float_range_are_refused_by_name():
+    assert issubclass(ExponentRangeError, LaurentError)
+    assert issubclass(ExponentRangeError, ValueError)
+    big = 2**1100
+    for make in (lambda: OpExpr.translation(1) * OpExpr.dilation(1100),
+                 lambda: OpExpr.translation(0.1) * OpExpr.dilation(1100),
+                 lambda: LaurentPoly.from_dict({big: 1}),
+                 lambda: LaurentPoly.from_dict({2**1023: 1}) ** 2,
+                 lambda: parse_laurent(f"T^{big}"),
+                 lambda: float(Dyadic(big))):
+        with pytest.raises(ExponentRangeError, match="beyond the float range"):
+            make()
+
+
 def test_shared_arithmetic_is_bound_on_each_class():
     # per-class instrumentation such as bench/tracer.py reads vars(cls)
-    for cls in (OpExpr, LaurentPoly):
+    for cls in (OpExpr, LaurentPoly, ExpSum):
         for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__neg__",
                      "is_zero", "max_abs_coeff", "isclose"):
             assert name in vars(cls), (cls.__name__, name)
