@@ -15,6 +15,8 @@ under the convention name the caller picks ("one" by default).
 
 from __future__ import annotations
 
+import cmath
+import math
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -32,6 +34,10 @@ class GridResolutionError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two grid functions live on different lattices or windows."""
+
+
+class NonFiniteWeightError(ValueError):
+    """An operator term applied to a grid has a weight or phase rate that is not finite."""
 
 
 def _index_units(e: Exponent, resolution: int, what: str) -> int:
@@ -200,17 +206,16 @@ def apply_op_grid(
 
     Every term needs an exact integer dilation power and source points
     y = 2^beta x + alpha that stay on the source lattice for every output
-    x; otherwise GridResolutionError.  Points outside the source window
-    read as zero.
+    x; otherwise GridResolutionError.  Every weight and phase rate must be
+    finite (NonFiniteWeightError, checked before any term is applied).  Points
+    outside the source window read as zero: a term adds weight * a strided
+    view of the source to the output range [lo, hi) that reads inside it.
     """
     res_out = f.resolution if out_resolution is None else out_resolution
     window = f.window if out_window is None else out_window
     out = GridFunction.zeros(res_out, window)
-    n_out = len(out.values)
-    n_src = len(f.values)
-    i_arr = np.arange(n_out)
-    xs = out.x_points()
-    for t in expr.terms():
+    n_out, n_src, plan = len(out.values), len(f.values), []
+    for k, t in enumerate(expr.terms()):
         if not (t.beta.is_exact and t.beta.dyadic.is_integer()):
             raise GridResolutionError(
                 f"dilation power {t.beta.value!r} is not an exact integer; "
@@ -223,16 +228,24 @@ def apply_op_grid(
                 f"D^{b} output at 2^-{res_out} needs source samples below 2^-{f.resolution}"
             )
         shift = _index_units(t.alpha, f.resolution, "translation")
+        weight, mu = t.coeff * dilation_prefactor(convention, t.beta.value), t.mu.value
+        if not (cmath.isfinite(weight) and math.isfinite(mu)):
+            raise NonFiniteWeightError(
+                f"term {k} has weight {weight!r} and phase rate {mu!r}; both must be finite"
+            )
         # stride_log >= 0 guarantees b + f.resolution >= res_out >= 0, so the
         # window offset is exact integer arithmetic for every integer b
         offset = (out.lo << (b + f.resolution)) - (f.lo << f.resolution)
-        src_idx = (i_arr << stride_log) + offset + shift
-        valid = (src_idx >= 0) & (src_idx < n_src)
-        picked = np.where(valid, f.values[np.clip(src_idx, 0, n_src - 1)], 0j)
-        weight = t.coeff * dilation_prefactor(convention, t.beta.value)
-        if t.mu.value != 0.0:
-            picked = picked * np.exp(1j * t.mu.value * xs)
-        out.values += weight * picked
+        plan.append((weight, mu, offset + shift, 1 << stride_log))
+    for weight, mu, base, s in plan:
+        # output i reads source base + i*s; keep the i with 0 <= base + i*s < n_src
+        lo, hi = max(0, -(base // s)), min(n_out, -((base - n_src) // s))
+        if lo >= hi:
+            continue
+        picked = f.values[base + lo * s : base + (hi - 1) * s + 1 : s]
+        if mu != 0.0:
+            picked = picked * np.exp(1j * mu * (out.lo + np.arange(lo, hi) * out.step))
+        out.values[lo:hi] += weight * picked
     return out
 
 

@@ -229,11 +229,6 @@ class Exponent:
             return Exponent.exact(-self.dyadic)
         return Exponent.approximate(-self.approx)
 
-    def add(self, other: "Exponent") -> "Exponent":
-        if self.is_exact and other.is_exact:
-            return Exponent.exact(self.dyadic + other.dyadic)
-        return Exponent.approximate(self.value + other.value)
-
     def scaled_pow2(self, k: int) -> "Exponent":
         if self.is_exact:
             return Exponent.exact(self.dyadic.scaled_pow2(k))

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line front end via dispatch()."""
 
+import hashlib
 import json
+from unittest import mock
 
 import pytest
 
+from waveq import cli
 from waveq.acceptance import CHECKS
 from waveq.cli import dispatch
+from waveq.scaling import ScalingSystem
 
 
 def run(tmp_path, *argv):
@@ -173,6 +177,32 @@ def test_unparseable_symbol_is_usage_error(tmp_path, capsys):
 def test_no_solution_exits_one(tmp_path, capsys):
     assert run(tmp_path, "solve-b", "--c", "1 + T^-4", "--window", "3") == 1
     assert "no solution" in capsys.readouterr().err
+
+
+def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
+    bad = ScalingSystem("haar", {0: float("inf"), 1: 1.0})
+    with mock.patch.object(cli, "haar_system", lambda: bad):
+        assert run(tmp_path, "cascade") == 1
+    assert capsys.readouterr().err.startswith("error: NonFiniteWeightError: term ")
+
+
+# SHA-256 of (CSV, manifest) written at the defaults, as in the table in
+# CHANGES.md; both subcommands iterate D g(T) through apply_op_grid, so a
+# change to the lattice path cannot move a byte of them unnoticed.
+GRID_GOLDEN = {
+    "cascade": ("57204f0c14098c18b4a220f60aa5d2da1f010a1496efce939aaf3cd3451292db",
+                "465700e56eed14571029c8cde585b20cf245fe59bc15bdbc65bd5bd60acc5b07"),
+    "wavelet": ("94aacc9e7f75c9f8ee9949266f9f9b0e5653f9e60aeff5539bf90364c6741ee9",
+                "c4001896145ac9b58f8da5d12f96cd8eb319e1c2ba37745782da7f6eb4b73d76"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(GRID_GOLDEN))
+def test_grid_subcommands_write_the_recorded_bytes_at_their_defaults(tmp_path, sub):
+    assert run(tmp_path, sub) == 0
+    names = (f"{sub}.csv", f"{sub}.manifest.json")
+    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
+    assert got == GRID_GOLDEN[sub]
 
 
 def test_check_passes_and_lists_every_named_subcheck(tmp_path, capsys):

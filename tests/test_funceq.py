@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from waveq.funceq import (
@@ -238,6 +239,27 @@ def test_gamma_anchors_and_domain():
         gamma_eval(m, 1.0)
     with pytest.raises(ValueError):
         gamma_eval(m, 0.3)
+
+
+def test_gamma_near_one_against_mpmath():
+    # G = sign * -log2(y), y = acosh(xi) / b, with xi = 1 + k 2^-52 exact.
+    # acosh(xi) is off by at most 2 ulp <= 4u relative (glibc's stated bound;
+    # it works from xi - 1, which is exact), the division adds u, so y is off
+    # by at most 5u relative.  log2 has relative condition number 1/|ln y|
+    # and adds its own <= 4u, so |G - G_exact| / |G| <= (5 / |ln y| + 4) u.
+    # The steep slope dG/dxi near 1 only matters when xi itself is rounded.
+    u = 2.0**-53
+    with mpmath.workprec(200):
+        for b_const in (0.5, 1.0, 3.0):
+            for sign in (1, -1):
+                m = GammaMap(b_const, sign)
+                for k in (1, 2, 3, 7, 1000, 2**20, 2**40):
+                    xi = 1.0 + k * 2.0**-52
+                    y = mpmath.acosh(xi) / b_const
+                    want = -sign * mpmath.log(y, 2)
+                    got = gamma_eval(m, xi)
+                    bound = (5 / abs(mpmath.log(y)) + 4) * u
+                    assert abs(got - want) / abs(want) <= bound, (b_const, sign, k)
 
 
 def test_gamma_map_validation():

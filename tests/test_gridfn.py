@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import waveq
 from waveq import gridfn
 from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError
 from waveq.gridfn import (
@@ -14,6 +16,7 @@ from waveq.gridfn import (
     GridFunction,
     GridMismatchError,
     GridResolutionError,
+    NonFiniteWeightError,
     apply_op_expsum,
     apply_op_grid,
     sample_op_applied,
@@ -371,6 +374,90 @@ def test_grid_application_agrees_with_sampling_on_lattice_operators(terms, conve
     via_grid = apply_op_grid(op, src, convention=convention, out_window=(-1, 1))
     sampled = sample_op_applied(op, windowed, via_grid.x_points(), convention=convention)
     assert np.max(np.abs(via_grid.values - sampled)) <= 1e-13
+
+
+# -- grid application against a point-by-point reference -----------------
+
+
+def point_by_point(expr, f, convention, res_out, window):
+    """The grid rule one output point and one term at a time: exact Fraction
+    source indices, terms added in order, the weight as the left factor.
+    Products run on one-element arrays: numpy's complex multiply may fuse
+    multiply-adds, so a Python complex product can differ in the last bit."""
+    lo, hi = window
+    out = []
+    for i in range((hi - lo) << res_out):
+        x = Fraction(lo) + Fraction(i, 1 << res_out)
+        acc = 0j
+        for t in expr.terms():
+            b = t.beta.dyadic.num
+            y = Fraction(2) ** b * x + Fraction(t.alpha.dyadic.num, 1 << t.alpha.dyadic.log2_den)
+            k = (y - f.lo) * (1 << f.resolution)
+            assert k.denominator == 1
+            if not 0 <= k < len(f.values):
+                continue  # zero outside the source window
+            v = f.values[int(k) : int(k) + 1]
+            if t.mu.value != 0.0:
+                v = v * np.exp(1j * t.mu.value * np.array([float(x)]))
+            acc += complex((t.coeff * dilation_prefactor(convention, t.beta.value) * v)[0])
+        out.append(acc)
+    return np.array(out, dtype=complex)
+
+
+sample_value = st.sampled_from([0.0, -0.0, 1.0, -0.75, 0.3, 2.5e-3])
+
+
+@st.composite
+def grid_case(draw):
+    res = draw(st.integers(0, 3))
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(1, 3))
+    n = (hi - lo) << res
+    re = draw(st.lists(sample_value, min_size=n, max_size=n))
+    im = draw(st.lists(sample_value, min_size=n, max_size=n))
+    res_out = max(0, res + draw(st.integers(-2, 2)))  # below, at or above the source's
+    # every term needs 2^beta x on the source lattice: beta >= res_out - res
+    terms = draw(st.lists(st.tuples(
+        part, st.sampled_from([0.0, -0.0, 1.5]), st.sampled_from([0, 0, 0.5, -1.25]),
+        st.integers(max(-2, res_out - res), 3), st.integers(-8 << res, 8 << res),
+    ), max_size=5))
+    window = draw(st.sampled_from([(lo, hi), (lo - 2, hi + 1), (lo, lo + 1), (hi + 1, hi + 3),
+                                   (lo - 4, lo - 1)]))  # same, wider, narrower, disjoint
+    convention = draw(st.sampled_from(DILATION_CONVENTIONS))
+    op = OpExpr.zero()
+    for c_re, c_im, mu, beta, k in terms:
+        op = op + OpExpr.term(complex(c_re, c_im), mu=mu, beta=beta, alpha=Dyadic(k, res))
+    return op, GridFunction(res, (lo, hi), np.array(re) + 1j * np.array(im)), res_out, window, convention
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=grid_case())
+@example(case=(OpExpr.zero(), GridFunction(2, (0, 1), [1, -0.0, 2, 3]), 2, (-1, 2), "one"))
+@example(case=(OpExpr.term(2.0, beta=1, alpha=7) + OpExpr.term(-0.5, alpha=-3),  # both off the window
+               GridFunction(1, (0, 2), [1, 2, 3, 4]), 1, (0, 2), "paper"))
+def test_grid_application_is_the_point_by_point_rule_bit_for_bit(case):
+    op, src, res_out, window, convention = case
+    got = apply_op_grid(op, src, convention=convention, out_resolution=res_out, out_window=window)
+    want = point_by_point(op, src, convention, res_out, window)
+    assert (got.resolution, got.window) == (res_out, window)
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_non_finite_weights_and_phase_rates_are_refused_by_name():
+    g = GridFunction.from_callable(box, 3, (0, 1))
+    inf, nan = float("inf"), float("nan")
+    cases = [
+        (OpExpr.term(inf, alpha=5.0), "one"),  # refused though it never reads the source
+        (OpExpr.identity() + OpExpr.term(complex(nan, 1.0), alpha=-1), "one"),
+        (OpExpr.term(1.0, mu=inf), "one"),
+        (OpExpr.term(1e300, beta=40), "paper"),  # finite coefficient, weight 1e300 * 2^40
+    ]
+    for op, convention in cases:
+        with pytest.raises(NonFiniteWeightError, match=r"term \d+ has weight .* must be finite"):
+            apply_op_grid(op, g, convention=convention)
+    assert issubclass(NonFiniteWeightError, ValueError)
+    assert waveq.NonFiniteWeightError is NonFiniteWeightError
+    assert np.isfinite(apply_op_grid(OpExpr.term(1e300, beta=40), g).values).all()  # "one"
 
 
 # -- CSV -----------------------------------------------------------------

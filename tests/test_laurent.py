@@ -79,10 +79,8 @@ def test_exponent_is_unhashable():
 
 def test_exponent_arithmetic_keeps_exactness():
     e = Exponent.exact(Dyadic(3, 1))
-    assert e.add(Exponent.exact(Dyadic(1, 1))).is_exact
     assert e.scaled_pow2(-4).is_exact
     assert e.scaled_pow2(-4).dyadic == Dyadic(3, 5)
-    assert not e.add(Exponent.approximate(0.1)).is_exact
     assert not e.times_float(0.3).is_exact
 
 

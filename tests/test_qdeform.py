@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from waveq.gridfn import ExpSum, apply_op_expsum
@@ -62,6 +63,25 @@ def test_q_number_overflow():
         q_number(800.0, 1.0)
     with pytest.raises(EvaluationOverflowError):
         q_number(2.0, 400.0)
+
+
+def test_q_number_near_the_overflow_guard_against_mpmath():
+    # [x]_s = sinh(t) / sinh(s), t = s x.  Rounding s x costs u relative, which
+    # sinh amplifies by its condition number t coth(t) (about 700 here); each
+    # sinh adds at most 2 ulp <= 4u (glibc's stated bound) and the division u,
+    # so the relative error is at most (|t coth t| + 9) u to first order.
+    u = 2.0**-53
+    with mpmath.workprec(200):
+        for s in (1.0, 0.7, 3.5, 1e-3, 2.0**-10, 650.0):
+            for t_target in (650.0, 699.5, 699.999, -699.9):
+                x = t_target / s
+                t = mpmath.mpf(s) * x
+                want = mpmath.sinh(t) / mpmath.sinh(s)
+                got = q_number(x, s)
+                bound = (abs(t * mpmath.coth(t)) + 9) * u
+                assert abs(got - want) / abs(want) <= bound, (s, x)
+    with pytest.raises(EvaluationOverflowError):
+        q_number(700.5 / 0.7, 0.7)
 
 
 # -- q-derivatives and their inversion ----------------------------------------

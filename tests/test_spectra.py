@@ -1,10 +1,12 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from waveq.laurent import EvaluationOverflowError
 from waveq.spectra import (
+    COSH_ARG_LIMIT,
     SpectrumTrace,
     a2half_step,
     doubling_step,
@@ -80,6 +82,31 @@ def test_overflow_truncates_trace():
 def test_closed_form_overflow_raises():
     with pytest.raises(EvaluationOverflowError):
         haar_closed_form(10.0, 60)
+
+
+U = 2.0**-53  # unit roundoff; one ulp is at most 2u relative
+
+
+def test_closed_form_near_the_cosh_limit_against_mpmath():
+    # For a0 > 1 the closed form is cosh(t), t = 2^n acosh(a0), with a0 exact.
+    # acosh(a0) is off by at most 2 ulp <= 4u relative (glibc's stated bound),
+    # the factor 2^n is exact, and cosh turns a relative error d of its argument
+    # into t tanh(t) d (its condition number) before adding its own <= 4u.  To
+    # first order the relative error is at most (4 t tanh t + 4) u: about 2800u
+    # at t = 700, the price of the exponential, not of the code.
+    with mpmath.workprec(200):
+        for n in (1, 2, 5, 10, 20, 30):
+            for t_target in (500.0, 650.0, 699.0, 699.9, 699.99):
+                a0 = math.cosh(t_target / 2.0**n)
+                t = mpmath.mpf(2) ** n * mpmath.acosh(a0)
+                if a0 == 1.0 or t > COSH_ARG_LIMIT:
+                    continue
+                want = mpmath.cosh(t)
+                got = haar_closed_form(a0, n)
+                bound = (4 * t * mpmath.tanh(t) + 4) * U
+                assert abs(got - want) / want <= bound, (n, a0)
+    with pytest.raises(EvaluationOverflowError):
+        haar_closed_form(math.cosh(700.01 / 2.0**10), 10)
 
 
 def test_half_step_exact_rational_point():
