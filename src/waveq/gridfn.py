@@ -195,6 +195,13 @@ class GridFunction:
         )
 
 
+def _check_finite(k: int, weight: complex, mu: float) -> None:
+    if not (cmath.isfinite(weight) and math.isfinite(mu)):
+        raise NonFiniteWeightError(
+            f"term {k} has weight {weight!r} and phase rate {mu!r}; both must be finite"
+        )
+
+
 def apply_op_grid(
     expr: OpExpr,
     f: GridFunction,
@@ -229,10 +236,7 @@ def apply_op_grid(
             )
         shift = _index_units(t.alpha, f.resolution, "translation")
         weight, mu = t.coeff * dilation_prefactor(convention, t.beta.value), t.mu.value
-        if not (cmath.isfinite(weight) and math.isfinite(mu)):
-            raise NonFiniteWeightError(
-                f"term {k} has weight {weight!r} and phase rate {mu!r}; both must be finite"
-            )
+        _check_finite(k, weight, mu)
         # stride_log >= 0 guarantees b + f.resolution >= res_out >= 0, so the
         # window offset is exact integer arithmetic for every integer b
         offset = (out.lo << (b + f.resolution)) - (f.lo << f.resolution)
@@ -262,22 +266,26 @@ def sample_op_applied(
     SAMPLE_BLOCK samples: f gets points of shape (k, *xs.shape), so it must
     work elementwise.  The weighted rows are added in term order, with the
     weight as the left factor, so the result is the term-by-term sum bit for bit.
+    A non-finite weight or phase rate raises NonFiniteWeightError before f is called.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
     mu, beta, alpha = expr._val
-    coeffs, column = list(map(complex, expr._re, expr._im)), (-1,) + (1,) * xs.ndim
+    weights, column = [], (-1,) + (1,) * xs.ndim
+    for k, (c, b, m) in enumerate(zip(map(complex, expr._re, expr._im), beta, mu)):
+        weights.append(c * dilation_prefactor(convention, b))
+        _check_finite(k, weights[-1], m)
     step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
     for (b, m), run in groupby(zip(beta, mu)):
         start, end = end, end + len(list(run))
-        scaled, sigma = (2.0**b) * xs, dilation_prefactor(convention, b)
+        scaled = (2.0**b) * xs
         phase = np.exp(1j * m * xs) if m != 0.0 else None
         for i in range(start, end, step):
             j = min(i + step, end)
             vals = np.asarray(f(scaled + np.reshape(alpha[i:j], column)), dtype=complex)
             if phase is not None:
                 vals = vals * phase
-            for row in np.reshape([c * sigma for c in coeffs[i:j]], column) * vals:
+            for row in np.reshape(weights[i:j], column) * vals:
                 out += row
     return out
 

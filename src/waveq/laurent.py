@@ -364,8 +364,9 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
     Every exponent takes its cluster's representative, terms are ordered by
     descending clusters of the rows taken in `order`, stably, and the
     coefficients of equal terms are added in that order; then
-    |c| < COEFF_PRUNE_TOL goes.  A row of exact exponents needs no snapping:
-    its numerators are its clusters.  Normalized columns merge to themselves.
+    |c| < COEFF_PRUNE_TOL goes, while a NaN in either part stays.  A row of
+    exact exponents needs no snapping: its numerators are its clusters.
+    Normalized columns merge to themselves.
     """
     n = len(re)
     if n > 1:
@@ -400,8 +401,9 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
                 pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
                 for a in (num, val, exact):
                     a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
-    if re and min(map(abs, re)) < COEFF_PRUNE_TOL:  # else no |c| can be below it
-        keep = [abs(complex(r, i)) >= COEFF_PRUNE_TOL for r, i in zip(re, im)]
+    # |c| >= |Re c|; a NaN that min() meets first opens the gate, and no NaN is dropped
+    if re and not min(map(abs, re)) >= COEFF_PRUNE_TOL:
+        keep = [not abs(complex(r, i)) < COEFF_PRUNE_TOL for r, i in zip(re, im)]
         re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
         num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
                            for a in (num, val, exact))

@@ -29,6 +29,7 @@ LaurentPoly only the alpha row.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 from .laurent import (
@@ -49,13 +50,15 @@ DILATION_CONVENTIONS = ("one", "paper", "unitary")
 
 
 def dilation_prefactor(convention: str, beta: float) -> float:
-    """sigma(beta) for the named convention; exponential in beta by design."""
+    """sigma(beta) for the named convention; exponential in beta by design,
+    and math.inf beyond the float range, which callers refuse as a weight."""
     if convention == "one":
         return 1.0
-    if convention == "paper":
-        return 2.0**beta
-    if convention == "unitary":
-        return 2.0 ** (beta / 2.0)
+    if convention in ("paper", "unitary"):
+        try:
+            return 2.0 ** (beta if convention == "paper" else beta / 2.0)
+        except OverflowError:
+            return math.inf
     raise ValueError(
         f"unknown dilation convention {convention!r}; pick one of {DILATION_CONVENTIONS}"
     )

@@ -446,15 +446,21 @@ def test_grid_application_is_the_point_by_point_rule_bit_for_bit(case):
 def test_non_finite_weights_and_phase_rates_are_refused_by_name():
     g = GridFunction.from_callable(box, 3, (0, 1))
     inf, nan = float("inf"), float("nan")
-    cases = [
-        (OpExpr.term(inf, alpha=5.0), "one"),  # refused though it never reads the source
-        (OpExpr.identity() + OpExpr.term(complex(nan, 1.0), alpha=-1), "one"),
-        (OpExpr.term(1.0, mu=inf), "one"),
-        (OpExpr.term(1e300, beta=40), "paper"),  # finite coefficient, weight 1e300 * 2^40
+    cases = [  # (operator, convention, index of the refused term)
+        (OpExpr.term(inf, alpha=5.0), "one", 0),  # refused though it never reads the source
+        (OpExpr.identity() + OpExpr.term(complex(nan, 1.0), alpha=-1), "one", 1),
+        (OpExpr.term(1.0, mu=inf), "one", 0),
+        (OpExpr.term(1e300, beta=40), "paper", 0),  # finite coefficient, weight 1e300 * 2^40
+        (OpExpr.identity() + OpExpr.dilation(-1100) + OpExpr.dilation(1100), "paper", 0),
+        (OpExpr.identity() + OpExpr.dilation(2100), "unitary", 0),  # sigma = 2^1050
     ]
-    for op, convention in cases:
-        with pytest.raises(NonFiniteWeightError, match=r"term \d+ has weight .* must be finite"):
+    for op, convention, k in cases:
+        assert len(op) > k
+        with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
             apply_op_grid(op, g, convention=convention)
+        with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
+            sample_op_applied(op, mock.Mock(side_effect=AssertionError("f was called")),
+                              np.linspace(0.0, 1.0, 5), convention=convention)
     assert issubclass(NonFiniteWeightError, ValueError)
     assert waveq.NonFiniteWeightError is NonFiniteWeightError
     assert np.isfinite(apply_op_grid(OpExpr.term(1e300, beta=40), g).values).all()  # "one"

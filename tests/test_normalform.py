@@ -9,6 +9,7 @@ Coefficients are small dyadic rationals and mu = 0, so every product and
 sum is exact in floating point and equality can be bit for bit.
 """
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,20 @@ def test_exact_exponents_with_equal_floats_never_fuse():
     q = LaurentPoly([(Exponent.exact(big), 1.0), (approx(float(big)), 2.0),
                      (Exponent.exact(big + 1), 4.0)])
     assert sorted(c.real for _, c in q.terms()) == [1.0, 6.0]
+
+
+def test_nan_coefficients_are_kept_first_last_and_alone():
+    """Exactly the terms with |c| < COEFF_PRUNE_TOL go; a NaN in either part
+    stays, wherever the merge order puts it, and does not shield a prunable term."""
+    nan = float("nan")
+    for c in (complex(nan, 0.0), complex(0.0, nan), complex(nan, nan)):
+        (alone,) = OpExpr.term(c).terms()
+        assert cmath.isnan(alone.coeff)
+        for shift in (3, -3):  # terms run by descending alpha: first, then last
+            op = OpExpr.term(c, alpha=shift) + OpExpr.term(1e-20, alpha=1) + OpExpr.translation(2)
+            kept = {t.alpha.value: t.coeff for t in op.terms()}
+            assert sorted(kept) == sorted([shift, 2.0])
+            assert cmath.isnan(kept[shift]) and kept[2.0] == 1.0
 
 
 def test_dilations_beyond_the_float_range_compose():

@@ -155,6 +155,11 @@ def test_prefactor_conventions():
     assert dilation_prefactor("one", 5) == 1.0
     assert dilation_prefactor("paper", 3) == 8.0
     assert dilation_prefactor("unitary", 2) == 2.0
+    # beyond the float range: inf, for callers to refuse as a non-finite weight
+    assert dilation_prefactor("paper", 1100) == math.inf
+    assert dilation_prefactor("unitary", 2100) == math.inf
+    assert dilation_prefactor("unitary", 1100) == 2.0**550
+    assert dilation_prefactor("paper", -1100) == 0.0
     with pytest.raises(ValueError):
         dilation_prefactor("bogus", 1)
     rng = random.Random(3)

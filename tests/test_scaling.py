@@ -1,10 +1,15 @@
+import importlib.util
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from waveq.gridfn import GridFunction, GridResolutionError
+from waveq.gridfn import GridFunction, GridResolutionError, sample_op_applied
 from waveq.laurent import Dyadic, EvaluationOverflowError, parse_laurent
+from waveq.opalgebra import OpExpr
+from waveq.qdeform import phase_index_minus, w_minus
 from waveq import scaling
 from waveq.scaling import (
     MAX_WORD_ORDER,
@@ -294,12 +299,20 @@ def test_deformed_scaling_interior_sanity():
 
 
 def test_deformed_scaling_zero_endpoint_reported():
-    rep = deformed_scaling_report((0.0, 1.0), 10, 7)
-    assert len(rep["rows"]) == 2
+    rep = deformed_scaling_report((0.0, 0.5, 1.0), 10, 7)
+    assert len(rep["rows"]) == 3
     # the s = 0 degenerate endpoint must produce a row, with no accuracy claim
     assert rep["rows"][0]["s"] == 0.0
     assert math.isfinite(rep["rows"][0]["l1_to_box"])
-    assert rep["rows"][1]["l1_to_box"] < 0.05
+    assert rep["rows"][2]["l1_to_box"] < 0.05
+    for row in rep["rows"]:
+        raw = scaling._deformed_raw(row["s"], 10, 7, (-1, 2), "one")
+        assert row["raw_mass"] == abs(raw.integral()) > 0.0
+        assert row["mass_cancellation"] >= 1.0 - 1e-12
+    # the box's raw mass is its unit integral, less the seed's tails outside the
+    # window (a share of order 2^-n); the interior mass is mostly cancellation
+    assert abs(rep["rows"][2]["raw_mass"] - 1.0) < 2.0**-10
+    assert rep["rows"][1]["mass_cancellation"] > 100.0
 
 
 def test_deformed_scaling_validation():
@@ -316,12 +329,109 @@ def test_oversized_word_is_refused_before_anything_is_built(monkeypatch):
         raise AssertionError("the word was built")
 
     monkeypatch.setattr(scaling, "w_minus", no_word)
+    monkeypatch.setattr(scaling, "_deformed_columns", no_word)
     n = MAX_WORD_ORDER + 1
     assert issubclass(WordTooLargeError, ValueError)
     with pytest.raises(WordTooLargeError, match=f"word order {n} "):
         deformed_scaling(0.5, n, 4)
     with pytest.raises(WordTooLargeError):
         deformed_scaling_report((0.5, 1.0), n, 4)
+
+
+U = 2.0**-53
+
+
+def _expanded_raw(s, n, resolution, convention="one"):
+    """The deformed profile sampled from the expanded 2^n-term word."""
+    op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n
+    xs = GridFunction.zeros(resolution, (-1, 2)).x_points()
+    return sample_op_applied(op, scaling._seed_arctan, xs, convention)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.9])
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_deformed_columns_match_the_expanded_word(s, n):
+    c, a, m = scaling._deformed_columns(s, n)
+    word = (2.0 * w_minus(s)) ** n
+    assert len(c) == len(a) == len(word) == 2**n
+    (mu,), (beta,) = set(word._val[0]), set(word._val[1])
+    assert beta == n * s
+    # Bounds, each side within half of them of the exact value: every shift is
+    # a sum of n terms s 2^{ks}, bounded by A, formed through n rounded
+    # products by 2^s and n sums (3 n u A); each coefficient is a product of
+    # n computed unit phases e^{i mu a} (about 4u each) whose arguments carry
+    # the shifts' error times |mu| (n of them, up to 3 n u A |mu| each); M is
+    # a sum of n products 2^{ks} mu (3 n u times the sum of their sizes).
+    big_a = sum(s * 2.0 ** (k * s) for k in range(n))
+    mu_sizes = sum(2.0 ** (k * s) * abs(phase_index_minus(s)) for k in range(n))
+    assert abs(m - mu) <= 6 * n * U * mu_sizes
+    order = np.argsort(-a, kind="stable")  # normal-form order: descending shifts
+    assert np.abs(a[order] - np.array(word._val[2])).max() <= 6 * n * U * big_a
+    coeffs = np.array(word._re) + 1j * np.array(word._im)
+    bound = 2 * n * (4 + 3 * n * abs(phase_index_minus(s)) * big_a) * U
+    assert np.abs(c[order] - coeffs).max() <= bound
+
+
+def _load_oracles():
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("waveq_bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gate_k(s, n, points, block):
+    """Multiple k of u * sum|terms| that bounds the sampled word's error.
+
+    The pairs are summed as real dot products over blocks of b terms, and
+    the ceil(N/b) block sums are added into an accumulator: recursive
+    summation at both levels (Higham, ch. 4, eq. 4.4) gives an error of at
+    most gamma_{b + ceil(N/b)} sum_j |c_j| (|Delta_j| + |g| |arctan v_j|),
+    and |c_j| = 1, |Delta_j| <= |arctan u| + |arctan v|, |g| <= |M| h.  Each
+    term adds its own rounding: about 4u from each of the coefficient's n
+    unit-phase products, and 8u for the pair, the mismatch factor, the final
+    phase, the prefactor and 1/pi.  Not modelled: the shifts' own rounding
+    (about n u |a_j|) moves each seed argument; at n = 8 the worst error
+    measured against mpmath is 0.63 u * sum|terms|, far inside k.
+    """
+    b = max(1, block // points)
+    _, _, m = scaling._deformed_columns(s, n)
+    return (b + math.ceil(2**n / b)) * (1.0 + abs(m) * 2.0**-n) + 4 * n + 8
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.6, 0.9])
+def test_deformed_word_is_within_the_summation_bound_of_mpmath(s):
+    n, resolution, every = 8, 7, 23
+    raw = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+    xs = raw.x_points()[::every]
+    ref = _load_oracles().deformed_values(s, n, xs)
+    k = _gate_k(s, n, len(raw.values), scaling.SAMPLE_BLOCK)
+    for got, (want, magnitude) in zip(raw.values[::every], ref):
+        assert abs(got - complex(want)) <= k * U * float(magnitude)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+def test_deformed_blocks_of_one_and_seven_terms_agree_within_the_gate(s):
+    n, resolution = 8, 7
+    default = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+    points = len(default.values)
+    _, a, _ = scaling._deformed_columns(s, n)
+    y = 2.0 ** (n * s) * default.x_points() + a[:, None]
+    f = scaling._seed_arctan
+    magnitude = (np.abs(f(y)) + np.abs(f(y - 2.0 ** (n * s - n)))).sum(axis=0)
+    for terms in (1, 7):
+        with mock.patch.object(scaling, "SAMPLE_BLOCK", terms * points):
+            got = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+        k = _gate_k(s, n, points, terms * points) + _gate_k(s, n, points, scaling.SAMPLE_BLOCK)
+        assert (np.abs(got.values - default.values) <= k * U * magnitude).all()
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("convention", ["one", "paper"])
+def test_deformed_endpoints_are_the_expanded_word_bit_for_bit(s, n, convention):
+    raw = scaling._deformed_raw(s, n, 6, (-1, 2), convention)
+    assert raw.values.tobytes() == _expanded_raw(s, n, 6, convention).tobytes()
 
 
 # -- wavelet self-similarity report ------------------------------------------------------
