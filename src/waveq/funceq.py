@@ -97,23 +97,32 @@ def solve_refinement(
         raise ValueError("mask must not vanish at T = 1")
 
     steps = support_bound << q
-    cols = list(range(-steps, steps + 1))  # column n holds the exponent n / 2**q
-    col_of = {n: i for i, n in enumerate(cols)}
+    cols = range(-steps, steps + 1)  # column j holds the exponent cols[j] / 2**q
+    # Product exponents a/2**q/2 + n/2**q/2, in units of 2**-(q+1), take rows in
+    # order of first use: for each column, its mask keys a + n, then 2n.  The
+    # mask part does not depend on rho, so it is built once.
+    row_of: dict[int, int] = {}
+    entries, doubled_rows = [], []
+    for j, n in enumerate(cols):
+        for a, cc in mask:
+            entries.append((row_of.setdefault(a + n, len(row_of)), j, cc))
+        doubled_rows.append(row_of.setdefault(2 * n, len(row_of)))
+    base = np.zeros((len(row_of), len(cols)), dtype=complex)
+    for i, j, v in entries:
+        base[i, j] += v
+    doubled = (np.array(doubled_rows), np.arange(len(cols)))  # one entry per column
     for m in range(steps + 5):
         rho = c_at_one / 2.0**m
-        row_of: dict[int, int] = {}
-        entries: list[tuple[int, int, complex]] = []
-        for n in cols:
-            j = col_of[n]
-            for a, cc in mask:
-                # product exponent a/2**q/2 + n/2**q/2, in units of 2**-(q+1)
-                key = a + n
-                entries.append((row_of.setdefault(key, len(row_of)), j, cc))
-            key = 2 * n
-            entries.append((row_of.setdefault(key, len(row_of)), j, -rho))
-        a = np.zeros((len(row_of), len(cols)), dtype=complex)
-        for i, j, v in entries:
-            a[i, j] += v
+        a = base.copy()
+        a[doubled] -= rho
+        # The keys 2n alone give one distinct row per column, so rows >= columns
+        # and the last singular value is sigma_N.  A candidate whose sigma_N
+        # clears the cutoff by 1e3 has full rank: the values-only and the full
+        # SVD differ by O(N u s_max), far less.  Any other candidate is decided
+        # by _nullspace, whose full SVD also supplies the vector.
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] > 1e3 * nullspace_tol * s[0]:
+            continue
         basis = _nullspace(a, nullspace_tol)
         if not basis:
             continue

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .laurent import Exponent, _exp, _merged, _NormalForm, _own_arithmetic
+from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _own_arithmetic
 from .opalgebra import OpExpr, dilation_prefactor
 
 SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per call of f in sample_op_applied
@@ -180,7 +180,7 @@ class GridFunction:
     def to_csv(self) -> str:
         """Rows x,re,im at 17 significant digits, LF line endings."""
         lines = ["x,re,im"]
-        for x, v in zip(self.x_points(), self.values):
+        for x, v in zip(self.x_points().tolist(), self.values.tolist()):
             lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -200,6 +200,16 @@ def _check_finite(k: int, weight: complex, mu: float) -> None:
         raise NonFiniteWeightError(
             f"term {k} has weight {weight!r} and phase rate {mu!r}; both must be finite"
         )
+
+
+def _dilation_scale(k: int, beta: float) -> float:
+    """2^beta, the factor on points or rates of term k, refused beyond the float range."""
+    try:
+        return 2.0**beta
+    except OverflowError:
+        raise ExponentRangeError(
+            f"term {k} has dilation power {beta!r}; 2^{beta!r} is beyond the float range"
+        ) from None
 
 
 def apply_op_grid(
@@ -266,19 +276,21 @@ def sample_op_applied(
     SAMPLE_BLOCK samples: f gets points of shape (k, *xs.shape), so it must
     work elementwise.  The weighted rows are added in term order, with the
     weight as the left factor, so the result is the term-by-term sum bit for bit.
-    A non-finite weight or phase rate raises NonFiniteWeightError before f is called.
+    A non-finite weight or phase rate raises NonFiniteWeightError, and a
+    dilation power of 1024 or more ExponentRangeError, before f is called.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
     mu, beta, alpha = expr._val
-    weights, column = [], (-1,) + (1,) * xs.ndim
+    weights, scales, column = [], [], (-1,) + (1,) * xs.ndim
     for k, (c, b, m) in enumerate(zip(map(complex, expr._re, expr._im), beta, mu)):
         weights.append(c * dilation_prefactor(convention, b))
         _check_finite(k, weights[-1], m)
+        scales.append(_dilation_scale(k, b))
     step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
-    for (b, m), run in groupby(zip(beta, mu)):
+    for (_, m), run in groupby(zip(beta, mu)):
         start, end = end, end + len(list(run))
-        scaled = (2.0**b) * xs
+        scaled = scales[start] * xs
         phase = np.exp(1j * m * xs) if m != 0.0 else None
         for i in range(start, end, step):
             j = min(i + step, end)
@@ -358,13 +370,18 @@ class ExpSum(_NormalForm):
 
 
 def apply_op_expsum(expr: OpExpr, es: ExpSum, convention: str = "one") -> ExpSum:
-    """Exact closed-form action of a normal-form operator on an ExpSum."""
+    """Exact closed-form action of a normal-form operator on an ExpSum.
+
+    A dilation power of 1024 or more raises ExponentRangeError up front."""
+    mus, betas, alphas = expr._val
+    scales = [_dilation_scale(k, beta) for k, beta in enumerate(betas)]
     out = []
-    for coeff, mu, beta, alpha in zip(map(complex, expr._re, expr._im), *expr._val):
+    coeffs = map(complex, expr._re, expr._im)
+    for coeff, mu, beta, alpha, scale in zip(coeffs, mus, betas, alphas, scales):
         sigma = dilation_prefactor(convention, beta)
         for a, rate in es._pairs():
             c = coeff * a * sigma
             if alpha != 0.0:
                 c *= _exp(rate * alpha, "rate*alpha")
-            out.append((c, rate * (2.0**beta) + 1j * mu))
+            out.append((c, rate * scale + 1j * mu))
     return ExpSum(out)

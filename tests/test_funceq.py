@@ -1,9 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 
+from waveq import funceq
 from waveq.funceq import (
     ChiSolve,
     GammaMap,
@@ -102,6 +105,100 @@ def test_refinement_nonunique_reports_basis():
         solve_refinement(c, 2, nullspace_tol=10.0)
     assert "non-unique" in str(info.value)
     assert len(info.value.basis) > 1
+
+
+def reference_scan(c, support_bound, tol=funceq.NULLSPACE_TOL):
+    """The candidate scan with one full SVD per candidate, the matrix rebuilt
+    entry by entry each time: the rule solve_refinement must reproduce."""
+    q, mask = funceq._mask_exponents(c, "mask")
+    c_at_one = c.eval_phase(0.0)
+    steps = support_bound << q
+    cols = list(range(-steps, steps + 1))
+    for m in range(steps + 5):
+        rho = c_at_one / 2.0**m
+        row_of, entries = {}, []
+        for j, n in enumerate(cols):
+            for a, cc in mask:
+                entries.append((row_of.setdefault(a + n, len(row_of)), j, cc))
+            entries.append((row_of.setdefault(2 * n, len(row_of)), j, -rho))
+        a = np.zeros((len(row_of), len(cols)), dtype=complex)
+        for i, j, v in entries:
+            a[i, j] += v
+        _, s, vh = np.linalg.svd(a)
+        rank = int((s > tol * s[0]).sum()) if s[0] > 0.0 else 0
+        basis = [vh[i].conj() for i in range(rank, vh.shape[0])]
+        if not basis:
+            continue
+        if len(basis) > 1:
+            raise NonUniqueSolutionError(
+                f"non-unique solution at rho = {rho!r}: nullspace dimension {len(basis)}",
+                [funceq._vector_to_poly(v, cols, q) for v in basis],
+            )
+        b = funceq._vector_to_poly(basis[0], cols, q)
+        residual = funceq._refinement_residual(c, b, rho)
+        if residual <= funceq.RESIDUAL_TOL:
+            return funceq.RefinementSolve(b, rho, residual, m, support_bound)
+    raise NoSolutionInWindowError(f"no solution in window |exponent| <= {support_bound}")
+
+
+def scan_outcome(solver, c, window, tol=funceq.NULLSPACE_TOL):
+    """Everything a solve returns or raises, as text that tells every bit apart."""
+    try:
+        r = solver(c, window, tol)
+    except (NoSolutionInWindowError, NonUniqueSolutionError) as e:
+        return type(e).__name__, str(e), [repr(p.terms()) for p in getattr(e, "basis", [])]
+    return repr(r.b.terms()), repr(r.rho), repr(r.residual), r.zero_order, r.support_bound
+
+
+def bspline_mask(h: Dyadic, m: int) -> LaurentPoly:
+    """2((1 + T^-h)/2)^m."""
+    half = LaurentPoly.from_dict({0: 0.5, Dyadic(-h.num, h.log2_den): 0.5})
+    c = LaurentPoly.scalar(2.0)
+    for _ in range(m):
+        c = c * half
+    return c
+
+
+SCAN_CASES = [
+    (bspline_mask(h, m), window)
+    for m in (1, 2, 3, 4)
+    for h in (Dyadic(1, 0), Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 3))
+    for window in (1, 2, 4, 8, 12)
+] + [
+    (parse_laurent("0.7 + 1.3*T^-1"), 4),
+    (LaurentPoly.from_dict({0: 0.6 + 0.2j, Dyadic(-1, 0): 1.4 - 0.2j}), 4),
+    (bspline_mask(Dyadic(1, 1), 3) * (0.6 + 0.8j), 4),  # complex rho
+    (parse_laurent("1 + T^-4"), 3),  # NoSolutionInWindowError
+    (parse_laurent("1 + T^-4"), 4),
+]
+
+
+def test_refinement_scan_is_the_full_svd_scan_bit_for_bit():
+    outcomes = set()
+    for c, window in SCAN_CASES:
+        got = scan_outcome(solve_refinement, c, window)
+        assert got == scan_outcome(reference_scan, c, window), (str(c), window)
+        outcomes.add(got[0] if isinstance(got[0], str) and got[0].endswith("Error") else "solved")
+    assert outcomes == {"solved", "NoSolutionInWindowError"}
+
+
+def test_refinement_nonunique_error_is_the_full_svd_scan_bit_for_bit():
+    for c, window in [(parse_laurent("1 + T^-1"), 2), (bspline_mask(Dyadic(1, 1), 3), 4)]:
+        got = scan_outcome(solve_refinement, c, window, 10.0)
+        assert got[0] == "NonUniqueSolutionError" and len(got[2]) > 1
+        assert got == scan_outcome(reference_scan, c, window, 10.0)
+
+
+def test_refinement_takes_one_svd_with_singular_vectors_per_solve():
+    svd = np.linalg.svd
+    for c, window in [(parse_laurent("1 + T^-1"), 2), (bspline_mask(Dyadic(1, 0), 3), 12),
+                      (bspline_mask(Dyadic(1, 2), 3), 12), (bspline_mask(Dyadic(1, 3), 4), 4)]:
+        with mock.patch.object(np.linalg, "svd", side_effect=svd) as spy:
+            solve = solve_refinement(c, window)
+        full = [call for call in spy.call_args_list if call.kwargs.get("compute_uv", True)]
+        assert len(full) == 1
+        # every rejected candidate was screened out by its singular values alone
+        assert spy.call_count == solve.zero_order + 2
 
 
 def test_refinement_rejects_vanishing_mask_value():

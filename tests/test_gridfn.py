@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import waveq
 from waveq import gridfn
-from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError
+from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError, ExponentRangeError
 from waveq.gridfn import (
     ExpSum,
     GridFunction,
@@ -466,6 +466,23 @@ def test_non_finite_weights_and_phase_rates_are_refused_by_name():
     assert np.isfinite(apply_op_grid(OpExpr.term(1e300, beta=40), g).values).all()  # "one"
 
 
+def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
+    xs = np.linspace(0.0, 1.0, 5)
+    never = mock.Mock(side_effect=AssertionError("f was called"))
+    refused = r"term 0 has dilation power 1100.0; .* beyond the float range"
+    for op in (OpExpr.dilation(1100), OpExpr.dilation(1100) + OpExpr.term(2.0, mu=1.0, alpha=-1)):
+        for convention in ("one", "unitary"):  # "paper" refuses the weight 2^1100 first
+            with pytest.raises(ExponentRangeError, match=refused):
+                sample_op_applied(op, never, xs, convention=convention)
+        for convention in DILATION_CONVENTIONS:
+            with pytest.raises(ExponentRangeError, match=refused):
+                apply_op_expsum(op, ExpSum.constant(1.0), convention=convention)
+    # the largest power below the range still scales points and rates
+    op = OpExpr.dilation(1023)
+    assert sample_op_applied(op, np.arctan, xs)[1:].real.tolist() == [math.pi / 2] * 4
+    assert apply_op_expsum(op, ExpSum.exponential(0.5)).terms() == ((1.0, complex(2.0**1022)),)
+
+
 # -- CSV -----------------------------------------------------------------
 
 
@@ -491,3 +508,30 @@ def test_csv_17_digit_fidelity(tmp_path):
         _, re, im = line.split(",")
         assert float(re) == v.real
         assert float(im) == v.imag
+
+
+def numpy_scalar_csv(g: GridFunction) -> str:
+    """The CSV text formatted from numpy scalars, one by one."""
+    lines = ["x,re,im"]
+    for x, v in zip(g.x_points(), g.values):
+        lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+               1e-300, -1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    resolution=st.integers(0, 3),
+    lo=st.integers(-3, 3),
+    parts=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(1e299, 1e301)
+                   | st.floats(-1e-299, -1e-301), min_size=16, max_size=16),
+)
+@example(resolution=3, lo=-1, parts=EDGE_FLOATS + EDGE_FLOATS[::-1][:6])
+def test_csv_text_is_the_numpy_scalar_formatting(resolution, lo, parts):
+    n = 1 << resolution
+    g = GridFunction(resolution, (lo, lo + 1),
+                     [complex(parts[2 * i % 16], parts[(2 * i + 1) % 16]) for i in range(n)])
+    assert g.to_csv() == numpy_scalar_csv(g)
