@@ -82,10 +82,20 @@ def _as_int(v) -> int:
     return int(v)
 
 
+def _as_nonnegative_int(v) -> int:
+    n = _as_int(v)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
 def _as_float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return x
 
 
 def _as_str(v) -> str:
@@ -175,13 +185,6 @@ _COMMON = (
     _Opt("--config", _as_str, None, "JSON file with flag values; flags win"),
 )
 
-_CONVENTION = _Opt(
-    "--dilation-convention",
-    _choice("one", "paper", "unitary"),
-    "one",
-    "scalar prefactor convention for the dilation operator",
-)
-
 _DYADIC_COMMUTATOR = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
 
 _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
@@ -196,9 +199,8 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "start profile; auto picks the system's fixed point",
             ),
             _Opt("--iters", _as_int, 1, "number of iterations"),
-            _Opt("--resolution", _as_int, 8, "grid spacing exponent J (step 2^-J)"),
+            _Opt("--resolution", _as_nonnegative_int, 8, "grid spacing exponent J (step 2^-J)"),
             _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
-            _CONVENTION,
         ),
     ),
     "wavelet": (
@@ -211,14 +213,13 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "auto",
                 "scaling profile; auto picks the system's fixed point",
             ),
-            _Opt("--resolution", _as_int, 6, "grid spacing exponent J"),
+            _Opt("--resolution", _as_nonnegative_int, 6, "grid spacing exponent J"),
             _Opt(
                 "--form",
                 _choice("canonical", "literal"),
                 "canonical",
                 "alternating-mask form (canonical covers half-step masks)",
             ),
-            _CONVENTION,
         ),
     ),
     "limit": (
@@ -232,7 +233,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "seed flavor; auto picks arctan (haar) or tri (b2)",
             ),
             _Opt("--n", _as_int_list, [8, 12, 16, 20], "word orders, comma-separated"),
-            _Opt("--resolution", _as_int, 10, "grid spacing exponent J"),
+            _Opt("--resolution", _as_nonnegative_int, 10, "grid spacing exponent J"),
             _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
             _Opt(
                 "--emit",
@@ -337,7 +338,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--s-values", _as_float_list, [0.0, 0.25, 0.5, 0.75, 1.0],
                  "deformation parameters, comma-separated"),
             _Opt("--n", _as_int, 16, "word order"),
-            _Opt("--resolution", _as_int, 8, "grid spacing exponent J"),
+            _Opt("--resolution", _as_nonnegative_int, 8, "grid spacing exponent J"),
         ),
     ),
     "check": (
@@ -427,7 +428,7 @@ def _start_grid(system: str, start: str, resolution: int, window) -> GridFunctio
 def _run_cascade(p: dict) -> RunResult:
     sys_obj = _system(p["system"])
     start = _start_grid(p["system"], p["start"], p["resolution"], p["window"])
-    res = cascade(sys_obj, start, p["iters"], convention=p["dilation_convention"])
+    res = cascade(sys_obj, start, p["iters"])
     results = {
         "residual": res.residual,
         "iterations": res.iterations,
@@ -439,9 +440,7 @@ def _run_cascade(p: dict) -> RunResult:
 def _run_wavelet(p: dict) -> RunResult:
     sys_obj = _system(p["system"])
     phi = _start_grid(p["system"], p["start"], p["resolution"], (-1, 2))
-    psi = wavelet_from_scaling(
-        sys_obj, phi, form=p["form"], convention=p["dilation_convention"]
-    )
+    psi = wavelet_from_scaling(sys_obj, phi, form=p["form"])
     mean = psi.integral()
     results = {
         "integral": mean,

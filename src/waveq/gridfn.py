@@ -9,8 +9,8 @@ Two representations cover everything downstream:
   including non-integer dilation powers, which grids cannot represent;
   it shares the normal form of LaurentPoly and OpExpr.
 
-The dilation prefactor sigma(beta) is applied here, at application time,
-under the convention name the caller picks ("one" by default).
+Every operator acts with (D^beta f)(x) = f(2^beta x): the weight of a term
+is its coefficient.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _own_arithmetic
-from .opalgebra import OpExpr, dilation_prefactor
+from .opalgebra import OpExpr
 
 SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per call of f in sample_op_applied
 
@@ -37,7 +37,7 @@ class GridMismatchError(ValueError):
 
 
 class NonFiniteWeightError(ValueError):
-    """An operator term applied to a grid has a weight or phase rate that is not finite."""
+    """An operator term has a coefficient (its weight) or phase rate that is not finite."""
 
 
 def _index_units(e: Exponent, resolution: int, what: str) -> int:
@@ -58,6 +58,16 @@ def _index_units(e: Exponent, resolution: int, what: str) -> int:
     return int(k)
 
 
+def _sample_count(resolution: int, window: tuple[int, int]) -> int:
+    """(hi - lo) 2^resolution, once the window and the resolution are checked."""
+    lo, hi = window
+    if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
+        raise ValueError("window must be integers lo < hi")
+    if resolution < 0:
+        raise ValueError("resolution must be >= 0")
+    return (hi - lo) << resolution
+
+
 class GridFunction:
     """Complex samples on x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1.
 
@@ -68,18 +78,12 @@ class GridFunction:
     __slots__ = ("resolution", "lo", "hi", "values")
 
     def __init__(self, resolution: int, window: tuple[int, int], values):
-        lo, hi = window
-        if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
-            raise ValueError("window must be integers lo < hi")
-        if resolution < 0:
-            raise ValueError("resolution must be >= 0")
+        n = _sample_count(resolution, window)
         vals = np.asarray(values, dtype=complex)
-        n = (hi - lo) << resolution
         if vals.shape != (n,):
             raise ValueError(f"expected {n} samples for window {window} at 2^-{resolution}")
         self.resolution = resolution
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = window
         self.values = vals
 
     @property
@@ -96,8 +100,8 @@ class GridFunction:
 
     @staticmethod
     def zeros(resolution: int, window: tuple[int, int]) -> "GridFunction":
-        lo, hi = window
-        return GridFunction(resolution, window, np.zeros((hi - lo) << resolution, complex))
+        n = _sample_count(resolution, window)  # checked before the shift can fail
+        return GridFunction(resolution, window, np.zeros(n, complex))
 
     @staticmethod
     def from_callable(
@@ -215,7 +219,6 @@ def _dilation_scale(k: int, beta: float) -> float:
 def apply_op_grid(
     expr: OpExpr,
     f: GridFunction,
-    convention: str = "one",
     out_resolution: int | None = None,
     out_window: tuple[int, int] | None = None,
 ) -> GridFunction:
@@ -223,10 +226,10 @@ def apply_op_grid(
 
     Every term needs an exact integer dilation power and source points
     y = 2^beta x + alpha that stay on the source lattice for every output
-    x; otherwise GridResolutionError.  Every weight and phase rate must be
+    x; otherwise GridResolutionError.  Every coefficient and phase rate must be
     finite (NonFiniteWeightError, checked before any term is applied).  Points
-    outside the source window read as zero: a term adds weight * a strided
-    view of the source to the output range [lo, hi) that reads inside it.
+    outside the source window read as zero: a term adds its coefficient times a
+    strided view of the source to the output range [lo, hi) that reads inside it.
     """
     res_out = f.resolution if out_resolution is None else out_resolution
     window = f.window if out_window is None else out_window
@@ -245,13 +248,12 @@ def apply_op_grid(
                 f"D^{b} output at 2^-{res_out} needs source samples below 2^-{f.resolution}"
             )
         shift = _index_units(t.alpha, f.resolution, "translation")
-        weight, mu = t.coeff * dilation_prefactor(convention, t.beta.value), t.mu.value
-        _check_finite(k, weight, mu)
+        _check_finite(k, t.coeff, t.mu.value)
         # stride_log >= 0 guarantees b + f.resolution >= res_out >= 0, so the
         # window offset is exact integer arithmetic for every integer b
         offset = (out.lo << (b + f.resolution)) - (f.lo << f.resolution)
-        plan.append((weight, mu, offset + shift, 1 << stride_log))
-    for weight, mu, base, s in plan:
+        plan.append((t.coeff, t.mu.value, offset + shift, 1 << stride_log))
+    for coeff, mu, base, s in plan:
         # output i reads source base + i*s; keep the i with 0 <= base + i*s < n_src
         lo, hi = max(0, -(base // s)), min(n_out, -((base - n_src) // s))
         if lo >= hi:
@@ -259,45 +261,42 @@ def apply_op_grid(
         picked = f.values[base + lo * s : base + (hi - 1) * s + 1 : s]
         if mu != 0.0:
             picked = picked * np.exp(1j * mu * (out.lo + np.arange(lo, hi) * out.step))
-        out.values[lo:hi] += weight * picked
+        out.values[lo:hi] += coeff * picked
     return out
 
 
-def sample_op_applied(
-    expr: OpExpr,
-    f: Callable,
-    xs: np.ndarray,
-    convention: str = "one",
-) -> np.ndarray:
+def sample_op_applied(expr: OpExpr, f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate (expr f)(xs) for an analytically known f, at any real
     dilation power (the deformed scaling construction needs that).
 
     Runs of terms sharing (beta, mu) are applied in blocks of at most
     SAMPLE_BLOCK samples: f gets points of shape (k, *xs.shape), so it must
     work elementwise.  The weighted rows are added in term order, with the
-    weight as the left factor, so the result is the term-by-term sum bit for bit.
-    A non-finite weight or phase rate raises NonFiniteWeightError, and a
-    dilation power of 1024 or more ExponentRangeError, before f is called.
+    coefficient as the left factor, so the result is the term-by-term sum bit
+    for bit.  A non-finite coefficient or phase rate raises
+    NonFiniteWeightError, and a dilation power of 1024 or more
+    ExponentRangeError, before f is called.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
     mu, beta, alpha = expr._val
-    weights, scales, column = [], [], (-1,) + (1,) * xs.ndim
-    for k, (c, b, m) in enumerate(zip(map(complex, expr._re, expr._im), beta, mu)):
-        weights.append(c * dilation_prefactor(convention, b))
-        _check_finite(k, weights[-1], m)
+    coeffs, scales, column = list(map(complex, expr._re, expr._im)), [], (-1,) + (1,) * xs.ndim
+    for k, (c, b, m) in enumerate(zip(coeffs, beta, mu)):
+        _check_finite(k, c, m)
         scales.append(_dilation_scale(k, b))
     step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
     for (_, m), run in groupby(zip(beta, mu)):
         start, end = end, end + len(list(run))
         scaled = scales[start] * xs
-        phase = np.exp(1j * m * xs) if m != 0.0 else None
+        # with the block's leading axis: numpy rounds a (1, 1) * (1,) complex
+        # product without the fused multiply-add it uses for a lone row
+        phase = np.exp(1j * m * xs)[None] if m != 0.0 else None
         for i in range(start, end, step):
             j = min(i + step, end)
             vals = np.asarray(f(scaled + np.reshape(alpha[i:j], column)), dtype=complex)
             if phase is not None:
                 vals = vals * phase
-            for row in np.reshape(weights[i:j], column) * vals:
+            for row in np.reshape(coeffs[i:j], column) * vals:
                 out += row
     return out
 
@@ -369,7 +368,7 @@ class ExpSum(_NormalForm):
     __repr__ = __str__
 
 
-def apply_op_expsum(expr: OpExpr, es: ExpSum, convention: str = "one") -> ExpSum:
+def apply_op_expsum(expr: OpExpr, es: ExpSum) -> ExpSum:
     """Exact closed-form action of a normal-form operator on an ExpSum.
 
     A dilation power of 1024 or more raises ExponentRangeError up front."""
@@ -377,10 +376,9 @@ def apply_op_expsum(expr: OpExpr, es: ExpSum, convention: str = "one") -> ExpSum
     scales = [_dilation_scale(k, beta) for k, beta in enumerate(betas)]
     out = []
     coeffs = map(complex, expr._re, expr._im)
-    for coeff, mu, beta, alpha, scale in zip(coeffs, mus, betas, alphas, scales):
-        sigma = dilation_prefactor(convention, beta)
+    for coeff, mu, alpha, scale in zip(coeffs, mus, alphas, scales):
         for a, rate in es._pairs():
-            c = coeff * a * sigma
+            c = coeff * a
             if alpha != 0.0:
                 c *= _exp(rate * alpha, "rate*alpha")
             out.append((c, rate * scale + 1j * mu))

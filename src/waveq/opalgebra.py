@@ -7,7 +7,7 @@ Every operator here is a finite sum of terms
 acting on functions of one real variable as
 
     (P^mu f)(x) = e^{i mu x} f(x)
-    (D^beta f)(x) = sigma(beta) f(2^beta x)      (sigma set at application time)
+    (D^beta f)(x) = f(2^beta x)
     (T^alpha f)(x) = f(x + alpha)
 
 Composition stays inside this normal form:
@@ -18,9 +18,8 @@ Composition stays inside this normal form:
 The phase factor is skipped (kept exactly 1) when m2 or a1 is zero, and
 exponent rescaling by 2^b is done by exact shifts when b is an exact
 integer, so products of translation/dilation words with dyadic data are
-bit-exact.  The sigma prefactor never enters composition: all three
-supported conventions are exponential in beta, so they factor out of any
-product and are applied only when an operator meets an actual function.
+bit-exact.  D^beta carries no amplitude factor, so a mask with
+sum C_k = 2 conserves mass.
 
 The columns, the composition and the merge rule live in the normal-form core
 of `laurent`; an OpExpr holds three exponent rows (mu, beta, alpha), a
@@ -29,7 +28,6 @@ LaurentPoly only the alpha row.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 from .laurent import (
@@ -45,24 +43,6 @@ from .laurent import (
     _NormalForm,
     _own_arithmetic,
 )
-
-DILATION_CONVENTIONS = ("one", "paper", "unitary")
-
-
-def dilation_prefactor(convention: str, beta: float) -> float:
-    """sigma(beta) for the named convention; exponential in beta by design,
-    and math.inf beyond the float range, which callers refuse as a weight."""
-    if convention == "one":
-        return 1.0
-    if convention in ("paper", "unitary"):
-        try:
-            return 2.0 ** (beta if convention == "paper" else beta / 2.0)
-        except OverflowError:
-            return math.inf
-    raise ValueError(
-        f"unknown dilation convention {convention!r}; pick one of {DILATION_CONVENTIONS}"
-    )
-
 
 class OpTerm(NamedTuple):
     coeff: complex

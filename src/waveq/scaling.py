@@ -7,8 +7,8 @@ a grid, builds wavelets from a scaling function, and constructs scaling
 functions directly as high-order difference words applied to a smooth seed
 (the limit-sequence route, which never iterates).
 
-All grid work uses the sigma = 1 dilation convention: (D f)(x) = f(2x) with
-no amplitude prefactor, under which sum C_k = 2 preserves mass exactly.
+The dilation acts as (D^beta f)(x) = f(2^beta x), with no amplitude factor,
+so sum C_k = 2 preserves mass exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .gridfn import (
     sample_op_applied,
 )
 from .laurent import Dyadic, EvaluationOverflowError, LaurentPoly
-from .opalgebra import OpExpr, dilation_prefactor
+from .opalgebra import OpExpr
 from .qdeform import phase_index_minus, w_minus
 
 DIVERGENCE_L2_LIMIT = 1e6
@@ -201,19 +201,14 @@ def _check_alignment(sys: ScalingSystem, resolution: int) -> None:
             )
 
 
-def cascade(
-    sys: ScalingSystem,
-    start: GridFunction,
-    iters: int,
-    convention: str = "one",
-) -> CascadeResult:
+def cascade(sys: ScalingSystem, start: GridFunction, iters: int) -> CascadeResult:
     """Iterate phi <- D g(T) phi and record convergence.
 
-    No renormalization is applied: with sum C_k = 2 under sigma = 1 the
-    grid integral is conserved, so amplitude errors in the start function
-    persist instead of being washed out (2*box stays 2*box).  The stored
-    residual is the max-norm of one further application minus phi, so
-    recomputing it from the returned phi reproduces it.
+    No renormalization is applied: with sum C_k = 2 the grid integral is
+    conserved, so amplitude errors in the start function persist instead of
+    being washed out (2*box stays 2*box).  The stored residual is the
+    max-norm of one further application minus phi, so recomputing it from
+    the returned phi reproduces it.
     """
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
@@ -222,7 +217,7 @@ def cascade(
     phi = start
     history = []
     for i in range(iters):
-        nxt = apply_op_grid(op, phi, convention=convention)
+        nxt = apply_op_grid(op, phi)
         history.append(_l2_norm(nxt - phi))
         phi = nxt
         norm = _l2_norm(phi)
@@ -230,9 +225,7 @@ def cascade(
             raise CascadeDivergenceError(
                 f"cascade divergence: L2 norm {norm:.3e} after {i + 1} iterations"
             )
-    final_residual = float(
-        np.max(np.abs((apply_op_grid(op, phi, convention=convention) - phi).values))
-    )
+    final_residual = float(np.max(np.abs((apply_op_grid(op, phi) - phi).values)))
     return CascadeResult(
         phi=phi, iterations=iters, residual=final_residual, history=tuple(history)
     )
@@ -282,10 +275,7 @@ def _output_window(expr: OpExpr, f: GridFunction) -> tuple[int, int]:
 
 
 def wavelet_from_scaling(
-    sys: ScalingSystem,
-    phi: GridFunction,
-    form: str = "literal",
-    convention: str = "one",
+    sys: ScalingSystem, phi: GridFunction, form: str = "literal"
 ) -> GridFunction:
     """Mother wavelet from a scaling function.
 
@@ -308,11 +298,7 @@ def wavelet_from_scaling(
     else:
         raise ValueError(f"form must be 'literal' or 'canonical', got {form!r}")
     return apply_op_grid(
-        op,
-        phi,
-        convention=convention,
-        out_resolution=phi.resolution + 1,
-        out_window=_output_window(op, phi),
+        op, phi, out_resolution=phi.resolution + 1, out_window=_output_window(op, phi)
     )
 
 
@@ -455,8 +441,7 @@ def _deformed_columns(s: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return c, a, m
 
 
-def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int],
-                  convention: str) -> GridFunction:
+def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) -> GridFunction:
     """The unnormalized profile (1 - T^{-2^-n}) (2 W-(s))^n seed.  For 0 < s < 1
     the word is P^M D^B sum_j c_j T^{a_j}, and with h = 2^-n, d = 2^B h,
     u = 2(2^B x + a_j), v = u - 2d each pair c_j (T^{a_j} - e^{-iMh} T^{a_j - d})
@@ -479,13 +464,13 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int],
             pair += rows @ np.arctan2(2.0 * d, 1.0 + 4.0 * y * (y - d))  # uv = 4y(y - d)
             tail += rows @ np.arctan(2.0 * (y - d))
         total = pair[0] + 1j * pair[1] - np.expm1(-1j * m * h) * (tail[0] + 1j * tail[1])
-        vals = (dilation_prefactor(convention, b) / np.pi) * np.exp(1j * m * xs) * total
+        vals = (1.0 / np.pi) * np.exp(1j * m * xs) * total
         return GridFunction(resolution, window, vals)
     if s == 1.0:  # the word telescopes, as `algebraic_form_check` proves
         op = (OpExpr.identity() - OpExpr.translation(-1)) * OpExpr.dilation(n)
     else:  # 2 W-(0) = 2 P^-1 is one term
         op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n
-    return GridFunction(resolution, window, sample_op_applied(op, _seed_arctan, xs, convention))
+    return GridFunction(resolution, window, sample_op_applied(op, _seed_arctan, xs))
 
 
 def _unit_integral(raw: GridFunction) -> GridFunction:
@@ -501,7 +486,6 @@ def deformed_scaling(
     n: int,
     resolution: int,
     window: tuple[int, int] = (-1, 2),
-    convention: str = "one",
 ) -> GridFunction:
     """Exploratory deformation: the limit-sequence word with 2 W-(s) in
     place of the two-scale operator, normalized to unit integral.
@@ -513,7 +497,7 @@ def deformed_scaling(
     while the s = 0 endpoint degenerates to pure phases and is reported
     without any claim.
     """
-    return _unit_integral(_deformed_raw(s, n, resolution, window, convention))
+    return _unit_integral(_deformed_raw(s, n, resolution, window))
 
 
 def deformed_scaling_report(
@@ -529,7 +513,7 @@ def deformed_scaling_report(
     target = GridFunction.from_callable(box_midpoint_profile, resolution, window)
     rows = []
     for s in s_values:
-        raw = _deformed_raw(s, n, resolution, window, "one")
+        raw = _deformed_raw(s, n, resolution, window)
         f, mass = _unit_integral(raw), abs(raw.integral())
         rows.append({"s": s, "l1_to_box": f.l1_distance(target),
                      "integral_error": abs(f.integral() - 1.0), "raw_mass": mass,

@@ -74,9 +74,12 @@ def iterate_spectrum(
     The default step is the coarsening recursion.  The trace's closed-form
     tag follows from step and a0: the cosine branch for the default step and
     |a0| <= 1, the hyperbolic branch otherwise, "none" for any other map.
+    A non-finite a0 raises ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if not math.isfinite(a0):
+        raise ValueError(f"a0 must be finite, got {a0!r}")
     closed_form_tag = "none"
     if step is doubling_step:
         closed_form_tag = "cos-branch" if abs(a0) <= 1.0 else "cosh-branch"

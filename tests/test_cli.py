@@ -65,7 +65,6 @@ def test_cascade_fixed_point_manifest_residual_zero(tmp_path):
         "iters": 1,
         "resolution": 8,
         "window": [-1, 2],
-        "dilation_convention": "one",
     }
 
 
@@ -186,14 +185,14 @@ def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: NonFiniteWeightError: term ")
 
 
-# SHA-256 of (CSV, manifest) written at the defaults, as in the table in
-# CHANGES.md; both subcommands iterate D g(T) through apply_op_grid, so a
-# change to the lattice path cannot move a byte of them unnoticed.
+# SHA-256 of (CSV, manifest) written at the defaults, as in CHANGES.md;
+# both subcommands iterate D g(T) through apply_op_grid, so a change to the
+# lattice path cannot move a byte of them unnoticed.
 GRID_GOLDEN = {
     "cascade": ("57204f0c14098c18b4a220f60aa5d2da1f010a1496efce939aaf3cd3451292db",
-                "465700e56eed14571029c8cde585b20cf245fe59bc15bdbc65bd5bd60acc5b07"),
+                "11a4e023c1d7e7b97476d925f9d23b2f6c8dbbb0369728d061c320f6ba2814aa"),
     "wavelet": ("94aacc9e7f75c9f8ee9949266f9f9b0e5653f9e60aeff5539bf90364c6741ee9",
-                "c4001896145ac9b58f8da5d12f96cd8eb319e1c2ba37745782da7f6eb4b73d76"),
+                "94c69603364e0fa0f5514c3fc32935d8ddec99e838123950f6b474e827e07ab9"),
 }
 
 
@@ -223,6 +222,62 @@ def test_window_flag_round_trips(tmp_path):
     assert run(tmp_path, "cascade", "--window=-2,3", "--resolution", "6") == 0
     manifest = load_manifest(tmp_path, "cascade")
     assert manifest["config"]["window"] == [-2, 3]
+
+
+def test_dilation_convention_is_no_longer_an_option(tmp_path, capsys):
+    for sub in ("cascade", "wavelet"):
+        assert run(tmp_path, sub, "--dilation-convention", "one") == 2
+        assert "--dilation-convention" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dilation_convention": "one"}))
+        assert run(tmp_path, sub, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "dilation_convention" in err and "(offending flag: --config)" in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+NON_FINITE = [
+    ("spectrum", "--a0", "nan"),
+    ("spectrum", "--a0", "-inf"),
+    ("ladder", "--a-tilde", "nan"),
+    ("closure", "--s", "nan"),
+    ("closure", "--alpha", "inf"),
+    ("gamma", "--b", "inf"),
+    ("bridge", "--j0", "0,nan"),
+    ("fig2", "--s-values", "0.5,inf"),
+]
+
+
+@pytest.mark.parametrize("sub, flag, value", NON_FINITE,
+                         ids=[f"{sub}{flag}={v}" for sub, flag, v in NON_FINITE])
+def test_non_finite_float_flag_is_usage_error_naming_the_flag(tmp_path, capsys, sub, flag, value):
+    assert run(tmp_path, sub, f"{flag}={value}") == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for {flag}: expected a finite number" in err
+    assert f"(offending flag: {flag})" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_is_usage_error_naming_the_flag(tmp_path, capsys):
+    # JSON as Python writes and reads it may hold NaN and Infinity; strings go the same way
+    for value, sub, flag in ((float("nan"), "spectrum", "--a0"), ("inf", "spectrum", "--a0"),
+                             ([0.0, float("-inf")], "bridge", "--j0")):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        assert run(tmp_path, sub, "--config", str(cfg)) == 2
+        assert f"(offending flag: {flag})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["cascade", "wavelet", "limit", "fig2"])
+def test_negative_resolution_is_usage_error_naming_the_flag(tmp_path, capsys, sub):
+    assert run(tmp_path, sub, "--resolution", "-1") == 2
+    err = capsys.readouterr().err
+    assert "invalid value for --resolution: expected a nonnegative integer, got -1" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"resolution": -3}))
+    assert run(tmp_path, sub, "--config", str(cfg)) == 2
+    assert "(offending flag: --resolution)" in capsys.readouterr().err
+    assert run(tmp_path, sub, "--resolution", "0") == 0  # one sample per unit is a valid lattice
 
 
 def test_mode_order_below_one_is_usage_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from waveq.gridfn import (
     apply_op_grid,
     sample_op_applied,
 )
-from waveq.opalgebra import DILATION_CONVENTIONS, OpExpr, dilation_prefactor
+from waveq.opalgebra import OpExpr
 from waveq.qdeform import w_minus
 
 
@@ -80,6 +80,23 @@ def test_window_and_resolution_mismatch():
         a.l1_distance(c)
 
 
+def test_negative_resolutions_and_bad_windows_are_refused_before_any_sample_is_made():
+    # every constructor checks the lattice before it shifts (hi - lo) by the resolution
+    makers = [
+        GridFunction.zeros,
+        lambda res, window: GridFunction.from_callable(box, res, window),
+        lambda res, window: ExpSum.constant(1.0).to_grid(res, window),
+        lambda res, window: GridFunction(res, window, []),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match="resolution must be >= 0"):
+            make(-1, (-1, 2))
+        for window in ((2, 2), (3, 1), (0.0, 1)):
+            with pytest.raises(ValueError, match="window must be integers lo < hi"):
+                make(2, window)
+    assert len(GridFunction.zeros(0, (-1, 2)).values) == 3
+
+
 def test_value_at():
     g = GridFunction.from_callable(box, 4, (-1, 2))
     assert g.value_at(0.5) == 1.0
@@ -133,13 +150,6 @@ def test_output_window_differs_from_source():
     assert out.value_at(0.5) == 1.0
     assert out.value_at(-1.0) == 0.0
     assert out.integral() == g.integral()
-
-
-def test_dilation_prefactor_scales_grid_result():
-    g = GridFunction.from_callable(box, 4, (-2, 3))
-    one = apply_op_grid(OpExpr.dilation(1), g, convention="one")
-    paper = apply_op_grid(OpExpr.dilation(1), g, convention="paper")
-    assert np.allclose(paper.values, 2.0 * one.values)
 
 
 def test_unit_cell_constant_mass_preserved():
@@ -268,18 +278,10 @@ def test_sampler_matches_expsum_for_fractional_dilation():
     assert np.max(np.abs(direct - closed)) < 1e-13
 
 
-def test_sampler_respects_convention():
-    xs = np.array([0.25, 1.0])
-    f = lambda p: np.ones_like(p) + 0j
-    one = sample_op_applied(OpExpr.dilation(2), f, xs, convention="one")
-    paper = sample_op_applied(OpExpr.dilation(2), f, xs, convention="paper")
-    assert np.allclose(paper, 4.0 * one)
-
-
 # -- blocked sampling against the term-by-term rule -------------------------
 
 
-def term_by_term(expr, f, xs, convention="one"):
+def term_by_term(expr, f, xs):
     """The sampling rule written out one term at a time."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
@@ -287,7 +289,7 @@ def term_by_term(expr, f, xs, convention="one"):
         vals = np.asarray(f((2.0 ** t.beta.value) * xs + t.alpha.value), dtype=complex)
         if t.mu.value != 0.0:
             vals = vals * np.exp(1j * t.mu.value * xs)
-        out += t.coeff * dilation_prefactor(convention, t.beta.value) * vals
+        out += t.coeff * vals
     return out
 
 
@@ -321,18 +323,17 @@ def build_op(terms, word_order):
     word_order=st.sampled_from([0, 3, 6]),
     dims=shape,
     block=st.sampled_from([1, 5, 64, 1 << 13]),
-    convention=st.sampled_from(DILATION_CONVENTIONS),
     f=st.sampled_from([seed, wave, box]),
 )
-@example(terms=[], word_order=0, dims=(3, 5), block=1, convention="one", f=seed)  # empty operator
-def test_blocked_sampling_is_the_term_by_term_sum_bit_for_bit(
-    terms, word_order, dims, block, convention, f
-):
+@example(terms=[], word_order=0, dims=(3, 5), block=1, f=seed)  # empty operator
+# one point and a phase: numpy rounds a (1, 1) * (1,) product differently from a lone row
+@example(terms=[(1.0, 1.0, -1, 0, 1)], word_order=0, dims=(1,), block=1, f=wave)
+def test_blocked_sampling_is_the_term_by_term_sum_bit_for_bit(terms, word_order, dims, block, f):
     op = build_op(terms, word_order)
     xs = np.linspace(-1.5, 2.5, math.prod(dims)).reshape(dims)
     with mock.patch.object(gridfn, "SAMPLE_BLOCK", block):  # blocks of a few terms or one
-        got = sample_op_applied(op, f, xs, convention=convention)
-    want = term_by_term(op, f, xs, convention)
+        got = sample_op_applied(op, f, xs)
+    want = term_by_term(op, f, xs)
     assert got.shape == want.shape == dims
     assert got.tobytes() == want.tobytes()
 
@@ -358,9 +359,8 @@ def test_sampling_calls_f_once_per_block_with_stacked_points():
                   st.integers(-40, 40)),
         min_size=1, max_size=6,
     ),
-    convention=st.sampled_from(DILATION_CONVENTIONS),
 )
-def test_grid_application_agrees_with_sampling_on_lattice_operators(terms, convention):
+def test_grid_application_agrees_with_sampling_on_lattice_operators(terms):
     """Integer dilations and translations on the 2^-5 lattice: reading the
     source grid by index equals sampling the same function at 2^b x + a."""
 
@@ -371,15 +371,15 @@ def test_grid_application_agrees_with_sampling_on_lattice_operators(terms, conve
     for re, im, mu, beta, k in terms:
         op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=Dyadic(k, 5))
     src = GridFunction.from_callable(windowed, 5, (-4, 4))
-    via_grid = apply_op_grid(op, src, convention=convention, out_window=(-1, 1))
-    sampled = sample_op_applied(op, windowed, via_grid.x_points(), convention=convention)
+    via_grid = apply_op_grid(op, src, out_window=(-1, 1))
+    sampled = sample_op_applied(op, windowed, via_grid.x_points())
     assert np.max(np.abs(via_grid.values - sampled)) <= 1e-13
 
 
 # -- grid application against a point-by-point reference -----------------
 
 
-def point_by_point(expr, f, convention, res_out, window):
+def point_by_point(expr, f, res_out, window):
     """The grid rule one output point and one term at a time: exact Fraction
     source indices, terms added in order, the weight as the left factor.
     Products run on one-element arrays: numpy's complex multiply may fuse
@@ -399,7 +399,7 @@ def point_by_point(expr, f, convention, res_out, window):
             v = f.values[int(k) : int(k) + 1]
             if t.mu.value != 0.0:
                 v = v * np.exp(1j * t.mu.value * np.array([float(x)]))
-            acc += complex((t.coeff * dilation_prefactor(convention, t.beta.value) * v)[0])
+            acc += complex((t.coeff * v)[0])
         out.append(acc)
     return np.array(out, dtype=complex)
 
@@ -423,22 +423,21 @@ def grid_case(draw):
     ), max_size=5))
     window = draw(st.sampled_from([(lo, hi), (lo - 2, hi + 1), (lo, lo + 1), (hi + 1, hi + 3),
                                    (lo - 4, lo - 1)]))  # same, wider, narrower, disjoint
-    convention = draw(st.sampled_from(DILATION_CONVENTIONS))
     op = OpExpr.zero()
     for c_re, c_im, mu, beta, k in terms:
         op = op + OpExpr.term(complex(c_re, c_im), mu=mu, beta=beta, alpha=Dyadic(k, res))
-    return op, GridFunction(res, (lo, hi), np.array(re) + 1j * np.array(im)), res_out, window, convention
+    return op, GridFunction(res, (lo, hi), np.array(re) + 1j * np.array(im)), res_out, window
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=grid_case())
-@example(case=(OpExpr.zero(), GridFunction(2, (0, 1), [1, -0.0, 2, 3]), 2, (-1, 2), "one"))
+@example(case=(OpExpr.zero(), GridFunction(2, (0, 1), [1, -0.0, 2, 3]), 2, (-1, 2)))
 @example(case=(OpExpr.term(2.0, beta=1, alpha=7) + OpExpr.term(-0.5, alpha=-3),  # both off the window
-               GridFunction(1, (0, 2), [1, 2, 3, 4]), 1, (0, 2), "paper"))
+               GridFunction(1, (0, 2), [1, 2, 3, 4]), 1, (0, 2)))
 def test_grid_application_is_the_point_by_point_rule_bit_for_bit(case):
-    op, src, res_out, window, convention = case
-    got = apply_op_grid(op, src, convention=convention, out_resolution=res_out, out_window=window)
-    want = point_by_point(op, src, convention, res_out, window)
+    op, src, res_out, window = case
+    got = apply_op_grid(op, src, out_resolution=res_out, out_window=window)
+    want = point_by_point(op, src, res_out, window)
     assert (got.resolution, got.window) == (res_out, window)
     assert got.values.tobytes() == want.tobytes()
 
@@ -446,24 +445,22 @@ def test_grid_application_is_the_point_by_point_rule_bit_for_bit(case):
 def test_non_finite_weights_and_phase_rates_are_refused_by_name():
     g = GridFunction.from_callable(box, 3, (0, 1))
     inf, nan = float("inf"), float("nan")
-    cases = [  # (operator, convention, index of the refused term)
-        (OpExpr.term(inf, alpha=5.0), "one", 0),  # refused though it never reads the source
-        (OpExpr.identity() + OpExpr.term(complex(nan, 1.0), alpha=-1), "one", 1),
-        (OpExpr.term(1.0, mu=inf), "one", 0),
-        (OpExpr.term(1e300, beta=40), "paper", 0),  # finite coefficient, weight 1e300 * 2^40
-        (OpExpr.identity() + OpExpr.dilation(-1100) + OpExpr.dilation(1100), "paper", 0),
-        (OpExpr.identity() + OpExpr.dilation(2100), "unitary", 0),  # sigma = 2^1050
+    cases = [  # (operator, index of the refused term)
+        (OpExpr.term(inf, alpha=5.0), 0),  # refused though it never reads the source
+        (OpExpr.identity() + OpExpr.term(complex(nan, 1.0), alpha=-1), 1),
+        (OpExpr.term(1.0, mu=inf), 0),
     ]
-    for op, convention, k in cases:
+    for op, k in cases:
         assert len(op) > k
         with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
-            apply_op_grid(op, g, convention=convention)
+            apply_op_grid(op, g)
         with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
             sample_op_applied(op, mock.Mock(side_effect=AssertionError("f was called")),
-                              np.linspace(0.0, 1.0, 5), convention=convention)
+                              np.linspace(0.0, 1.0, 5))
     assert issubclass(NonFiniteWeightError, ValueError)
     assert waveq.NonFiniteWeightError is NonFiniteWeightError
-    assert np.isfinite(apply_op_grid(OpExpr.term(1e300, beta=40), g).values).all()  # "one"
+    # the weight is the coefficient: no dilation factor can push it out of range
+    assert np.isfinite(apply_op_grid(OpExpr.term(1e300, beta=40), g).values).all()
 
 
 def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
@@ -471,12 +468,10 @@ def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
     never = mock.Mock(side_effect=AssertionError("f was called"))
     refused = r"term 0 has dilation power 1100.0; .* beyond the float range"
     for op in (OpExpr.dilation(1100), OpExpr.dilation(1100) + OpExpr.term(2.0, mu=1.0, alpha=-1)):
-        for convention in ("one", "unitary"):  # "paper" refuses the weight 2^1100 first
-            with pytest.raises(ExponentRangeError, match=refused):
-                sample_op_applied(op, never, xs, convention=convention)
-        for convention in DILATION_CONVENTIONS:
-            with pytest.raises(ExponentRangeError, match=refused):
-                apply_op_expsum(op, ExpSum.constant(1.0), convention=convention)
+        with pytest.raises(ExponentRangeError, match=refused):
+            sample_op_applied(op, never, xs)
+        with pytest.raises(ExponentRangeError, match=refused):
+            apply_op_expsum(op, ExpSum.constant(1.0))
     # the largest power below the range still scales points and rates
     op = OpExpr.dilation(1023)
     assert sample_op_applied(op, np.arctan, xs)[1:].real.tolist() == [math.pi / 2] * 4

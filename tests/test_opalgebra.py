@@ -1,21 +1,14 @@
 import cmath
-import math
 import random
 
 import pytest
 
 from waveq.laurent import Dyadic, Exponent, LaurentPoly
-from waveq.opalgebra import (
-    DILATION_CONVENTIONS,
-    OpExpr,
-    commutator,
-    dilation_prefactor,
-    translation_sum,
-)
+from waveq.opalgebra import OpExpr, commutator, translation_sum
 
 
 def apply_expr(expr, f):
-    """Pointwise action with sigma = 1: reference semantics for the algebra.
+    """Pointwise action, (D^beta f)(x) = f(2^beta x): reference semantics for the algebra.
 
     Kept independent of the package's own application code on purpose; the
     composition rule is validated against this and nothing else.
@@ -149,26 +142,6 @@ def test_laurent_round_trip():
     assert (e.to_laurent() - p).max_abs_coeff() == 0.0
     with pytest.raises(ValueError):
         (OpExpr.dilation(1) * e).to_laurent()
-
-
-def test_prefactor_conventions():
-    assert dilation_prefactor("one", 5) == 1.0
-    assert dilation_prefactor("paper", 3) == 8.0
-    assert dilation_prefactor("unitary", 2) == 2.0
-    # beyond the float range: inf, for callers to refuse as a non-finite weight
-    assert dilation_prefactor("paper", 1100) == math.inf
-    assert dilation_prefactor("unitary", 2100) == math.inf
-    assert dilation_prefactor("unitary", 1100) == 2.0**550
-    assert dilation_prefactor("paper", -1100) == 0.0
-    with pytest.raises(ValueError):
-        dilation_prefactor("bogus", 1)
-    rng = random.Random(3)
-    for name in DILATION_CONVENTIONS:
-        for _ in range(50):
-            b1, b2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            lhs = dilation_prefactor(name, b1 + b2)
-            rhs = dilation_prefactor(name, b1) * dilation_prefactor(name, b2)
-            assert abs(lhs - rhs) <= 1e-14 * abs(rhs)
 
 
 def test_debug_text():

@@ -128,7 +128,7 @@ def test_cascade_amplitude_preserved():
 
 def test_cascade_mass_conserved_from_wrong_start():
     # box is not the hat mask's fixed point, but mass is conserved exactly
-    # at every step (sum C_k = 2 under the sigma = 1 convention)
+    # at every step (sum C_k = 2, and D carries no amplitude factor)
     start = box_grid(4)
     masses = [start.integral()]
     phi = start
@@ -306,7 +306,7 @@ def test_deformed_scaling_zero_endpoint_reported():
     assert math.isfinite(rep["rows"][0]["l1_to_box"])
     assert rep["rows"][2]["l1_to_box"] < 0.05
     for row in rep["rows"]:
-        raw = scaling._deformed_raw(row["s"], 10, 7, (-1, 2), "one")
+        raw = scaling._deformed_raw(row["s"], 10, 7, (-1, 2))
         assert row["raw_mass"] == abs(raw.integral()) > 0.0
         assert row["mass_cancellation"] >= 1.0 - 1e-12
     # the box's raw mass is its unit integral, less the seed's tails outside the
@@ -341,11 +341,11 @@ def test_oversized_word_is_refused_before_anything_is_built(monkeypatch):
 U = 2.0**-53
 
 
-def _expanded_raw(s, n, resolution, convention="one"):
+def _expanded_raw(s, n, resolution):
     """The deformed profile sampled from the expanded 2^n-term word."""
     op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n
     xs = GridFunction.zeros(resolution, (-1, 2)).x_points()
-    return sample_op_applied(op, scaling._seed_arctan, xs, convention)
+    return sample_op_applied(op, scaling._seed_arctan, xs)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.9])
@@ -390,7 +390,7 @@ def _gate_k(s, n, points, block):
     and |c_j| = 1, |Delta_j| <= |arctan u| + |arctan v|, |g| <= |M| h.  Each
     term adds its own rounding: about 4u from each of the coefficient's n
     unit-phase products, and 8u for the pair, the mismatch factor, the final
-    phase, the prefactor and 1/pi.  Not modelled: the shifts' own rounding
+    phase and 1/pi.  Not modelled: the shifts' own rounding
     (about n u |a_j|) moves each seed argument; at n = 8 the worst error
     measured against mpmath is 0.63 u * sum|terms|, far inside k.
     """
@@ -402,7 +402,7 @@ def _gate_k(s, n, points, block):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.6, 0.9])
 def test_deformed_word_is_within_the_summation_bound_of_mpmath(s):
     n, resolution, every = 8, 7, 23
-    raw = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+    raw = scaling._deformed_raw(s, n, resolution, (-1, 2))
     xs = raw.x_points()[::every]
     ref = _load_oracles().deformed_values(s, n, xs)
     k = _gate_k(s, n, len(raw.values), scaling.SAMPLE_BLOCK)
@@ -413,7 +413,7 @@ def test_deformed_word_is_within_the_summation_bound_of_mpmath(s):
 @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
 def test_deformed_blocks_of_one_and_seven_terms_agree_within_the_gate(s):
     n, resolution = 8, 7
-    default = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+    default = scaling._deformed_raw(s, n, resolution, (-1, 2))
     points = len(default.values)
     _, a, _ = scaling._deformed_columns(s, n)
     y = 2.0 ** (n * s) * default.x_points() + a[:, None]
@@ -421,17 +421,16 @@ def test_deformed_blocks_of_one_and_seven_terms_agree_within_the_gate(s):
     magnitude = (np.abs(f(y)) + np.abs(f(y - 2.0 ** (n * s - n)))).sum(axis=0)
     for terms in (1, 7):
         with mock.patch.object(scaling, "SAMPLE_BLOCK", terms * points):
-            got = scaling._deformed_raw(s, n, resolution, (-1, 2), "one")
+            got = scaling._deformed_raw(s, n, resolution, (-1, 2))
         k = _gate_k(s, n, points, terms * points) + _gate_k(s, n, points, scaling.SAMPLE_BLOCK)
         assert (np.abs(got.values - default.values) <= k * U * magnitude).all()
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0])
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("convention", ["one", "paper"])
-def test_deformed_endpoints_are_the_expanded_word_bit_for_bit(s, n, convention):
-    raw = scaling._deformed_raw(s, n, 6, (-1, 2), convention)
-    assert raw.values.tobytes() == _expanded_raw(s, n, 6, convention).tobytes()
+def test_deformed_endpoints_are_the_expanded_word_bit_for_bit(s, n):
+    raw = scaling._deformed_raw(s, n, 6, (-1, 2))
+    assert raw.values.tobytes() == _expanded_raw(s, n, 6).tobytes()
 
 
 # -- wavelet self-similarity report ------------------------------------------------------

@@ -262,3 +262,10 @@ def test_trace_value_at():
     assert trace.value_at(0) == 0.3
     with pytest.raises(KeyError):
         trace.value_at(9)
+
+
+def test_non_finite_start_is_refused():
+    for a0 in (math.nan, math.inf, -math.inf):
+        for step in (doubling_step, a2half_step):
+            with pytest.raises(ValueError, match="a0 must be finite"):
+                iterate_spectrum(a0, step=step, n=3)
