@@ -82,13 +82,6 @@ def _as_int(v) -> int:
     return int(v)
 
 
-def _as_nonnegative_int(v) -> int:
-    n = _as_int(v)
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
-    return n
-
-
 def _as_float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number")
@@ -126,11 +119,18 @@ def _as_float_list(v) -> list[float]:
     return out
 
 
-def _as_order_list(v) -> list[int]:
-    out = _as_int_list(v)
-    if min(out) < 1:
-        raise ValueError(f"orders must be at least 1, got {min(out)}")
-    return out
+def _at_least(bound: int, coerce: Callable = _as_int) -> Callable:
+    """coerce, then refuse an integer, or a list entry, below bound."""
+    wanted = "a nonnegative integer" if bound == 0 else f"an integer >= {bound}"
+
+    def checked(v):
+        value = coerce(v)
+        low = min(value) if isinstance(value, list) else value
+        if low < bound:
+            raise ValueError(f"expected {wanted}, got {low}")
+        return value
+
+    return checked
 
 
 def _as_window(v) -> tuple[int, int]:
@@ -198,8 +198,8 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "auto",
                 "start profile; auto picks the system's fixed point",
             ),
-            _Opt("--iters", _as_int, 1, "number of iterations"),
-            _Opt("--resolution", _as_nonnegative_int, 8, "grid spacing exponent J (step 2^-J)"),
+            _Opt("--iters", _at_least(0), 1, "number of iterations"),
+            _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J (step 2^-J)"),
             _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
         ),
     ),
@@ -213,7 +213,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "auto",
                 "scaling profile; auto picks the system's fixed point",
             ),
-            _Opt("--resolution", _as_nonnegative_int, 6, "grid spacing exponent J"),
+            _Opt("--resolution", _at_least(0), 6, "grid spacing exponent J"),
             _Opt(
                 "--form",
                 _choice("canonical", "literal"),
@@ -232,8 +232,9 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                 "auto",
                 "seed flavor; auto picks arctan (haar) or tri (b2)",
             ),
-            _Opt("--n", _as_int_list, [8, 12, 16, 20], "word orders, comma-separated"),
-            _Opt("--resolution", _as_nonnegative_int, 10, "grid spacing exponent J"),
+            _Opt("--n", _at_least(1, _as_int_list), [8, 12, 16, 20],
+                 "word orders, comma-separated"),
+            _Opt("--resolution", _at_least(0), 10, "grid spacing exponent J"),
             _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
             _Opt(
                 "--emit",
@@ -247,7 +248,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         "iterate an eigenvalue map and emit the trace",
         (
             _Opt("--a0", _as_float, 0.9, "starting value"),
-            _Opt("--n", _as_int, 16, "number of steps"),
+            _Opt("--n", _at_least(0), 16, "number of steps"),
             _Opt(
                 "--map",
                 _choice("doubling", "half"),
@@ -261,7 +262,8 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
             _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings, comma-separated"),
-            _Opt("--modes", _as_order_list, [2, 3, 4, 8], "oscillating mode orders (>= 1)"),
+            _Opt("--modes", _at_least(1, _as_int_list), [2, 3, 4, 8],
+                 "oscillating mode orders (>= 1)"),
         ),
     ),
     "closure": (
@@ -283,7 +285,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         "solve the refinement-commutant equation for the detail symbol",
         (
             _Opt("--c", _as_symbol, None, "mask symbol, e.g. '1 + T^-1'", required=True),
-            _Opt("--window", _as_int, 4, "support bound: |exponent| <= window"),
+            _Opt("--window", _at_least(1), 4, "support bound: |exponent| <= window"),
             _Opt("--nullspace-tol", _as_float, 1e-10, "relative singular-value cutoff"),
         ),
     ),
@@ -300,7 +302,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "prop1": (
         "windowed commutant system: nullspace and candidate pattern",
         (
-            _Opt("--window", _as_int, 8, "exponent window half-width K"),
+            _Opt("--window", _at_least(4), 8, "exponent window half-width K"),
             _Opt("--nullspace-tol", _as_float, 1e-10, "relative singular-value cutoff"),
         ),
     ),
@@ -309,7 +311,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--b", _as_float, 1.0, "scale constant (positive)"),
             _Opt("--sign", _as_sign, 1, "orientation, 1 or -1"),
-            _Opt("--points", _as_int, 100, "log-spaced grid size"),
+            _Opt("--points", _at_least(2), 100, "log-spaced grid size"),
             _Opt("--lo", _as_float, 1.001, "grid start (must exceed 1)"),
             _Opt("--hi", _as_float, 1.0e3, "grid end"),
         ),
@@ -328,8 +330,9 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "fig1": (
         "eigenvalue curves over the unit interval",
         (
-            _Opt("--n", _as_int_list, [2, 4, 6], "iteration orders, comma-separated"),
-            _Opt("--grid", _as_int, 512, "points across [0, 1]"),
+            _Opt("--n", _at_least(0, _as_int_list), [2, 4, 6],
+                 "iteration orders, comma-separated"),
+            _Opt("--grid", _at_least(2), 512, "points across [0, 1]"),
         ),
     ),
     "fig2": (
@@ -337,8 +340,8 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--s-values", _as_float_list, [0.0, 0.25, 0.5, 0.75, 1.0],
                  "deformation parameters, comma-separated"),
-            _Opt("--n", _as_int, 16, "word order"),
-            _Opt("--resolution", _as_nonnegative_int, 8, "grid spacing exponent J"),
+            _Opt("--n", _at_least(1), 16, "word order"),
+            _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J"),
         ),
     ),
     "check": (

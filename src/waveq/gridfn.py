@@ -3,7 +3,8 @@
 Two representations cover everything downstream:
 
 * `GridFunction`: samples on the dyadic lattice x = lo + k/2^J over an
-  integer window [lo, hi).  Operator application is exact index arithmetic;
+  integer window [lo, hi), float64 when the data is real and complex128
+  when it is complex.  Operator application is exact index arithmetic;
   a source point that falls off the lattice raises instead of interpolating.
 * `ExpSum`: finite sums of a*e^(rate*x), closed under the full algebra
   including non-integer dilation powers, which grids cannot represent;
@@ -68,18 +69,25 @@ def _sample_count(resolution: int, window: tuple[int, int]) -> int:
     return (hi - lo) << resolution
 
 
+def _lattice_points(resolution: int, window: tuple[int, int]) -> np.ndarray:
+    """x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1."""
+    return window[0] + np.arange(_sample_count(resolution, window)) * 2.0**-resolution
+
+
 class GridFunction:
-    """Complex samples on x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1.
+    """Samples on x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1.
 
     The window [lo, hi) has integer endpoints and the function is treated
-    as zero outside it.
+    as zero outside it.  The samples follow the data: float64 for real
+    values, complex128 for complex ones.
     """
 
     __slots__ = ("resolution", "lo", "hi", "values")
 
     def __init__(self, resolution: int, window: tuple[int, int], values):
         n = _sample_count(resolution, window)
-        vals = np.asarray(values, dtype=complex)
+        vals = np.asarray(values)
+        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
         if vals.shape != (n,):
             raise ValueError(f"expected {n} samples for window {window} at 2^-{resolution}")
         self.resolution = resolution
@@ -95,26 +103,24 @@ class GridFunction:
         return 2.0**-self.resolution
 
     def x_points(self) -> np.ndarray:
-        n = len(self.values)
-        return self.lo + np.arange(n) * self.step
+        return _lattice_points(self.resolution, self.window)
 
     @staticmethod
     def zeros(resolution: int, window: tuple[int, int]) -> "GridFunction":
         n = _sample_count(resolution, window)  # checked before the shift can fail
-        return GridFunction(resolution, window, np.zeros(n, complex))
+        return GridFunction(resolution, window, np.zeros(n))
 
     @staticmethod
     def from_callable(
         f: Callable, resolution: int, window: tuple[int, int]
     ) -> "GridFunction":
-        gf = GridFunction.zeros(resolution, window)
-        xs = gf.x_points()
+        xs = _lattice_points(resolution, window)
         try:
-            vals = np.asarray(f(xs), dtype=complex)
+            vals = np.asarray(f(xs))
             if vals.shape != xs.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            vals = np.array([complex(f(float(x))) for x in xs])
+            vals = np.array([f(float(x)) for x in xs])
         return GridFunction(resolution, window, vals)
 
     def copy(self) -> "GridFunction":
@@ -122,13 +128,17 @@ class GridFunction:
 
     # -- calculus on the lattice ------------------------------------------
 
+    # integral and inner sum in complex: numpy's pairwise float64 sum and vdot
+    # round differently from the complex128 ones, so real grids are cast first
+
     def integral(self) -> complex:
-        return complex(self.values.sum() * self.step)
+        return complex(self.values.astype(complex, copy=False).sum() * self.step)
 
     def inner(self, other: "GridFunction") -> complex:
         """<self, other> = step * sum conj(self) * other, same lattice only."""
         self._check_same_lattice(other)
-        return complex(np.vdot(self.values, other.values) * self.step)
+        a, b = (g.values.astype(complex, copy=False) for g in (self, other))
+        return complex(np.vdot(a, b) * self.step)
 
     def l1_distance(self, other: "GridFunction") -> float:
         self._check_same_lattice(other)
@@ -170,7 +180,8 @@ class GridFunction:
         return GridFunction(self.resolution, self.window, self.values - other.values)
 
     def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.resolution, self.window, self.values * complex(scalar))
+        c = complex(scalar)  # a zero imaginary part keeps a real grid real
+        return GridFunction(self.resolution, self.window, self.values * (c if c.imag else c.real))
 
     __rmul__ = __mul__
 
@@ -230,11 +241,13 @@ def apply_op_grid(
     finite (NonFiniteWeightError, checked before any term is applied).  Points
     outside the source window read as zero: a term adds its coefficient times a
     strided view of the source to the output range [lo, hi) that reads inside it.
+    A real source under terms with real coefficients and no phase gives a real
+    output, weighted by the coefficients' real parts; anything else is complex.
     """
     res_out = f.resolution if out_resolution is None else out_resolution
     window = f.window if out_window is None else out_window
-    out = GridFunction.zeros(res_out, window)
-    n_out, n_src, plan = len(out.values), len(f.values), []
+    n_out, n_src, plan = _sample_count(res_out, window), len(f.values), []
+    out_lo, out_step = window[0], 2.0**-res_out
     for k, t in enumerate(expr.terms()):
         if not (t.beta.is_exact and t.beta.dyadic.is_integer()):
             raise GridResolutionError(
@@ -251,8 +264,11 @@ def apply_op_grid(
         _check_finite(k, t.coeff, t.mu.value)
         # stride_log >= 0 guarantees b + f.resolution >= res_out >= 0, so the
         # window offset is exact integer arithmetic for every integer b
-        offset = (out.lo << (b + f.resolution)) - (f.lo << f.resolution)
+        offset = (out_lo << (b + f.resolution)) - (f.lo << f.resolution)
         plan.append((t.coeff, t.mu.value, offset + shift, 1 << stride_log))
+    # a real coefficient times a real sample is the real part of the complex product
+    real = not (np.iscomplexobj(f.values) or any(c.imag or mu for c, mu, _, _ in plan))
+    out = np.zeros(n_out, float if real else complex)
     for coeff, mu, base, s in plan:
         # output i reads source base + i*s; keep the i with 0 <= base + i*s < n_src
         lo, hi = max(0, -(base // s)), min(n_out, -((base - n_src) // s))
@@ -260,9 +276,9 @@ def apply_op_grid(
             continue
         picked = f.values[base + lo * s : base + (hi - 1) * s + 1 : s]
         if mu != 0.0:
-            picked = picked * np.exp(1j * mu * (out.lo + np.arange(lo, hi) * out.step))
-        out.values[lo:hi] += coeff * picked
-    return out
+            picked = picked * np.exp(1j * mu * (out_lo + np.arange(lo, hi) * out_step))
+        out[lo:hi] += (coeff.real if real else coeff) * picked
+    return GridFunction(res_out, window, out)
 
 
 def sample_op_applied(expr: OpExpr, f: Callable, xs: np.ndarray) -> np.ndarray:
@@ -358,8 +374,7 @@ class ExpSum(_NormalForm):
         return self.eval(np.asarray(xs, dtype=float))
 
     def to_grid(self, resolution: int, window: tuple[int, int]) -> GridFunction:
-        gf = GridFunction.zeros(resolution, window)
-        return GridFunction(resolution, window, self.sample(gf.x_points()))
+        return GridFunction(resolution, window, self.sample(_lattice_points(resolution, window)))
 
     def __str__(self):
         inner = " + ".join(f"({c})e^({r})x" for c, r in self._pairs())

@@ -23,6 +23,7 @@ from .gridfn import (
     SAMPLE_BLOCK,
     GridFunction,
     GridResolutionError,
+    _lattice_points,
     apply_op_grid,
     sample_op_applied,
 )
@@ -353,8 +354,7 @@ def limit_build(
         )
     seed = _SEEDS[delta]
     scale = 2.0**n
-    out = GridFunction.zeros(resolution, window)
-    xs = out.x_points()
+    xs = _lattice_points(resolution, window)
     if preset == "haar":
         vals = seed(scale * xs) - seed(scale * (xs - 1.0))
     else:
@@ -362,7 +362,7 @@ def limit_build(
         vals = (
             seed(scale * xs) - 2.0 * seed(scale * (xs - 0.5)) + seed(scale * (xs - 1.0))
         ) / comp
-    return GridFunction(resolution, window, np.asarray(vals, dtype=complex))
+    return GridFunction(resolution, window, vals)
 
 
 def limit_oracle(preset: str) -> Callable:
@@ -386,11 +386,8 @@ def limit_build_report(
     errors = {}
     for n in n_values:
         f = limit_build(preset, delta, n, resolution, window)
-        diff = f - target
-        errors[n] = {
-            "l1": f.l1_distance(target),
-            "max": float(np.max(np.abs(diff.values))),
-        }
+        gap = np.abs(f.values - target.values)
+        errors[n] = {"l1": float(gap.sum() * f.step), "max": float(gap.max())}
     l1s = [errors[n]["l1"] for n in n_values]
     return {
         "preset": preset,
@@ -453,7 +450,7 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) ->
         raise ValueError("n must be at least 1")
     if n > MAX_WORD_ORDER:  # refused before anything is built or sampled
         raise WordTooLargeError(f"word order {n} is above MAX_WORD_ORDER = {MAX_WORD_ORDER}")
-    xs = GridFunction.zeros(resolution, window).x_points()
+    xs = _lattice_points(resolution, window)
     if 0.0 < s < 1.0:
         (c, a, m), b, h = _deformed_columns(s, n), n * s, 2.0**-n
         scaled, d, parts = (2.0**b) * xs, (2.0**b) * h, np.stack((c.real, c.imag))

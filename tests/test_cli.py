@@ -188,20 +188,41 @@ def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
 # SHA-256 of (CSV, manifest) written at the defaults, as in CHANGES.md;
 # both subcommands iterate D g(T) through apply_op_grid, so a change to the
 # lattice path cannot move a byte of them unnoticed.
+# SHA-256 of the CSV and the manifest, keyed by the arguments.  Every sample is
+# exact dyadic arithmetic, so the bytes hold on any machine; `limit` is left
+# out because its arctan seeds go through libm.
 GRID_GOLDEN = {
     "cascade": ("57204f0c14098c18b4a220f60aa5d2da1f010a1496efce939aaf3cd3451292db",
                 "11a4e023c1d7e7b97476d925f9d23b2f6c8dbbb0369728d061c320f6ba2814aa"),
     "wavelet": ("94aacc9e7f75c9f8ee9949266f9f9b0e5653f9e60aeff5539bf90364c6741ee9",
                 "94c69603364e0fa0f5514c3fc32935d8ddec99e838123950f6b474e827e07ab9"),
+    "cascade --system b2 --iters 3": (
+        "24ff4d4a74db75c72c76273191a0be4a9118ff5d9d16c32e3845aa62a856f5f9",
+        "57dfc70f2a0a8fce5535851f2afc6f17fde4ffaf2b4a02b871718432ffc3dd8d"),
+    "wavelet --system b2": (
+        "eb050d902a0931873be28f5e045243ddd875846b47d839e84cb3d1634d2f59d0",
+        "903fb56143eab0c505db918c159040a0aa089828c7e7111cfcb9fb07e767c608"),
+    "wavelet --form literal": (
+        "32c07c29cdf9c99f2fb979f5e5eed7e4ce84eeba18fcb9a9b978665149399118",
+        "264f877a2d707fe997bf2a2136bb53f0403d33391dd78550f99d3f15f4b7a683"),
 }
 
 
-@pytest.mark.parametrize("sub", sorted(GRID_GOLDEN))
-def test_grid_subcommands_write_the_recorded_bytes_at_their_defaults(tmp_path, sub):
-    assert run(tmp_path, sub) == 0
+def _written_hashes(tmp_path, args: str) -> tuple[str, str]:
+    sub, *rest = args.split()
+    assert run(tmp_path, sub, *rest) == 0
     names = (f"{sub}.csv", f"{sub}.manifest.json")
-    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
-    assert got == GRID_GOLDEN[sub]
+    return tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
+
+
+@pytest.mark.parametrize("sub", [k for k in GRID_GOLDEN if " " not in k])
+def test_grid_subcommands_write_the_recorded_bytes_at_their_defaults(tmp_path, sub):
+    assert _written_hashes(tmp_path, sub) == GRID_GOLDEN[sub]
+
+
+@pytest.mark.parametrize("args", [k for k in GRID_GOLDEN if " " in k])
+def test_grid_subcommand_variants_write_the_recorded_bytes(tmp_path, args):
+    assert _written_hashes(tmp_path, args) == GRID_GOLDEN[args]
 
 
 def test_check_passes_and_lists_every_named_subcheck(tmp_path, capsys):
@@ -283,6 +304,42 @@ def test_negative_resolution_is_usage_error_naming_the_flag(tmp_path, capsys, su
 def test_mode_order_below_one_is_usage_error(tmp_path, capsys):
     assert run(tmp_path, "ladder", "--modes", "2,0") == 2
     assert "--modes" in capsys.readouterr().err
+
+
+INT_BOUNDS = [  # (subcommand, flag, refused value, smallest valid value, arguments for a quick run)
+    ("cascade", "--iters", -1, 0, ()),
+    ("solve-b", "--window", 0, 1, ("--c", "1 + T^-1")),
+    ("prop1", "--window", 3, 4, ()),
+    ("fig1", "--grid", 1, 2, ()),
+    ("fig1", "--n", [2, -1], [0], ("--grid", "8")),
+    ("gamma", "--points", 1, 2, ()),
+    ("spectrum", "--n", -1, 0, ()),
+    ("fig2", "--n", 0, 1, ("--s-values", "0.5,1", "--resolution", "3")),
+    ("limit", "--n", [4, 0], [1], ("--resolution", "6")),
+]
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("sub, flag, bad, good, extra", INT_BOUNDS,
+                         ids=[f"{sub}{flag}" for sub, flag, *_ in INT_BOUNDS])
+def test_integer_below_its_bound_is_usage_error_naming_the_flag(tmp_path, capsys, sub, flag,
+                                                                 bad, good, extra):
+    low = min(bad) if isinstance(bad, list) else bad
+    assert run(tmp_path, sub, *extra, f"{flag}={_flag_text(bad)}") == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for {flag}: expected " in err
+    assert f", got {low} (offending flag: {flag})" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:]: bad}))
+    assert run(tmp_path, sub, *extra, "--config", str(cfg)) == 2
+    assert f"(offending flag: {flag})" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert run(tmp_path, sub, *extra, f"{flag}={_flag_text(good)}") == 0
+    cfg.write_text(json.dumps({flag[2:]: good}))
+    assert run(tmp_path, sub, *extra, "--config", str(cfg)) == 0
 
 
 def test_programming_error_propagates_instead_of_exit_one(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import waveq
-from waveq import gridfn
+from waveq import gridfn, scaling
 from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError, ExponentRangeError
 from waveq.gridfn import (
     ExpSum,
@@ -439,7 +439,106 @@ def test_grid_application_is_the_point_by_point_rule_bit_for_bit(case):
     got = apply_op_grid(op, src, out_resolution=res_out, out_window=window)
     want = point_by_point(op, src, res_out, window)
     assert (got.resolution, got.window) == (res_out, window)
-    assert got.values.tobytes() == want.tobytes()
+    assert np.asarray(got.values, complex).tobytes() == want.tobytes()
+
+
+# -- the dtype follows the data --------------------------------------------
+
+
+def test_real_data_stays_float64_through_every_grid_builder():
+    haar, b2 = scaling.haar_system(), scaling.b2_system()
+    box_g, hat_g = scaling.box_grid(5), scaling.hat_grid(5)
+    grids = [
+        GridFunction.zeros(2, (0, 1)), GridFunction(1, (0, 1), [1, -2]),
+        GridFunction.from_callable(lambda x: 1.0 if 0 <= x < 1 else 0.0, 3, (-1, 2)),
+        box_g, hat_g, scaling.cascade(haar, box_g, 2).phi, scaling.cascade(b2, hat_g, 2).phi,
+        scaling.wavelet_from_scaling(haar, box_g, form="literal"),
+        scaling.wavelet_from_scaling(haar, box_g, form="canonical"),
+        scaling.wavelet_from_scaling(b2, hat_g, form="canonical"),
+        scaling.limit_build("haar", "arctan", 8, 5), scaling.limit_build("b2", "tri", 8, 5),
+        apply_op_grid(OpExpr.term(-0.5, beta=1, alpha=1) + OpExpr.identity(), box_g),
+        apply_op_grid(OpExpr.term(complex(2.0, -0.0)), box_g, out_window=(-3, 4)),
+        box_g * 3, 2.0 * box_g, box_g * (1.5 + 0j), box_g + hat_g, box_g - hat_g, box_g.copy(),
+    ]
+    assert [g.values.dtype for g in grids] == [np.float64] * len(grids)
+
+
+def test_a_complex_coefficient_phase_or_source_gives_complex128():
+    box_g = scaling.box_grid(4)
+    wave_g = GridFunction.from_callable(wave, 4, (-1, 2))
+    grids = [
+        wave_g, GridFunction(0, (0, 2), [1, 2j]), ExpSum.constant(1.0).to_grid(3, (0, 1)),
+        apply_op_grid(OpExpr.term(1j), box_g),
+        apply_op_grid(OpExpr.identity() + OpExpr.term(0.5, alpha=1, mu=0.25), box_g),
+        apply_op_grid(OpExpr.dilation(1), wave_g), box_g * 1j, box_g + wave_g,
+        scaling.deformed_scaling(0.5, 4, 4),
+    ]
+    assert [g.values.dtype for g in grids] == [np.complex128] * len(grids)
+
+
+def test_a_complex_write_into_a_real_grid_is_an_error_under_the_test_config():
+    g = GridFunction.zeros(1, (0, 1))
+    with pytest.raises(np.exceptions.ComplexWarning):
+        g.values[:] = np.array([1.0 + 1.0j, 2.0])
+
+
+def bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+EDGE_SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300,
+                math.inf, -math.inf]
+real_sample = st.floats(allow_nan=False) | st.sampled_from(EDGE_SAMPLES)
+
+
+@st.composite
+def real_case(draw):
+    res = draw(st.integers(0, 3))
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(1, 3))
+    n = (hi - lo) << res
+    src = GridFunction(res, (lo, hi), draw(st.lists(real_sample, min_size=n, max_size=n)))
+    other = GridFunction(res, (lo, hi), draw(st.lists(real_sample, min_size=n, max_size=n)))
+    res_out = max(0, res + draw(st.integers(-2, 2)))
+    terms = draw(st.lists(st.tuples(
+        part | st.sampled_from([1e300, -5e-324]), st.sampled_from([0.0, -0.0]),
+        st.integers(max(-2, res_out - res), 3), st.integers(-8 << res, 8 << res),
+    ), max_size=5))
+    op = OpExpr.zero()
+    for c_re, c_im, beta, k in terms:
+        op = op + OpExpr.term(complex(c_re, c_im), beta=beta, alpha=Dyadic(k, res))
+    window = draw(st.sampled_from([(lo, hi), (lo - 2, hi + 1), (lo, lo + 1)]))
+    return op, src, other, res_out, window
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=real_case())
+@example(case=(OpExpr.identity() - OpExpr.translation(-1),
+               GridFunction(0, (0, 4), [math.inf, -0.0, 5e-324, -math.inf]),
+               GridFunction(0, (0, 4), [-0.0, 1.0, -5e-324, 2.0]), 0, (-1, 5)))
+def test_a_real_grid_and_its_complex_copy_agree_bit_for_bit(case):
+    """The real path gives the real parts of the complex one; integral, inner,
+    the CSV and np.abs are the same bits.  inf * 0 is NaN, so the complex copy's
+    imaginary part is +0 exactly where the applied value is finite, and the
+    applied grids agree as wholes only when every value is."""
+    op, src, other, res_out, window = case
+    src_c, other_c = (GridFunction(g.resolution, g.window, g.values.astype(complex))
+                      for g in (src, other))
+    got = apply_op_grid(op, src, out_resolution=res_out, out_window=window)
+    got_c = apply_op_grid(op, src_c, out_resolution=res_out, out_window=window)
+    assert (got.values.dtype, got_c.values.dtype) == (np.float64, np.complex128)
+    assert got_c.values.real.tobytes() == got.values.tobytes()
+    finite = np.isfinite(got.values)
+    assert np.array_equal(got_c.values.imag[finite], np.zeros(finite.sum()))
+    assert not np.signbit(got_c.values.imag[finite]).any()
+    pairs = [(src, src_c), (other, other_c)] + [(got, got_c)] * bool(finite.all())
+    for real, cplx in pairs:
+        assert bits(real.integral()) == bits(cplx.integral())
+        assert real.to_csv() == cplx.to_csv()
+        assert np.abs(real.values).tobytes() == np.abs(cplx.values).tobytes()
+    assert bits(src.inner(other)) == bits(src_c.inner(other_c))
+    assert bits(other.inner(src)) == bits(other_c.inner(src_c))
 
 
 def test_non_finite_weights_and_phase_rates_are_refused_by_name():
