@@ -1,17 +1,30 @@
 """Named acceptance checks for the package's headline guarantees.
 
-Each check exercises one capability end to end and returns a CheckResult
-with a stable name, a pass flag, a one-line message, and the measured
-numbers.  ``run_all`` evaluates every check in a fixed order; the checks
-are pure (no files, no global state), so callers may also run them
-individually.  The ``check`` command-line subcommand and the acceptance
-test suite both consume this module, so the numbers asserted here are the
-single source of truth for what the package promises.
+Each check exercises one capability end to end and states what it measured
+as a list of claims ``(quantity, value, relation, bound)``, where the
+relation is ``==``, ``<`` or ``<=``.  Every bound the suite applies is
+written once, in this module.  One function, ``_judge``, turns a claim
+list into a CheckResult:
+
+- ``passed`` is true when every claim holds;
+- ``message`` names the failing claims on a fail, and on a pass the claim
+  with the smallest margin (or says that every claim holds exactly);
+- ``details`` maps each quantity to ``{value, relation, bound, margin}``.
+  The margin is ``bound / value`` for a ``<`` or ``<=`` claim with a
+  nonzero value, and None for an ``==`` claim or a value of 0.
+
+``run_all`` evaluates every check in the order ``CHECKS`` lists them.  The
+checks are pure (no files, no global state), so callers may also run them
+one by one.  The ``check`` command-line subcommand and the acceptance test
+suite both consume this module, so the claims made here are the single
+source of truth for what the package promises.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,100 +75,111 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
+_HOLDS = {"==": operator.eq, "<": operator.lt, "<=": operator.le}
+
+
+def _judge(name: str, claims: list[tuple]) -> CheckResult:
+    """Decide pass/fail, the message and the details of one claim list."""
+    details, failed = {}, []
+    for quantity, value, relation, bound in claims:
+        margin = None if relation == "==" or value == 0 else bound / value
+        details[quantity] = {"value": value, "relation": relation, "bound": bound,
+                             "margin": margin}
+        if not _HOLDS[relation](value, bound):
+            failed.append(f"{quantity} = {value}, want {relation} {bound}")
+    if failed:
+        return CheckResult(name, False, "failed: " + "; ".join(failed), details)
+    tight = min((q for q, d in details.items() if d["margin"] is not None),
+                key=lambda q: details[q]["margin"], default=None)
+    if tight is None:
+        return CheckResult(name, True, f"all {len(details)} claims hold exactly", details)
+    d = details[tight]
+    return CheckResult(
+        name,
+        True,
+        f"{len(details)} claims hold; tightest {tight} = {d['value']:.3g} "
+        f"{d['relation']} {d['bound']:.3g}, margin {d['margin']:.3g}",
+        details,
+    )
+
+
+_REGISTERED: list[tuple[str, Callable[[], CheckResult]]] = []
+
+
+def _check(name: str):
+    """Register a function returning claims as the named check.
+
+    The decorated name returns the judged CheckResult; CHECKS keeps the
+    order in which the checks are defined below.
+    """
+
+    def register(claims: Callable[[], list[tuple]]) -> Callable[[], CheckResult]:
+        @functools.wraps(claims)
+        def run() -> CheckResult:
+            return _judge(name, claims())
+
+        _REGISTERED.append((name, run))
+        return run
+
+    return register
+
+
 def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
-# -- 1: the halving word reproduces the difference-dilation operator ---------------
+# the ladder commutator's symbol for the (1, 1) generator triple
+_DYADIC_F = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
 
 
-def check_exchange_word() -> CheckResult:
+@_check("exchange-word")
+def check_exchange_word():
     """(1 - T^{-1}) D^n equals (1 - T^{-2^-n}) (2 W-)^n with zero residual.
 
     Exact coefficient identity for n = 1..8, and the expanded word has
     exactly 2^n translation terms.
     """
-    rows = {}
-    worst = 0.0
-    ok = True
+    claims = []
     for n in range(1, 9):
         rep = algebraic_form_check(n)
-        rows[n] = {"residual": rep["residual"], "word_terms": rep["word_terms"]}
-        worst = max(worst, rep["residual"])
-        ok = ok and rep["residual"] == 0.0 and rep["word_terms"] == 2**n
-    msg = (
-        f"zero residual and 2^n terms for n=1..8 (max residual {worst:.3g})"
-        if ok
-        else f"identity failed somewhere in n=1..8 (max residual {worst:.3g})"
-    )
-    return CheckResult("exchange-word", ok, msg, {"rows": rows})
+        claims += [(f"residual_n{n}", rep["residual"], "==", 0.0),
+                   (f"word_terms_n{n}", rep["word_terms"], "==", 2**n)]
+    return claims
 
 
-# -- 2: the dyadic algebra closes exactly ------------------------------------------
-
-
-def check_dyadic_closure() -> CheckResult:
+@_check("dyadic-closure")
+def check_dyadic_closure():
     """All three commutators of the (1, 1) generator triple close exactly.
 
     The raising/lowering commutator must equal
     (T^2 + T^{-1} - T^{1/2} - T^{-1/2}) / 4 coefficient for coefficient.
     """
-    rep = check_closure(AlgebraParams(1.0, 1.0))
-    gs = build_generators(AlgebraParams(1.0, 1.0))
-    expected_f = parse_laurent("1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2")
-    f_matches = gs.f.to_laurent() == expected_f
-    residuals_zero = rep["r1"] == 0.0 and rep["r2"] == 0.0 and rep["r3"] == 0.0
-    ok = residuals_zero and f_matches
-    msg = (
-        "three commutator residuals exactly zero, ladder commutator symbol exact"
-        if ok
-        else (
-            f"r1={rep['r1']:.3g} r2={rep['r2']:.3g} r3={rep['r3']:.3g}, "
-            f"symbol match={f_matches}"
-        )
-    )
-    return CheckResult(
-        "dyadic-closure",
-        ok,
-        msg,
-        {"r1": rep["r1"], "r2": rep["r2"], "r3": rep["r3"], "f_matches": f_matches},
-    )
+    params = AlgebraParams(1.0, 1.0)
+    rep = check_closure(params)
+    return [
+        *((r, rep[r], "==", 0.0) for r in ("r1", "r2", "r3")),
+        ("f", build_generators(params).f.to_laurent(), "==", parse_laurent(_DYADIC_F)),
+    ]
 
 
-# -- 3: the box and the hat are exact fixed points ----------------------------------
-
-
-def check_fixed_profiles() -> CheckResult:
+@_check("fixed-profiles")
+def check_fixed_profiles():
     """The box and the peak-2 hat are exact fixed points of their two-scale maps.
 
     Box: residual exactly 0 at resolutions 2 and 6.  Hat: residual exactly
     0 at resolutions 3 and 6, and the profile's value at 1/2 is exactly 2.
     """
-    details = {}
-    ok = True
-    for j in (2, 6):
-        res = cascade(haar_system(), box_grid(j), iters=1).residual
-        details[f"box_residual_j{j}"] = res
-        ok = ok and res == 0.0
-    for j in (3, 6):
-        res = cascade(b2_system(), hat_grid(j), iters=1).residual
-        details[f"hat_residual_j{j}"] = res
-        ok = ok and res == 0.0
-    peak = hat_grid(6).value_at(0.5)
-    details["hat_at_half"] = peak.real
-    ok = ok and peak == 2.0
-    msg = (
-        "box and hat reproduce themselves exactly; hat(1/2) = 2"
-        if ok
-        else f"fixed-point residuals {details}"
-    )
-    return CheckResult("fixed-profiles", ok, msg, details)
+    return [
+        *((f"box_residual_j{j}", cascade(haar_system(), box_grid(j), iters=1).residual,
+           "==", 0.0) for j in (2, 6)),
+        *((f"hat_residual_j{j}", cascade(b2_system(), hat_grid(j), iters=1).residual,
+           "==", 0.0) for j in (3, 6)),
+        ("hat_at_half", hat_grid(6).value_at(0.5), "==", 2.0),
+    ]
 
 
-# -- 4: the one-word limit construction converges -----------------------------------
-
-
-def check_limit_words() -> CheckResult:
+@_check("limit-words")
+def check_limit_words():
     """Difference words on dilated seeds converge to the exact profiles.
 
     At word order n = 20 the L1 distance is below 1e-3 (arctan seed) and
@@ -164,77 +188,44 @@ def check_limit_words() -> CheckResult:
     The tanh run uses a fine grid because on coarse grids that seed
     saturates exactly and successive errors tie at zero.
     """
-    orders = (8, 12, 16, 20)
-    plans = (
+    claims = []
+    for preset, delta, bound, resolution in (
         ("haar", "arctan", 1e-3, 10),
         ("haar", "tanh", 1e-6, 18),
         ("b2", "tri", 1e-2, 10),
-    )
-    details = {}
-    ok = True
-    for preset, delta, bound, resolution in plans:
-        rep = limit_build_report(preset, delta, orders, resolution=resolution)
-        final = rep["errors"][20]["l1"]
-        details[f"{preset}-{delta}"] = {
-            "l1_at_20": final,
-            "bound": bound,
-            "monotone": rep["monotone_l1"],
-        }
-        ok = ok and final < bound and rep["monotone_l1"]
-    msg = (
-        "all three seeds converge monotonically within their bounds"
-        if ok
-        else f"limit-word convergence out of bounds: {details}"
-    )
-    return CheckResult("limit-words", ok, msg, details)
+    ):
+        rep = limit_build_report(preset, delta, (8, 12, 16, 20), resolution=resolution)
+        claims += [(f"{preset}-{delta}.l1_at_20", rep["errors"][20]["l1"], "<", bound),
+                   (f"{preset}-{delta}.monotone", rep["monotone_l1"], "==", True)]
+    return claims
 
 
-# -- 5: the coarsening recursion matches its closed forms ---------------------------
-
-
-def check_spectrum_forms() -> CheckResult:
+@_check("spectrum-forms")
+def check_spectrum_forms():
     """Iterating a -> 2a^2 - 1 matches the closed forms on both branches.
 
     Relative agreement within 1e-12 for n <= 6 starting inside and outside
     [-1, 1]; the half-step map agrees with hyperbolic-sine doubling on
     t in [0, 5]; and 3/4 maps to exactly 15/8.
     """
-    worst_branch = 0.0
-    for a0 in (0.3, 0.9, 1.2, math.cosh(1.0)):
-        trace = iterate_spectrum(a0, n=6)
-        for n, a_n in trace.values:
-            worst_branch = max(worst_branch, _rel_err(a_n, haar_closed_form(a0, n)))
-    worst_sinh = 0.0
-    for i in range(21):
-        t = 0.25 * i
-        worst_sinh = max(worst_sinh, _rel_err(a2half_step(math.sinh(t)), math.sinh(2.0 * t)))
-    exact_spot = a2half_step(0.75) == 1.875
-    ok = worst_branch <= 1e-12 and worst_sinh <= 1e-12 and exact_spot
-    msg = (
-        f"closed forms agree (branch err {worst_branch:.2e}, "
-        f"doubling err {worst_sinh:.2e}, 3/4 -> 15/8 exact)"
-        if ok
-        else (
-            f"branch err {worst_branch:.2e}, doubling err {worst_sinh:.2e}, "
-            f"exact spot {exact_spot}"
-        )
+    branch = max(
+        _rel_err(a_n, haar_closed_form(a0, n))
+        for a0 in (0.3, 0.9, 1.2, math.cosh(1.0))
+        for n, a_n in iterate_spectrum(a0, n=6).values
     )
-    return CheckResult(
-        "spectrum-forms",
-        ok,
-        msg,
-        {
-            "max_branch_rel_err": worst_branch,
-            "max_sinh_rel_err": worst_sinh,
-            "exact_spot": exact_spot,
-        },
+    doubling = max(
+        _rel_err(a2half_step(math.sinh(t)), math.sinh(2.0 * t))
+        for t in (0.25 * i for i in range(21))
     )
+    return [
+        ("max_branch_rel_err", branch, "<=", 1e-12),
+        ("max_sinh_rel_err", doubling, "<=", 1e-12),
+        ("half_step_at_3/4", a2half_step(0.75), "==", 1.875),
+    ]
 
 
-# -- 6: ladder actions on exponential modes -----------------------------------------
-
-
-def check_ladder_moves() -> CheckResult:
+@_check("ladder-moves")
+def check_ladder_moves():
     """Ladder coefficients and eigenvalue moves on the two mode families.
 
     At rate log 2 the lowering coefficient is exactly 3/4 and the
@@ -243,133 +234,64 @@ def check_ladder_moves() -> CheckResult:
     1e-12.
     """
     rep = ladder_check(math.log(2.0), range(0, 4), mode_orders=(2, 3, 4, 8))
-    row0, row1 = rep["ladder_rows"][0], rep["ladder_rows"][1]
-    exact = (
-        row0["minus_coeff"] == 0.75
-        and row0["a_n"] == 1.25
-        and row1["a_n"] == 2.125
-    )
-    ok = exact and rep["max_mode_error"] <= 1e-12 and rep["max_ladder_error"] <= 1e-12
-    msg = (
-        f"lowering coeff exactly 3/4, eigenvalue 5/4 -> 17/8; "
-        f"mode errors <= {rep['max_mode_error']:.2e}"
-        if ok
-        else (
-            f"exact spots {exact}, mode err {rep['max_mode_error']:.2e}, "
-            f"ladder err {rep['max_ladder_error']:.2e}"
-        )
-    )
-    return CheckResult(
-        "ladder-moves",
-        ok,
-        msg,
-        {
-            "minus_coeff_at_log2": complex(row0["minus_coeff"]).real,
-            "a_0": row0["a_n"],
-            "a_1": row1["a_n"],
-            "max_mode_error": rep["max_mode_error"],
-            "max_ladder_error": rep["max_ladder_error"],
-        },
-    )
+    row0, row1 = rep["ladder_rows"][:2]
+    return [
+        ("minus_coeff_at_log2", row0["minus_coeff"], "==", 0.75),
+        ("a_0", row0["a_n"], "==", 1.25),
+        ("a_1", row1["a_n"], "==", 2.125),
+        ("max_mode_error", rep["max_mode_error"], "<=", 1e-12),
+        ("max_ladder_error", rep["max_ladder_error"], "<=", 1e-12),
+    ]
 
 
-# -- 7: the three functional-equation solvers ---------------------------------------
-
-
-def check_functional_equations() -> CheckResult:
+@_check("functional-equations")
+def check_functional_equations():
     """Refinement, telescoping, and conserved-combination solvers.
 
     The refinement solver returns (1 - T^{-1}, rho = 1) for the box mask
     and ((1 - T^{-1/2})^2, rho = 1/2) for the hat mask with residual below
     1e-12; the telescoping solver reproduces the ladder potential exactly;
-    the conserved combination is flat across n in {0..3} within 1e-11.
+    the conserved combination is flat at 1/4 across n in {0..3} within 1e-11.
     """
-    details = {}
-    haar = solve_refinement(parse_laurent("1 + T^-1"), 4)
-    haar_ok = (
-        haar.b.isclose(parse_laurent("1 - T^-1"), tol=1e-12)
-        and abs(haar.rho - 1.0) <= 1e-12
-        and haar.residual <= 1e-12
-    )
-    details["haar"] = {"rho": complex(haar.rho).real, "residual": haar.residual}
-
-    hat = solve_refinement(parse_laurent("1/2 + T^-1/2 + 1/2*T^-1"), 4)
-    hat_ok = (
-        hat.b.isclose(parse_laurent("1 - 2*T^-1/2 + T^-1"), tol=1e-12)
-        and abs(hat.rho - 0.5) <= 1e-12
-        and hat.residual <= 1e-12
-    )
-    details["hat"] = {"rho": complex(hat.rho).real, "residual": hat.residual}
-
-    r = parse_laurent("1/4*T^2 - 1/4*T^1/2 - 1/4*T^-1/2 + 1/4*T^-1")
-    chi = solve_casimir_chi(r).chi
-    chi_ok = chi == parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")
-    details["chi_exact"] = chi_ok
-
-    flat = casimir_constancy_check(range(0, 4), math.log(2.0), tol=1e-11)
-    flat_ok = (
-        flat["constant_ok"]
-        and flat["orderings_ok"]
-        and abs(flat["reference"] - 0.25) <= 1e-11
-    )
-    details["constancy"] = {
-        "reference": flat["reference"],
-        "max_spread": flat["max_spread"],
-        "max_ordering_difference": flat["max_ordering_difference"],
-    }
-
-    ok = haar_ok and hat_ok and chi_ok and flat_ok
-    msg = (
-        "refinement pairs recovered, potential exact, combination flat at 1/4"
-        if ok
-        else (
-            f"haar={haar_ok} hat={hat_ok} potential_exact={chi_ok} "
-            f"flat={flat_ok}"
-        )
-    )
-    return CheckResult("functional-equations", ok, msg, details)
+    claims = []
+    for name, mask, b, rho in (
+        ("haar", "1 + T^-1", "1 - T^-1", 1.0),
+        ("hat", "1/2 + T^-1/2 + 1/2*T^-1", "1 - 2*T^-1/2 + T^-1", 0.5),
+    ):
+        sol = solve_refinement(parse_laurent(mask), 4)
+        claims += [
+            (f"{name}.b_error", (sol.b - parse_laurent(b)).max_abs_coeff(), "<=", 1e-12),
+            (f"{name}.rho_error", abs(sol.rho - rho), "<=", 1e-12),
+            (f"{name}.residual", sol.residual, "<=", 1e-12),
+        ]
+    chi = solve_casimir_chi(parse_laurent(_DYADIC_F)).chi
+    flat = casimir_constancy_check(range(0, 4), math.log(2.0))
+    return claims + [
+        ("chi", chi, "==", parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")),
+        ("constancy.max_spread", flat["max_spread"], "<=", 1e-11),
+        ("constancy.max_ordering_difference", flat["max_ordering_difference"], "<=", 1e-11),
+        ("constancy.reference_error", abs(flat["reference"] - 0.25), "<=", 1e-11),
+    ]
 
 
-# -- 8: the logarithmic relabeling and the q-ladder ---------------------------------
-
-
-def check_gamma_bridge() -> CheckResult:
+@_check("gamma-bridge")
+def check_gamma_bridge():
     """The relabeling map turns the coarsening step into a unit shift.
 
     Gamma(2 xi^2 - 1) = Gamma(xi) - 1 within 1e-12 on 100 log-spaced
     points; along the eigenvalue ladder Gamma drops by exactly one unit
     and phi = q^{-Gamma} gains a factor q per step, both within 1e-12.
     """
-    m = GammaMap(b_const=1.0, sign=1)
-    rep = gamma_ladder_report(m, points=100, lo=1.001, hi=1.0e3)
+    rep = gamma_ladder_report(GammaMap(b_const=1.0, sign=1), points=100, lo=1.001, hi=1.0e3)
     a_tilde = math.log(2.0)
     bridge = suq2_bridge_check(
         GammaMap(b_const=a_tilde, sign=1), s=1.0, a_tilde=a_tilde, n_range=range(0, 4)
     )
-    ok = bridge["gamma_ladder_ok"] and bridge["phi_ladder_ok"] and rep["ladder_ok"]
-    msg = (
-        f"unit-shift law holds on 100 points (err {rep['max_step_error']:.2e}); "
-        f"eigenvalue and phi ladders within 1e-12"
-        if ok
-        else (
-            f"grid err {rep['max_step_error']:.2e}, "
-            f"gamma step err {bridge['max_gamma_step_error']:.2e}, "
-            f"phi ratio err {bridge['max_phi_ratio_error']:.2e}"
-        )
-    )
-    return CheckResult(
-        "gamma-bridge",
-        ok,
-        msg,
-        {
-            "grid_step_error": rep["max_step_error"],
-            "gamma_step_error": bridge["max_gamma_step_error"],
-            "phi_ratio_error": bridge["max_phi_ratio_error"],
-        },
-    )
-
-
-# -- 9: admissibility, shift orthogonality, zero mean -------------------------------
+    return [
+        ("grid_step_error", rep["max_step_error"], "<=", 1e-12),
+        ("gamma_step_error", bridge["max_gamma_step_error"], "<=", 1e-12),
+        ("phi_ratio_error", bridge["max_phi_ratio_error"], "<=", 1e-12),
+    ]
 
 
 def _shift_inner(phi, n: int) -> complex:
@@ -379,7 +301,8 @@ def _shift_inner(phi, n: int) -> complex:
     return phi.inner(shifted)
 
 
-def check_orthogonality() -> CheckResult:
+@_check("orthogonality")
+def check_orthogonality():
     """Mask sums, shift orthogonality of the box, and zero-mean wavelets.
 
     The box mask satisfies the coefficient sum 2 and doubled-normalization
@@ -390,59 +313,26 @@ def check_orthogonality() -> CheckResult:
     product by 2^-(resolution+1), so the grid must be at least that fine.
     """
     adm = check_admissibility(haar_system())
-    adm_ok = adm["coefficient_sum"] == 2.0 and all(
-        v == (2.0 if l == "0" else 0.0) for l, v in adm["overlaps"].items()
-    )
-
     window = (-3, 4)
     preset = box_grid(10, window)
-    preset_ok = True
-    preset_vals = {}
-    for n in (-2, -1, 0, 1, 2):
-        ip = _shift_inner(preset, n)
-        preset_vals[n] = ip.real
-        preset_ok = preset_ok and ip == (1.0 if n == 0 else 0.0)
-
     built = limit_build("haar", "tanh", 20, 10, window)
-    built_err = 0.0
-    for n in (-2, -1, 0, 1, 2):
-        ip = _shift_inner(built, n)
-        built_err = max(built_err, abs(ip - (1.0 if n == 0 else 0.0)))
-
+    built_err = max(abs(_shift_inner(built, n) - (1.0 if n == 0 else 0.0)) for n in range(-2, 3))
     psi_box = wavelet_from_scaling(haar_system(), box_grid(6), form="canonical")
     psi_hat = wavelet_from_scaling(b2_system(), hat_grid(6), form="canonical")
-    mean_box = abs(psi_box.integral())
-    mean_hat = abs(psi_hat.integral())
-    mean_ok = mean_box <= 1e-12 and mean_hat <= 1e-12
-
-    ok = adm_ok and preset_ok and built_err <= 1e-3 and mean_ok
-    msg = (
-        f"mask sums exact, preset shifts exactly orthonormal, "
-        f"limit-built within {built_err:.2e}, wavelet means "
-        f"{mean_box:.2e}/{mean_hat:.2e}"
-        if ok
-        else (
-            f"mask exact={adm_ok}, preset exact={preset_ok}, "
-            f"built err {built_err:.2e}, means {mean_box:.2e}/{mean_hat:.2e}"
-        )
-    )
-    return CheckResult(
-        "orthogonality",
-        ok,
-        msg,
-        {
-            "preset_inner": preset_vals,
-            "built_max_error": built_err,
-            "wavelet_mean_box": mean_box,
-            "wavelet_mean_hat": mean_hat,
-        },
-    )
+    return [
+        ("coefficient_sum", adm["coefficient_sum"], "==", 2.0),
+        *((f"overlap_l{l}", v, "==", 2.0 if l == "0" else 0.0)
+          for l, v in adm["overlaps"].items()),
+        *((f"preset_inner_n{n}", _shift_inner(preset, n), "==", 1.0 if n == 0 else 0.0)
+          for n in range(-2, 3)),
+        ("built_max_error", built_err, "<=", 1e-3),
+        ("wavelet_mean_box", abs(psi_box.integral()), "<=", 1e-12),
+        ("wavelet_mean_hat", abs(psi_hat.integral()), "<=", 1e-12),
+    ]
 
 
-# -- 10: the small-s limit is plain Fourier analysis --------------------------------
-
-
-def check_fourier_limit() -> CheckResult:
+@_check("fourier-limit")
+def check_fourier_limit():
     """As s -> 0 the averaging operator differentiates and the ladder shifts.
 
     On e^{inx} the averaging operator's eigenvalue error shrinks
@@ -452,45 +342,21 @@ def check_fourier_limit() -> CheckResult:
     """
     rep = fourier_limit_report()
     last = [r for r in rep["rows"] if r["s"] == 1e-4]
-    w0_err = max(r["w0_eigenvalue_error"] for r in last)
-    coeff_err = max(
-        max(r["wplus_coeff_error"], r["wminus_coeff_error"]) for r in last
-    )
-    freq_err = max(
-        max(r["wplus_frequency_error"], r["wminus_frequency_error"]) for r in last
-    )
-    ok = (
-        rep["w0_error_monotone"]
-        and w0_err < 1e-3
-        and coeff_err < 1e-3
-        and freq_err < 1e-3
-    )
-    msg = (
-        f"monotone convergence; at s=1e-4 eigenvalue err {w0_err:.2e}, "
-        f"coeff err {coeff_err:.2e}, frequency err {freq_err:.2e}"
-        if ok
-        else (
-            f"monotone={rep['w0_error_monotone']}, w0 {w0_err:.2e}, "
-            f"coeff {coeff_err:.2e}, freq {freq_err:.2e}"
-        )
-    )
-    return CheckResult(
-        "fourier-limit",
-        ok,
-        msg,
-        {
-            "monotone": rep["w0_error_monotone"],
-            "w0_error_at_1e-4": w0_err,
-            "coeff_error_at_1e-4": coeff_err,
-            "frequency_error_at_1e-4": freq_err,
-        },
-    )
+
+    def worst(*keys):
+        return max(r[k] for r in last for k in keys)
+
+    return [
+        ("w0_error_monotone", rep["w0_error_monotone"], "==", True),
+        ("w0_error_at_1e-4", worst("w0_eigenvalue_error"), "<", 1e-3),
+        ("coeff_error_at_1e-4", worst("wplus_coeff_error", "wminus_coeff_error"), "<", 1e-3),
+        ("frequency_error_at_1e-4",
+         worst("wplus_frequency_error", "wminus_frequency_error"), "<", 1e-3),
+    ]
 
 
-# -- 11: the two chart families -----------------------------------------------------
-
-
-def check_figure_curves() -> CheckResult:
+@_check("figure-curves")
+def check_figure_curves():
     """Spectral curves obey composition, oscillation doubling holds, and
     the deformation endpoint reproduces the box.
 
@@ -499,9 +365,7 @@ def check_figure_curves() -> CheckResult:
     zero-crossing count grows by 2^4 from n = 2 to n = 6, and the
     deformation's s = 1 endpoint is within L1 distance 1e-2 of the box.
     """
-    fig = fig1_report([2, 4, 6], grid_size=512)
-    crossings = fig["zero_crossings"]
-    ratio_ok = crossings[6] == 16 * crossings[2]
+    crossings = fig1_report([2, 4, 6], grid_size=512)["zero_crossings"]
     comp_err = 0.0
     for i in range(512):
         a0 = i / 511.0
@@ -512,79 +376,32 @@ def check_figure_curves() -> CheckResult:
             abs(haar_closed_form(via_2, 2) - haar_closed_form(a0, 4)),
         )
     fam = deformed_scaling_report((1.0,), n=16, resolution=8)
-    l1_end = fam["rows"][0]["l1_to_box"]
-    ok = ratio_ok and comp_err <= 1e-10 and l1_end < 1e-2
-    msg = (
-        f"crossings {crossings[2]} -> {crossings[6]} (x16), composition err "
-        f"{comp_err:.2e}, endpoint L1 {l1_end:.2e}"
-        if ok
-        else (
-            f"crossings {dict(crossings)}, composition err {comp_err:.2e}, "
-            f"endpoint L1 {l1_end:.2e}"
-        )
-    )
-    return CheckResult(
-        "figure-curves",
-        ok,
-        msg,
-        {
-            "crossings": dict(crossings),
-            "composition_error": comp_err,
-            "endpoint_l1": l1_end,
-        },
-    )
+    return [
+        ("crossings_n6", crossings[6], "==", 16 * crossings[2]),
+        ("composition_error", comp_err, "<=", 1e-10),
+        ("endpoint_l1", fam["rows"][0]["l1_to_box"], "<", 1e-2),
+    ]
 
 
-# -- 12: the windowed commutant system ----------------------------------------------
-
-
-def check_commutant_window() -> CheckResult:
+@_check("commutant-window")
+def check_commutant_window():
     """The trivial commutant solution is exact and window solutions grow.
 
     At window sizes 8, 16, 32, 64 the solution 1 + u has exactly zero
     interior residual, and the nonzero-coefficient count of the
     complementary window solution strictly increases with the window.
     """
-    windows = (8, 16, 32, 64)
-    residuals = {}
-    counts = []
-    for k in windows:
-        rep = prop1_solve(k)
-        residuals[k] = rep["trivial_residual"]
-        counts.append(rep["complement_nonzero_count"])
-    trivial_ok = all(r == 0.0 for r in residuals.values())
-    growth_ok = all(a < b for a, b in zip(counts, counts[1:]))
-    ok = trivial_ok and growth_ok
-    msg = (
-        f"trivial solution exact at all windows; complement sizes {counts}"
-        if ok
-        else f"trivial residuals {residuals}, complement sizes {counts}"
-    )
-    return CheckResult(
-        "commutant-window",
-        ok,
-        msg,
-        {"trivial_residuals": residuals, "complement_counts": counts},
-    )
+    reps = {k: prop1_solve(k) for k in (8, 16, 32, 64)}
+    counts = [rep["complement_nonzero_count"] for rep in reps.values()]
+    return [
+        *((f"trivial_residual_k{k}", rep["trivial_residual"], "==", 0.0)
+          for k, rep in reps.items()),
+        ("complement_counts_increase", all(a < b for a, b in zip(counts, counts[1:])),
+         "==", True),
+    ]
 
 
-# -- the registry -------------------------------------------------------------------
-
-
-CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
-    ("exchange-word", check_exchange_word),
-    ("dyadic-closure", check_dyadic_closure),
-    ("fixed-profiles", check_fixed_profiles),
-    ("limit-words", check_limit_words),
-    ("spectrum-forms", check_spectrum_forms),
-    ("ladder-moves", check_ladder_moves),
-    ("functional-equations", check_functional_equations),
-    ("gamma-bridge", check_gamma_bridge),
-    ("orthogonality", check_orthogonality),
-    ("fourier-limit", check_fourier_limit),
-    ("figure-curves", check_figure_curves),
-    ("commutant-window", check_commutant_window),
-)
+CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = tuple(_REGISTERED)
 
 
 def run_all() -> list[CheckResult]:

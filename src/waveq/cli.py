@@ -133,6 +133,15 @@ def _at_least(bound: int, coerce: Callable = _as_int) -> Callable:
     return checked
 
 
+def _as_ladder_steps(v) -> list[int]:
+    """An integer list that sorts to at least two consecutive indices."""
+    ns = _as_int_list(v)
+    steps = sorted(ns)
+    if len(steps) < 2 or any(b != a + 1 for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"expected at least two consecutive indices, got {ns}")
+    return ns
+
+
 def _as_window(v) -> tuple[int, int]:
     parts = _split(v)
     if len(parts) != 2:
@@ -323,7 +332,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
             _Opt("--b", _as_float, None, "relabeling scale; defaults to a-tilde"),
             _Opt("--sign", _as_sign, 1, "relabeling orientation"),
-            _Opt("--n", _as_int_list, [0, 1, 2, 3], "consecutive ladder steps"),
+            _Opt("--n", _as_ladder_steps, [0, 1, 2, 3], "consecutive ladder steps"),
             _Opt("--j0", _as_float_list, [0.0, -1.0, -2.0], "table abscissas"),
         ),
     ),

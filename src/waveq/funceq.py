@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laurent import Dyadic, Exponent, LaurentPoly
+from .laurent import Dyadic, Exponent, LaurentPoly, _pow2
 from .gridfn import ExpSum, apply_op_expsum
 from .qdeform import AlgebraParams, build_generators, q_number
 
@@ -264,7 +264,7 @@ def casimir_constancy_check(
 
     rows = []
     for n in n_range:
-        lam = 2.0**n * a_tilde
+        lam = _pow2(n) * a_tilde
         mode = ExpSum.exponential(lam)
         up_down = apply_op_expsum(gs.w_minus, apply_op_expsum(gs.w_plus, mode))
         down_up = apply_op_expsum(gs.w_plus, apply_op_expsum(gs.w_minus, mode))
@@ -517,7 +517,7 @@ def suq2_bridge_check(
     ns = sorted(n_range)
     if len(ns) < 2:
         raise ValueError("n_range must contain at least two indices")
-    a_vals = {n: math.cosh(2.0**n * a_tilde) for n in ns}
+    a_vals = {n: math.cosh(_pow2(n) * a_tilde) for n in ns}
 
     gamma_rows = []
     g_err = 0.0

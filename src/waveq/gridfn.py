@@ -144,9 +144,6 @@ class GridFunction:
         self._check_same_lattice(other)
         return float(np.abs(self.values - other.values).sum() * self.step)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max(initial=0.0))
-
     def value_at(self, x: float) -> complex:
         idx = (x - self.lo) * (1 << self.resolution)
         k = round(idx)
@@ -198,10 +195,6 @@ class GridFunction:
         for x, v in zip(self.x_points().tolist(), self.values.tolist()):
             lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
 
     def __repr__(self):
         return (
@@ -372,9 +365,6 @@ class ExpSum(_NormalForm):
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         return self.eval(np.asarray(xs, dtype=float))
-
-    def to_grid(self, resolution: int, window: tuple[int, int]) -> GridFunction:
-        return GridFunction(resolution, window, self.sample(_lattice_points(resolution, window)))
 
     def __str__(self):
         inner = " + ".join(f"({c})e^({r})x" for c, r in self._pairs())

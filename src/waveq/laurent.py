@@ -727,6 +727,15 @@ def _exp(z: complex, what: str) -> complex:
     return cmath.exp(z)
 
 
+def _pow2(n: int) -> float:
+    """2.0**n, or EvaluationOverflowError naming n when 2^n is beyond the float range."""
+    try:
+        return 2.0**n
+    except OverflowError:
+        raise EvaluationOverflowError(f"evaluation overflow: 2^n is beyond the float range "
+                                      f"at n = {n}") from None
+
+
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -34,7 +34,6 @@ from .laurent import (
     ALPHA,
     BETA,
     MU,
-    Dyadic,
     Exponent,
     LaurentPoly,
     _columns,
@@ -122,10 +121,3 @@ class OpExpr(_NormalForm):
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
     return a * b - b * a
-
-
-def translation_sum(count: int, step) -> OpExpr:
-    """1 + T^step + T^(2 step) + ... + T^((count-1) step), exact for dyadic step."""
-    step = Exponent.of(step)
-    alphas = [step.times_dyadic(Dyadic(k)) for k in range(count)]
-    return OpExpr._normal(*_columns([1.0] * count, [[0] * count, [0] * count, alphas]))

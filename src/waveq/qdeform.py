@@ -73,14 +73,6 @@ class AlgebraParams:
             sin_half_turn(self.alpha) / SINH_1, -2.0 * cos_half_turn(self.alpha)
         )
 
-    @property
-    def eta(self) -> float:
-        """1/(q - 1/q) = 1/(2 sinh s); undefined at s = 0."""
-        d = 2.0 * math.sinh(self.s)
-        if d == 0.0:
-            raise ValueError("eta is undefined at s = 0")
-        return 1.0 / d
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -112,16 +104,6 @@ def _shift_difference(s: float, kind: str) -> OpExpr:
     raise ValueError(f"kind must be 'translation' or 'dilation', got {kind!r}")
 
 
-def q_derivative_op(s: float, kind: str = "translation") -> OpExpr:
-    """Symmetric difference quotient: (T^s - T^-s)/(2 sinh s) and the
-    dilation analogue (D^s - D^-s)/(2 sinh(s ln 2))."""
-    if s == 0.0:
-        raise ValueError("q-derivative needs s != 0")
-    core = _shift_difference(s, kind)
-    denom = 2.0 * math.sinh(s if kind == "translation" else s * math.log(2.0))
-    return core * (1.0 / denom)
-
-
 def invert_q_derivative(s: float, sign: int, kind: str = "translation") -> OpExpr:
     """Reconstruct T^{sign*s} (or D^{sign*s}) from difference cores.
 
@@ -131,7 +113,7 @@ def invert_q_derivative(s: float, sign: int, kind: str = "translation") -> OpExp
 
         T^{sign*s} = 1/2 [ sign*(T^s - T^-s) + (T^{s/2} - T^{-s/2})^2 + 2 ]
 
-    Built from the same cores as q_derivative_op, so the identity holds
+    Both differences come from _shift_difference, so the identity holds
     with exactly zero residual; a residual above 1e-12 raises.
     """
     if s == 0.0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .gridfn import ExpSum, apply_op_expsum
-from .laurent import EvaluationOverflowError
+from .laurent import EvaluationOverflowError, _pow2
 from .qdeform import AlgebraParams, build_generators
 
 CLOSED_FORM_TAGS = ("cos-branch", "cosh-branch", "none")
@@ -112,10 +112,10 @@ def haar_closed_form(a0: float, n: int) -> float:
     if n == 0:
         return float(a0)
     if abs(a0) <= 1.0:
-        return math.cos(2.0**n * math.acos(a0))
+        return math.cos(_pow2(n) * math.acos(a0))
     if a0 < -1.0:
         return haar_closed_form(doubling_step(a0), n - 1)
-    arg = 2.0**n * math.acosh(a0)
+    arg = _pow2(n) * math.acosh(a0)
     if arg > COSH_ARG_LIMIT:
         raise EvaluationOverflowError(
             f"spectrum overflow: cosh argument {arg!r} at n = {n}"
@@ -169,7 +169,7 @@ def ladder_check(
 
     ladder_rows = []
     for n in n_range:
-        lam = 2.0**n * a_tilde
+        lam = _pow2(n) * a_tilde
         mode = ExpSum.exponential(lam)
         c0, r0 = _single_term(apply_op_expsum(gs.w0, mode), "w0")
         cm, rm = _single_term(apply_op_expsum(gs.w_minus, mode), "w_minus")

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from waveq import cli
-from waveq.acceptance import CHECKS
+from waveq.acceptance import CHECKS, run_all
 from waveq.cli import dispatch
 from waveq.scaling import ScalingSystem
 
@@ -236,6 +236,51 @@ def test_check_passes_and_lists_every_named_subcheck(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == names
     manifest = load_manifest(tmp_path, "check")
     assert manifest["results"]["passed"] == manifest["results"]["total"] == len(names)
+
+
+# SHA-256 of check.csv: one name,status row per check, unchanged since the
+# checks became claim lists
+CHECK_CSV_SHA256 = "043b0b5c1a4a24c6d6d87d2c763dee5b857e9c8c0ba9ea31584382655eb84029"
+
+
+def test_check_manifest_carries_every_claim_and_the_csv_its_recorded_bytes(tmp_path):
+    assert run(tmp_path, "check") == 0
+    assert hashlib.sha256((tmp_path / "check.csv").read_bytes()).hexdigest() == CHECK_CSV_SHA256
+    by_name = {r.name: r for r in run_all()}
+    for entry in load_manifest(tmp_path, "check")["results"]["checks"]:
+        claims = entry["details"]
+        assert sorted(claims) == sorted(by_name[entry["name"]].details)
+        for claim in claims.values():
+            assert sorted(claim) == ["bound", "margin", "relation", "value"]
+            assert claim["relation"] in ("==", "<", "<=")
+            exact = claim["relation"] == "==" or claim["value"] == 0
+            assert (claim["margin"] is None) == exact
+            if not exact:
+                assert claim["margin"] == claim["bound"] / claim["value"] >= 1
+        assert entry["message"] == by_name[entry["name"]].message
+
+
+def test_rate_doublings_beyond_the_float_range_exit_one_naming_n(tmp_path, capsys):
+    for argv, n in ((("ladder", "--n=2000"), 2000), (("fig1", "--n=5000", "--grid", "4"), 5000)):
+        assert run(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: EvaluationOverflowError: evaluation overflow: "
+                       f"2^n is beyond the float range at n = {n}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 2], [0, 0, 1]])
+def test_bridge_steps_that_are_not_consecutive_are_usage_errors(tmp_path, capsys, bad):
+    text = ",".join(map(str, bad))
+    assert run(tmp_path, "bridge", f"--n={text}") == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for --n: expected at least two consecutive indices, got {bad}" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": bad}))
+    assert run(tmp_path, "bridge", "--config", str(cfg)) == 2
+    assert "(offending flag: --n)" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert run(tmp_path, "bridge", "--n=3,1,2") == 0
 
 
 def test_window_flag_round_trips(tmp_path):

@@ -22,7 +22,7 @@ from waveq.funceq import (
     suq2_bridge_check,
     uniqueness_check,
 )
-from waveq.laurent import Dyadic, LaurentPoly, parse_laurent
+from waveq.laurent import Dyadic, EvaluationOverflowError, LaurentPoly, parse_laurent
 from waveq.qdeform import AlgebraParams, build_generators
 
 
@@ -420,6 +420,13 @@ def test_bridge_validation():
         suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [0, 2, 4])
     with pytest.raises(ValueError):
         suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [0])
+
+
+def test_a_rate_doubling_beyond_the_float_range_raises_naming_n():
+    with pytest.raises(EvaluationOverflowError, match=r"2\^n is beyond the float range at n = 2000"):
+        suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [2000, 2001])
+    with pytest.raises(EvaluationOverflowError, match="at n = 1024"):
+        casimir_constancy_check([0, 1024], math.log(2.0))
 
 
 def test_chi_drives_casimir_from_generators():

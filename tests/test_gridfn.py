@@ -85,7 +85,6 @@ def test_negative_resolutions_and_bad_windows_are_refused_before_any_sample_is_m
     makers = [
         GridFunction.zeros,
         lambda res, window: GridFunction.from_callable(box, res, window),
-        lambda res, window: ExpSum.constant(1.0).to_grid(res, window),
         lambda res, window: GridFunction(res, window, []),
     ]
     for make in makers:
@@ -263,9 +262,9 @@ def test_grid_and_expsum_applications_agree():
                 alpha=rng.choice([Dyadic(0), Dyadic(1, 1), Dyadic(-1, 2)]),
             )
         es = ExpSum.exponential(complex(rng.uniform(-0.3, 0.3), rng.uniform(-2, 2)))
-        src = es.to_grid(6, (-4, 4))
+        src = GridFunction.from_callable(es.sample, 6, (-4, 4))
         via_grid = apply_op_grid(expr, src, out_resolution=6, out_window=(-1, 1))
-        via_sum = apply_op_expsum(expr, es).to_grid(6, (-1, 1))
+        via_sum = GridFunction.from_callable(apply_op_expsum(expr, es).sample, 6, (-1, 1))
         assert via_grid.isclose(via_sum, 1e-10)
 
 
@@ -467,7 +466,7 @@ def test_a_complex_coefficient_phase_or_source_gives_complex128():
     box_g = scaling.box_grid(4)
     wave_g = GridFunction.from_callable(wave, 4, (-1, 2))
     grids = [
-        wave_g, GridFunction(0, (0, 2), [1, 2j]), ExpSum.constant(1.0).to_grid(3, (0, 1)),
+        wave_g, GridFunction(0, (0, 2), [1, 2j]), GridFunction.from_callable(ExpSum.constant(1.0).sample, 3, (0, 1)),
         apply_op_grid(OpExpr.term(1j), box_g),
         apply_op_grid(OpExpr.identity() + OpExpr.term(0.5, alpha=1, mu=0.25), box_g),
         apply_op_grid(OpExpr.dilation(1), wave_g), box_g * 1j, box_g + wave_g,
@@ -580,7 +579,7 @@ def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
 # -- CSV -----------------------------------------------------------------
 
 
-def test_csv_shape_and_roundtrip(tmp_path):
+def test_csv_shape_and_roundtrip():
     g = GridFunction.from_callable(hat, 2, (0, 1))
     text = g.to_csv()
     lines = text.splitlines()
@@ -588,11 +587,6 @@ def test_csv_shape_and_roundtrip(tmp_path):
     assert len(lines) == 1 + 4
     x, re, im = lines[2].split(",")
     assert float(x) == 0.25 and float(re) == 1.0 and float(im) == 0.0
-    p = tmp_path / "g.csv"
-    g.write_csv(p)
-    raw = p.read_bytes()
-    assert b"\r" not in raw
-    assert raw.decode() == text
 
 
 def test_csv_17_digit_fidelity(tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from waveq.gridfn import ExpSum
 from waveq.laurent import (EXPONENT_MERGE_TOL, Dyadic, Exponent, ExponentRangeError, LaurentError,
                            LaurentPoly, parse_laurent)
-from waveq.opalgebra import OpExpr, OpTerm, commutator, translation_sum
+from waveq.opalgebra import OpExpr, OpTerm, commutator
 
 settings.register_profile("waveq", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("waveq")
@@ -140,10 +140,11 @@ def test_each_type_holds_only_its_own_rows(p, q):
 def test_large_dilation_shifts_stay_exact():
     (t,) = (OpExpr.translation(1) * OpExpr.dilation(70)).terms()
     assert t.alpha.is_exact and t.alpha.dyadic == Dyadic(2**70)
-    steps = translation_sum(64, Dyadic(3, 2))
-    assert steps * OpExpr.dilation(70) * OpExpr.dilation(-70) == steps
-    conjugated = OpExpr.dilation(70) * steps * OpExpr.dilation(-70)
-    assert conjugated == translation_sum(64, Dyadic(3, 72))
+    def steps(log2_den):  # 1 + T^step + ... + T^(63 step), step = 3 / 2^log2_den
+        return sum((OpExpr.translation(Dyadic(3 * k, log2_den)) for k in range(64)), OpExpr.zero())
+
+    assert steps(2) * OpExpr.dilation(70) * OpExpr.dilation(-70) == steps(2)
+    assert OpExpr.dilation(70) * steps(2) * OpExpr.dilation(-70) == steps(72)
 
 
 # -- the merge rule --------------------------------------------------------------

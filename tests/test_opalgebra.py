@@ -4,7 +4,7 @@ import random
 import pytest
 
 from waveq.laurent import Dyadic, Exponent, LaurentPoly
-from waveq.opalgebra import OpExpr, commutator, translation_sum
+from waveq.opalgebra import OpExpr, commutator
 
 
 def apply_expr(expr, f):
@@ -82,7 +82,9 @@ def test_halving_cascade_word_power():
     step = OpExpr.dilation(1) * (OpExpr.identity() + OpExpr.translation(-1))
     for n in range(1, 9):
         expanded = step**n
-        expected = OpExpr.dilation(n) * translation_sum(2**n, -1)
+        expected = OpExpr.dilation(n) * sum(
+            (OpExpr.translation(-k) for k in range(2**n)), OpExpr.zero()
+        )
         assert expanded == expected
         assert len(expanded) == 2**n
         assert all(t.alpha.is_exact and t.coeff == 1.0 for t in expanded.terms())

@@ -16,7 +16,6 @@ from waveq.qdeform import (
     invert_q_derivative,
     phase_index_minus,
     phase_index_plus,
-    q_derivative_op,
     q_number,
     verify_general_closure,
     w0_alpha0_report,
@@ -85,21 +84,6 @@ def test_q_number_near_the_overflow_guard_against_mpmath():
 
 
 # -- q-derivatives and their inversion ----------------------------------------
-
-
-def test_q_derivative_translation_eigenvalue():
-    # on e^{lambda x} the symmetric quotient acts by sinh(lambda s)/sinh(s)
-    qd = q_derivative_op(0.3, "translation")
-    out = apply_op_expsum(qd, ExpSum.exponential(0.7))
-    got = out.coefficient_of(0.7)
-    assert abs(got - math.sinh(0.21) / math.sinh(0.3)) < 1e-15
-
-
-def test_q_derivative_validation():
-    with pytest.raises(ValueError):
-        q_derivative_op(0.0)
-    with pytest.raises(ValueError):
-        q_derivative_op(1.0, "rotation")
 
 
 def test_invert_q_derivative_exact_zero_residual():
@@ -193,8 +177,6 @@ def test_closure_generic_parameters():
 def test_closure_rejects_degenerate_s():
     with pytest.raises(ValueError):
         build_generators(AlgebraParams(0.0, 1.0))
-    with pytest.raises(ValueError):
-        AlgebraParams(0.0, 1.0).eta
 
 
 def test_constant_term_report():
@@ -211,7 +193,6 @@ def test_params_derived_constants():
     p = AlgebraParams(1.0, 1.0)
     assert p.q == math.e
     assert p.xi == complex(1.0 / SINH_1, 0.0)
-    assert abs(p.eta - 1.0 / (2.0 * SINH_1)) < 1e-16
     p2 = AlgebraParams(2.0, 0.0)
     assert p2.xi == complex(0.0, -2.0)
 

@@ -84,6 +84,17 @@ def test_closed_form_overflow_raises():
         haar_closed_form(10.0, 60)
 
 
+def test_a_rate_doubling_beyond_the_float_range_raises_naming_n():
+    # 2^n itself overflows from n = 1024 on, on both branches and along the ladder
+    for call in (lambda: haar_closed_form(0.5, 5000), lambda: haar_closed_form(1.5, 1024),
+                 lambda: ladder_check(math.log(2.0), [0, 2000])):
+        with pytest.raises(EvaluationOverflowError, match=r"2\^n is beyond the float range"):
+            call()
+    with pytest.raises(EvaluationOverflowError, match="at n = 2000"):
+        ladder_check(math.log(2.0), [2000])
+    assert math.isfinite(haar_closed_form(0.5, 1023))  # the last n whose 2^n is a float
+
+
 U = 2.0**-53  # unit roundoff; one ulp is at most 2u relative
 
 
