@@ -31,9 +31,9 @@ def main():
     for label, mask in (("box", "1 + T^-1"), ("hat", "1/2 + T^-1/2 + 1/2*T^-1")):
         sol = solve_refinement(parse_laurent(mask), 4)
         print(f"  {label} mask c = {mask}")
-        print(f"    b = {poly_line(sol.b)}")
+        print(f"    b = {sol.b}  (exact: solved by recursion in rationals)")
         print(f"    rho = {complex(sol.rho).real:g}, "
-              f"zero order {sol.zero_order}, residual {sol.residual:.1e}")
+              f"zero order {sol.zero_order}, residual {sol.residual}")
 
     print()
     print("== telescoping potential for the ladder commutator ==")
@@ -50,9 +50,9 @@ def main():
     for k in (8, 16, 32):
         rep = prop1_solve(k)
         print(f"  window {k}: nullspace dim {rep['nullspace_dim']}, "
-              f"trivial residual {rep['trivial_residual']}, "
-              f"second solution carries {rep['complement_nonzero_count']} "
-              f"nonzero coefficients")
+              f"residuals {rep['trivial_residual']} (1 + u) and "
+              f"{rep['complement_residual']} (its orthogonal complement, "
+              f"{rep['complement_nonzero_count']} nonzero coefficients)")
     rep = prop1_solve(8)
     print(f"  the printed candidate pattern misses one interior constraint: "
           f"residual {rep['pattern_constraint_residual']:g} (reported, not used)")

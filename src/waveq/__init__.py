@@ -18,7 +18,6 @@ from .acceptance import CHECKS, CheckResult, format_report, run_all
 from .funceq import (
     ChiSolve,
     GammaMap,
-    NonUniqueSolutionError,
     NoSolutionInWindowError,
     RefinementSolve,
     casimir_constancy_check,
@@ -120,7 +119,6 @@ __all__ = [
     "LaurentPoly",
     "NoSolutionInWindowError",
     "NonFiniteWeightError",
-    "NonUniqueSolutionError",
     "OpExpr",
     "OpTerm",
     "RefinementSolve",

@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .acceptance import format_report, run_all
 from .funceq import (
     GammaMap,
@@ -295,7 +293,6 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--c", _as_symbol, None, "mask symbol, e.g. '1 + T^-1'", required=True),
             _Opt("--window", _at_least(1), 4, "support bound: |exponent| <= window"),
-            _Opt("--nullspace-tol", _as_float, 1e-10, "relative singular-value cutoff"),
         ),
     ),
     "casimir": (
@@ -312,7 +309,6 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         "windowed commutant system: nullspace and candidate pattern",
         (
             _Opt("--window", _at_least(4), 8, "exponent window half-width K"),
-            _Opt("--nullspace-tol", _as_float, 1e-10, "relative singular-value cutoff"),
         ),
     ),
     "gamma": (
@@ -574,7 +570,7 @@ def _run_general_closure(p: dict) -> RunResult:
 
 
 def _run_solve_b(p: dict) -> RunResult:
-    sol = solve_refinement(p["c"], p["window"], p["nullspace_tol"])
+    sol = solve_refinement(p["c"], p["window"])
     rows = [[e, re, im] for e, re, im in _poly_terms(sol.b)]
     results = {
         "b": sol.b,
@@ -607,7 +603,7 @@ def _run_casimir(p: dict) -> RunResult:
 
 
 def _run_prop1(p: dict) -> RunResult:
-    rep = prop1_solve(p["window"], p["nullspace_tol"])
+    rep = prop1_solve(p["window"])
     k = rep["window"]
     basis = rep["basis"]
     header = "exponent," + ",".join(f"basis_{i}" for i in range(len(basis)))
@@ -835,8 +831,7 @@ def dispatch(argv: list[str]) -> int:
     # catch what a valid configuration can still run into; a bug keeps its traceback
     try:
         result = _RUNNERS[cfg.subcommand](cfg.params)
-    except (ValueError, LaurentError, CascadeDivergenceError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, LaurentError, CascadeDivergenceError, OverflowError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     csv_name, manifest_name = _write_outputs(cfg, result)

@@ -3,38 +3,30 @@
 Four related problems live here: the refinement eigenproblem that recovers
 a detail symbol b and its eigen-scalar rho from a mask symbol c; the
 telescoping equation chi(T) - chi(T^2) = r(T) solved along halving chains
-of exponents; the commutant equation (1 + u^2) x(u) = (1 + u) x(u^2) whose
-windowed nullspace is studied directly; and the logarithmic relabeling
-Gamma that turns the quadratic eigenvalue step a -> 2a^2 - 1 into a unit
-shift, bridging the ladder spectrum to q-integers.
+of exponents; the commutant equation (1 + u^2) x(u) = (1 + u) x(u^2), whose
+windowed nullspace a two-way recursion spans exactly; and the logarithmic
+relabeling Gamma that turns the quadratic eigenvalue step a -> 2a^2 - 1 into
+a unit shift, bridging the ladder spectrum to q-integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laurent import Dyadic, Exponent, LaurentPoly, _pow2
+from .laurent import Dyadic, Exponent, LaurentPoly, _float_range, _pow2
 from .gridfn import ExpSum, apply_op_expsum
 from .qdeform import AlgebraParams, build_generators, q_number
 
-NULLSPACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-12
 
 
 class NoSolutionInWindowError(ValueError):
     pass
-
-
-class NonUniqueSolutionError(ValueError):
-    """Nullspace dimension above one; all basis vectors ride along."""
-
-    def __init__(self, message: str, basis: list[LaurentPoly]):
-        super().__init__(message)
-        self.basis = basis
 
 
 # -- refinement eigenproblem ---------------------------------------------------
@@ -51,110 +43,76 @@ class RefinementSolve:
     support_bound: int
 
 
-def _mask_exponents(p: LaurentPoly, what: str) -> tuple[int, list[tuple[int, complex]]]:
-    """(q, [(a, c)]) with each exponent of p equal to a / 2**q; q is the finest
-    denominator exponent, at least 2 (quarters), and at most 3."""
+def _mask_exponents(p: LaurentPoly) -> tuple[int, list[tuple[int, complex]]]:
+    """(q, [(a, c)]) with each exponent of p equal to a / 2**q, exponents
+    descending; q is the finest denominator exponent, at most 3."""
     terms = p.terms()
     for e, _ in terms:
         if not e.is_exact or e.dyadic.log2_den > 3:
-            raise ValueError(
-                f"{what} exponents must be dyadic with denominator at most 8, "
-                f"got {e!r}"
-            )
-    q = max([2] + [e.dyadic.log2_den for e, _ in terms])
+            raise ValueError(f"mask exponents must be dyadic with denominator at most 8, got {e!r}")
+    q = max([0] + [e.dyadic.log2_den for e, _ in terms])
     return q, [(e.dyadic.num << (q - e.dyadic.log2_den), c) for e, c in terms]
 
 
-def _nullspace(a: np.ndarray, tol: float) -> list[np.ndarray]:
-    _, s, vh = np.linalg.svd(a)
-    rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0.0 else 0
-    return [vh[i].conj() for i in range(rank, vh.shape[0])]
+def _exact(z: complex) -> tuple[Fraction, Fraction]:
+    """z as a (re, im) pair of Fractions: every float is a dyadic rational."""
+    return Fraction(z.real), Fraction(z.imag)
 
 
-def solve_refinement(
-    c: LaurentPoly,
-    support_bound: int,
-    nullspace_tol: float = NULLSPACE_TOL,
-) -> RefinementSolve:
+def _equation_at(d: int, mask: list, rho: tuple, b: dict) -> tuple[Fraction, Fraction]:
+    """The coefficient of v^d in c(v) b(v) - rho b(v^2), exactly."""
+    pairs = [(ca, b[d - a]) for a, ca in mask if d - a in b]
+    if d % 2 == 0 and d // 2 in b:
+        pairs.append(((-rho[0], -rho[1]), b[d // 2]))
+    return (sum(x[0] * y[0] - x[1] * y[1] for x, y in pairs),
+            sum(x[0] * y[1] + x[1] * y[0] for x, y in pairs))
+
+
+def solve_refinement(c: LaurentPoly, support_bound: int) -> RefinementSolve:
     """Find the detail symbol b and scalar rho for a given mask symbol c.
 
-    Coefficient matching runs over exponents on the grid 2^-q Z with
-    |exponent| <= support_bound, 2^-q the finest spacing in the mask but
-    at most a quarter.  Since any solution satisfies
-    rho = c(1) / 2^m with m the order of the zero of b at T = 1, candidate
-    scalars are scanned in ascending m and the first unique nullvector is
-    returned with its leading coefficient normalized to one.
+    In units v = T^(2^-(q+1)), 2^-q the finest exponent spacing of the mask,
+    the equation reads c(v) b(v) = rho b(v^2) with c(v) = sum c_a v^a over
+    a in [lo, hi].  Its highest and lowest exponents show that b spans
+    exactly [lo, hi] and that rho = c_hi; the zero of b at T = 1 has some
+    order m, so also rho = c(1) / 2^m, returned with m = round(log2 |c(1) /
+    c_hi|).  With b_hi = 1 the equation at v^(hi + n) fixes b_n from the b_k,
+    k > n, so b is unique.  The recursion runs in exact rationals and b is
+    rounded once; the residual is the largest coefficient of
+    c(T^(1/2)) b(T^(1/2)) - rho b(T), computed exactly for the returned b.
 
-    Raises NoSolutionInWindowError when the scan exhausts without a
-    solution and NonUniqueSolutionError (basis attached) when a candidate
-    scalar admits more than one independent solution.
+    Raises NoSolutionInWindowError when the mask leaves the window
+    |exponent| <= support_bound, or when the residual exceeds RESIDUAL_TOL.
     """
     if support_bound < 1:
         raise ValueError(f"support_bound must be at least 1, got {support_bound}")
-    q, mask = _mask_exponents(c, "mask")
+    q, mask = _mask_exponents(c)
     c_at_one = c.eval_phase(0.0)
     if abs(c_at_one) <= 1e-12:
         raise ValueError("mask must not vanish at T = 1")
+    (hi, c_hi), lo = mask[0], mask[-1][0]
+    m = round(math.log2(abs(c_at_one / c_hi)))
+    no_solution = NoSolutionInWindowError(f"no solution in window |exponent| <= {support_bound}")
+    if max(hi, -lo) > support_bound << q or not 0 <= m <= hi - lo:  # b has m + 1 terms or more
+        raise no_solution
+    rho = c_at_one / 2.0**m
+    mask_x, rho_x, (u, w) = [(a, _exact(ca)) for a, ca in mask], _exact(rho), _exact(c_hi)
 
-    steps = support_bound << q
-    cols = range(-steps, steps + 1)  # column j holds the exponent cols[j] / 2**q
-    # Product exponents a/2**q/2 + n/2**q/2, in units of 2**-(q+1), take rows in
-    # order of first use: for each column, its mask keys a + n, then 2n.  The
-    # mask part does not depend on rho, so it is built once.
-    row_of: dict[int, int] = {}
-    entries, doubled_rows = [], []
-    for j, n in enumerate(cols):
-        for a, cc in mask:
-            entries.append((row_of.setdefault(a + n, len(row_of)), j, cc))
-        doubled_rows.append(row_of.setdefault(2 * n, len(row_of)))
-    base = np.zeros((len(row_of), len(cols)), dtype=complex)
-    for i, j, v in entries:
-        base[i, j] += v
-    doubled = (np.array(doubled_rows), np.arange(len(cols)))  # one entry per column
-    for m in range(steps + 5):
-        rho = c_at_one / 2.0**m
-        a = base.copy()
-        a[doubled] -= rho
-        # The keys 2n alone give one distinct row per column, so rows >= columns
-        # and the last singular value is sigma_N.  A candidate whose sigma_N
-        # clears the cutoff by 1e3 has full rank: the values-only and the full
-        # SVD differ by O(N u s_max), far less.  Any other candidate is decided
-        # by _nullspace, whose full SVD also supplies the vector.
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] > 1e3 * nullspace_tol * s[0]:
-            continue
-        basis = _nullspace(a, nullspace_tol)
-        if not basis:
-            continue
-        if len(basis) > 1:
-            polys = [_vector_to_poly(v, cols, q) for v in basis]
-            raise NonUniqueSolutionError(
-                f"non-unique solution at rho = {rho!r}: "
-                f"nullspace dimension {len(basis)}",
-                polys,
-            )
-        b = _vector_to_poly(basis[0], cols, q)
-        residual = _refinement_residual(c, b, rho)
-        if residual <= RESIDUAL_TOL:
-            return RefinementSolve(b, rho, residual, m, support_bound)
-    raise NoSolutionInWindowError(
-        f"no solution in window |exponent| <= {support_bound}"
-    )
+    b = {hi: (Fraction(1), Fraction(0))}
+    if abs(complex(*map(float, _equation_at(2 * hi, mask_x, rho_x, b)))) > RESIDUAL_TOL:
+        raise no_solution  # the residual's top coefficient, c_hi - rho, known already
+    for n in range(hi - 1, lo - 1, -1):
+        re, im = _equation_at(hi + n, mask_x, rho_x, b)  # without b_n, so -c_hi b_n
+        b[n] = (-(re * u + im * w) / (u * u + w * w), (re * w - im * u) / (u * u + w * w))
+    b_hat = LaurentPoly((Exponent.exact(Dyadic(n, q)), complex(float(re), float(im)))
+                        for n, (re, im) in b.items())
 
-
-def _vector_to_poly(v: np.ndarray, cols: Sequence[int], q: int) -> LaurentPoly:
-    peak = float(np.abs(v).max())
-    live = [i for i in range(len(cols)) if abs(v[i]) > 1e-11 * peak]
-    lead = v[live[-1]]  # cols ascend, so the last survivor is the leading term
-    return LaurentPoly(
-        (Exponent.exact(Dyadic(cols[i], q)), complex(v[i] / lead)) for i in live
-    )
-
-
-def _refinement_residual(c: LaurentPoly, b: LaurentPoly, rho: complex) -> float:
-    half = Dyadic(1, 1)
-    lhs = c.substitute_power(half) * b.substitute_power(half)
-    return (lhs - b * rho).max_abs_coeff()
+    b_x = {e.dyadic.num << (q - e.dyadic.log2_den): _exact(x) for e, x in b_hat.terms()}
+    residual = max(abs(complex(*map(float, _equation_at(d, mask_x, rho_x, b_x))))
+                   for d in range(2 * lo, 2 * hi + 1))
+    if residual > RESIDUAL_TOL:
+        raise no_solution
+    return RefinementSolve(b_hat, rho, residual, m, support_bound)
 
 
 # -- telescoping halving chains ------------------------------------------------
@@ -307,90 +265,63 @@ _LISTED_PATTERN = {
 }
 
 
-def prop1_solve(window: int, nullspace_tol: float = NULLSPACE_TOL) -> dict:
+def _commutant_solution(k: int, at_minus_one: int, at_zero: int) -> dict[int, int]:
+    """The window solution with C_{-1} and C_0 given: the constraint at e >= 1
+    fixes C_e from lower indices, the one at e <= 0 fixes C_{e-2} from higher."""
+    x = {-1: at_minus_one, 0: at_zero}
+    for e in range(1, k + 1):
+        x[e] = x[e // 2] - x[e - 2]
+    for e in range(0, -k + 1, -1):
+        x[e - 2] = x[e // 2] - x[e]
+    return x
+
+
+def prop1_solve(window: int) -> dict:
     """Windowed study of (1 + u^2) x(u) = (1 + u) x(u^2).
 
-    Matching coefficients of u^e gives C_e + C_{e-2} = C_{e/2} (e even) or
-    C_{(e-1)/2} (e odd).  Only constraints whose three indices all lie in
-    [-window, window] enter the system; the clipped boundary constraints
-    are counted and flagged.  x(u) = 1 + u always solves and its interior
-    residual is exactly zero.  The listed candidate pattern for the second
-    solution is compared against the computed nullspace, with differences
-    reported, not enforced.
+    Matching coefficients of u^e gives C_e + C_{e-2} = C_{floor(e/2)}.  Only
+    constraints whose three indices all lie in [-window, window] enter the
+    system; the clipped boundary constraints are counted and flagged.  They
+    fix every coefficient from C_{-1} and C_0, so the nullspace is exactly
+    two-dimensional with integer entries.  The basis reported is t = 1 + u
+    and its orthogonal complement 2s - (s.t)t, s the solution with
+    C_{-1} = 1 and C_0 = 0, each scaled to unit length.  The listed candidate
+    pattern for the second solution is compared against that nullspace,
+    with differences reported, not enforced.
     """
     if window < 4:
         raise ValueError(f"window must be at least 4, got {window}")
     k = window
-    idx = {e: i for i, e in enumerate(range(-k, k + 1))}
+    interior = range(-k + 2, k + 1)
 
-    def half(e: int) -> int:
-        return e // 2 if e % 2 == 0 else (e - 1) // 2
+    def residual(x: dict, exps=interior) -> float:
+        return float(max(abs(x[e] + x[e - 2] - x[e // 2]) for e in exps))
 
-    interior = list(range(-k + 2, k + 1))
-    boundary = [-k, -k + 1, k + 1, k + 2]
-    a = np.zeros((len(interior), len(idx)))
-    for i, e in enumerate(interior):
-        a[i, idx[e]] += 1.0
-        a[i, idx[e - 2]] += 1.0
-        a[i, idx[half(e)]] -= 1.0
+    trivial, second = _commutant_solution(k, 0, 1), _commutant_solution(k, 1, 0)
+    overlap = sum(second[e] * trivial[e] for e in trivial)
+    complement = {e: 2 * second[e] - overlap * trivial[e] for e in second}  # t.t = 2
+    exps = range(-k, k + 1)
+    vecs = [np.array([x[e] for e in exps], dtype=float) for x in (trivial, complement)]
+    basis = [v / np.linalg.norm(v) for v in vecs]
 
-    # the matrix is real, so the singular vectors come back real already
-    basis = [v / np.linalg.norm(v) for v in _nullspace(a, nullspace_tol)]
-
-    trivial = np.zeros(len(idx))
-    trivial[idx[0]] = 1.0
-    trivial[idx[1]] = 1.0
-    trivial_residual = float(np.abs(a @ trivial).max())
-
-    t_hat = trivial / np.linalg.norm(trivial)
-    complement = None
-    for v in basis:
-        w = v - (v @ t_hat) * t_hat
-        if complement is None or np.linalg.norm(w) > np.linalg.norm(complement):
-            complement = w
-    nonzero_count = 0
-    if complement is not None and np.linalg.norm(complement) > 1e-8:
-        complement = complement / np.linalg.norm(complement)
-        nonzero_count = int(
-            (np.abs(complement) > 1e-8 * np.abs(complement).max()).sum()
-        )
-
-    pattern = np.zeros(len(idx))
-    for e, v in _LISTED_PATTERN.items():
-        if -k <= e <= k:
-            pattern[idx[e]] = v
-    covered = [
-        e
-        for e in interior
-        if max(abs(e), abs(e - 2), abs(half(e))) <= min(k, 12)
-    ]
-    pattern_residual = max(
-        abs(pattern[idx[e]] + pattern[idx[e - 2]] - pattern[idx[half(e)]])
-        for e in covered
-    )
-    p_hat = pattern / np.linalg.norm(pattern)
-    proj = sum((v @ p_hat) * v for v in basis) if basis else np.zeros(len(idx))
-    pattern_distance = float(np.linalg.norm(p_hat - proj))
-
-    def as_dict(v: np.ndarray) -> dict[int, float]:
-        peak = np.abs(v).max()
-        return {
-            e: float(v[idx[e]])
-            for e in range(-k, k + 1)
-            if abs(v[idx[e]]) > 1e-10 * peak
-        }
-
+    pattern = {e: _LISTED_PATTERN.get(e, 0.0) for e in exps}
+    p = np.array([pattern[e] for e in exps])
+    p_hat = p / np.linalg.norm(p)
+    proj = sum((v @ p_hat) * v for v in basis)
     return {
         "window": k,
         "nullspace_dim": len(basis),
-        "basis": [as_dict(v) for v in basis],
+        "basis": [{e: float(x) for e, x in zip(exps, v) if x != 0.0} for v in basis],
         "interior_exponents": (-k + 2, k),
-        "boundary_exponents": boundary,
+        "boundary_exponents": [-k, -k + 1, k + 1, k + 2],
         "boundary_truncated": True,
-        "trivial_residual": trivial_residual,
-        "complement_nonzero_count": nonzero_count,
-        "pattern_constraint_residual": float(pattern_residual),
-        "pattern_nullspace_distance": pattern_distance,
+        "trivial_residual": residual(trivial),
+        "complement_residual": residual(complement),
+        "complement_nonzero_count": int(np.count_nonzero(vecs[1])),
+        # the pattern is listed up to |exponent| 12
+        "pattern_constraint_residual": residual(
+            pattern, [e for e in interior if max(abs(e), abs(e - 2)) <= 12]),
+        "pattern_nullspace_distance": float(np.linalg.norm(p_hat - proj)),
     }
 
 
@@ -507,7 +438,8 @@ def suq2_bridge_check(
     and that phi = q^(-Gamma) gains a factor q per step, with q = e^s.
     The third piece, the commutator symbol evaluated at Gamma-preimages
     next to the q-integers [2 J0]_q, is tabulated for inspection only:
-    the report never judges that comparison.
+    the report never judges that comparison.  An a_n or a tabulated xi
+    beyond the float range raises EvaluationOverflowError naming it.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; q = e^s degenerates at s = 0")
@@ -517,7 +449,10 @@ def suq2_bridge_check(
     ns = sorted(n_range)
     if len(ns) < 2:
         raise ValueError("n_range must contain at least two indices")
-    a_vals = {n: math.cosh(_pow2(n) * a_tilde) for n in ns}
+    a_vals = {}
+    for n in ns:
+        with _float_range("a_n = cosh(2^n a_tilde)", f"n = {n}, a_tilde = {a_tilde!r}"):
+            a_vals[n] = math.cosh(_pow2(n) * a_tilde)
 
     gamma_rows = []
     g_err = 0.0
@@ -548,8 +483,9 @@ def suq2_bridge_check(
     f_symbol = gs.f.to_laurent()
     bridge_rows = []
     for y in j0_values:
-        lam = m.b_const * 2.0 ** (-m.sign * y)
-        xi = math.cosh(lam)
+        with _float_range("xi = cosh(b 2^(-sign J0))", f"J0 = {y!r}"):
+            lam = m.b_const * 2.0 ** (-m.sign * y)
+            xi = math.cosh(lam)
         f_val = f_symbol.eval_phase(lam)
         bracket = q_number(2.0 * y, s)
         bridge_rows.append(

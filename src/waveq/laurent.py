@@ -12,6 +12,7 @@ holds the normal form that LaurentPoly shares with opalgebra's OpExpr.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import warnings
 
@@ -727,13 +728,21 @@ def _exp(z: complex, what: str) -> complex:
     return cmath.exp(z)
 
 
+@contextlib.contextmanager
+def _float_range(quantity: str, at: str):
+    """Turn an OverflowError raised inside into EvaluationOverflowError naming
+    the quantity being computed and the input it was computed at."""
+    try:
+        yield
+    except OverflowError:
+        raise EvaluationOverflowError(f"evaluation overflow: {quantity} is beyond the float "
+                                      f"range at {at}") from None
+
+
 def _pow2(n: int) -> float:
     """2.0**n, or EvaluationOverflowError naming n when 2^n is beyond the float range."""
-    try:
+    with _float_range("2^n", f"n = {n}"):
         return 2.0**n
-    except OverflowError:
-        raise EvaluationOverflowError(f"evaluation overflow: 2^n is beyond the float range "
-                                      f"at n = {n}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .gridfn import ExpSum, apply_op_expsum
-from .laurent import EvaluationOverflowError, _pow2
+from .laurent import EvaluationOverflowError, _float_range, _pow2
 from .qdeform import AlgebraParams, build_generators
 
 CLOSED_FORM_TAGS = ("cos-branch", "cosh-branch", "none")
@@ -174,23 +174,25 @@ def ladder_check(
         c0, r0 = _single_term(apply_op_expsum(gs.w0, mode), "w0")
         cm, rm = _single_term(apply_op_expsum(gs.w_minus, mode), "w_minus")
         cp, rp = _single_term(apply_op_expsum(gs.w_plus, mode), "w_plus")
-        ladder_rows.append(
-            {
-                "n": n,
-                "rate": lam,
-                "a_n": c0.real,
-                "a_n_error": abs(c0 - math.cosh(lam)),
-                "w0_rate_error": abs(r0 - lam),
-                "minus_coeff": cm,
-                "minus_coeff_error": abs(cm - 0.5 * (1.0 + math.exp(-lam))),
-                "minus_rate_error": abs(rm - 2.0 * lam),
-                "minus_target_a": math.cosh(2.0 * lam),
-                "plus_coeff": cp,
-                "plus_coeff_error": abs(cp - 0.5 * (1.0 + math.exp(lam))),
-                "plus_rate_error": abs(rp - 0.5 * lam),
-                "plus_target_a": math.cosh(0.5 * lam),
-            }
-        )
+        # cosh(2 lam) is the largest quantity in the row
+        with _float_range("cosh(2^(n+1) a_tilde)", f"n = {n}, a_tilde = {a_tilde!r}"):
+            ladder_rows.append(
+                {
+                    "n": n,
+                    "rate": lam,
+                    "a_n": c0.real,
+                    "a_n_error": abs(c0 - math.cosh(lam)),
+                    "w0_rate_error": abs(r0 - lam),
+                    "minus_coeff": cm,
+                    "minus_coeff_error": abs(cm - 0.5 * (1.0 + math.exp(-lam))),
+                    "minus_rate_error": abs(rm - 2.0 * lam),
+                    "minus_target_a": math.cosh(2.0 * lam),
+                    "plus_coeff": cp,
+                    "plus_coeff_error": abs(cp - 0.5 * (1.0 + math.exp(lam))),
+                    "plus_rate_error": abs(rp - 0.5 * lam),
+                    "plus_target_a": math.cosh(0.5 * lam),
+                }
+            )
 
     mode_rows = []
     for k in mode_orders:

@@ -51,12 +51,12 @@ CLAIMS = {
         ("max_ladder_error", "<=", 1e-12),
     ],
     "functional-equations": [
-        ("haar.b_error", "<=", 1e-12),
-        ("haar.rho_error", "<=", 1e-12),
-        ("haar.residual", "<=", 1e-12),
-        ("hat.b_error", "<=", 1e-12),
-        ("hat.rho_error", "<=", 1e-12),
-        ("hat.residual", "<=", 1e-12),
+        ("haar.b", "==", parse_laurent("1 - T^-1")),
+        ("haar.rho", "==", 1.0),
+        ("haar.residual", "==", 0.0),
+        ("hat.b", "==", parse_laurent("1 - 2*T^-1/2 + T^-1")),
+        ("hat.rho", "==", 0.5),
+        ("hat.residual", "==", 0.0),
         ("chi", "==", parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")),
         ("constancy.max_spread", "<=", 1e-11),
         ("constancy.max_ordering_difference", "<=", 1e-11),
@@ -97,6 +97,10 @@ CLAIMS = {
         ("trivial_residual_k16", "==", 0.0),
         ("trivial_residual_k32", "==", 0.0),
         ("trivial_residual_k64", "==", 0.0),
+        ("complement_residual_k8", "==", 0.0),
+        ("complement_residual_k16", "==", 0.0),
+        ("complement_residual_k32", "==", 0.0),
+        ("complement_residual_k64", "==", 0.0),
         ("complement_counts_increase", "==", True),
     ],
 }

@@ -225,6 +225,38 @@ def test_grid_subcommand_variants_write_the_recorded_bytes(tmp_path, args):
     assert _written_hashes(tmp_path, args) == GRID_GOLDEN[args]
 
 
+# SHA-256 of (CSV, manifest) of solve-b, keyed by the mask: the solver's
+# recursion is exact, so b = 1 - T^-1 and (1 - T^-1/2)^2 are written digit
+# for digit with residual 0.0, on any machine
+SOLVE_GOLDEN = {
+    "1 + T^-1": ("0dfaa3062d69403d30d6f1cd11f558891d9fb2198b8f1969f99f9334f793a59b",
+                 "497a4e1ee784bcbff1816c753249df4ab66e02e57e52e5b0085c0ea475451e60"),
+    "1/2 + T^-1/2 + 1/2*T^-1": (
+        "bce6e3569117c2da84c001b10cc6e63da7d8e5bee1cbe6b4bf6152c6b1bbdfab",
+        "b3b7f64c51f18bd0844c2a3550ab67c86b479cd03c34ba304aecea7053e1d640"),
+}
+
+
+@pytest.mark.parametrize("mask", list(SOLVE_GOLDEN))
+def test_solve_b_writes_the_recorded_exact_bytes(tmp_path, mask):
+    assert run(tmp_path, "solve-b", "--c", mask) == 0
+    names = ("solve-b.csv", "solve-b.manifest.json")
+    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
+    assert got == SOLVE_GOLDEN[mask]
+
+
+def test_nullspace_tol_is_no_longer_an_option(tmp_path, capsys):
+    for argv in (("solve-b", "--c", "1 + T^-1"), ("prop1",)):
+        assert run(tmp_path, *argv, "--nullspace-tol", "1e-10") == 2
+        assert "--nullspace-tol" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"nullspace_tol": 1e-10}))
+        assert run(tmp_path, *argv, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "nullspace_tol" in err and "(offending flag: --config)" in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_check_passes_and_lists_every_named_subcheck(tmp_path, capsys):
     assert run(tmp_path, "check") == 0
     out = capsys.readouterr().out
@@ -266,6 +298,26 @@ def test_rate_doublings_beyond_the_float_range_exit_one_naming_n(tmp_path, capsy
         err = capsys.readouterr().err
         assert err == ("error: EvaluationOverflowError: evaluation overflow: "
                        f"2^n is beyond the float range at n = {n}\n")
+    assert not list(tmp_path.iterdir())
+
+
+FLOAT_OVERFLOWS = [
+    (("ladder", "--a-tilde=700"), "cosh(2^(n+1) a_tilde) is beyond the float range at n = 0"),
+    (("bridge", "--n=11,12"), "a_n = cosh(2^n a_tilde) is beyond the float range at n = 11"),
+    (("bridge", "--a-tilde=1e300"), "a_n = cosh(2^n a_tilde) is beyond the float range at n = 0"),
+    (("bridge", "--j0=-2000"),
+     "xi = cosh(b 2^(-sign J0)) is beyond the float range at J0 = -2000.0"),
+]
+
+
+@pytest.mark.parametrize("argv, named", FLOAT_OVERFLOWS,
+                         ids=[" ".join(a) for a, _ in FLOAT_OVERFLOWS])
+def test_float_overflows_exit_one_naming_the_error_and_the_quantity(tmp_path, capsys, argv,
+                                                                     named):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: EvaluationOverflowError: evaluation overflow: ")
+    assert named in err
     assert not list(tmp_path.iterdir())
 
 

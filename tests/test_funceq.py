@@ -10,7 +10,6 @@ from waveq import funceq
 from waveq.funceq import (
     ChiSolve,
     GammaMap,
-    NonUniqueSolutionError,
     NoSolutionInWindowError,
     casimir_constancy_check,
     gamma_eval,
@@ -22,7 +21,7 @@ from waveq.funceq import (
     suq2_bridge_check,
     uniqueness_check,
 )
-from waveq.laurent import Dyadic, EvaluationOverflowError, LaurentPoly, parse_laurent
+from waveq.laurent import Dyadic, EvaluationOverflowError, Exponent, LaurentPoly, parse_laurent
 from waveq.qdeform import AlgebraParams, build_generators
 
 
@@ -32,18 +31,18 @@ HALF = Dyadic(1, 1)
 def test_refinement_unit_shift_mask():
     c = parse_laurent("1 + T^-1")
     solve = solve_refinement(c, 2)
-    assert solve.b.isclose(parse_laurent("1 - T^-1"), tol=1e-12)
+    assert solve.b == parse_laurent("1 - T^-1")
     assert solve.rho == 2.0 / 2.0
-    assert solve.residual <= 1e-12
+    assert solve.residual == 0.0
     assert solve.zero_order == 1
 
 
 def test_refinement_squared_half_shift_mask():
     c = parse_laurent("1/2 + T^-1/2 + 1/2*T^-1")
     solve = solve_refinement(c, 2)
-    assert solve.b.isclose(parse_laurent("1 - 2*T^-1/2 + T^-1"), tol=1e-12)
-    assert abs(solve.rho - 0.5) <= 1e-15
-    assert solve.residual <= 1e-12
+    assert solve.b == parse_laurent("1 - 2*T^-1/2 + T^-1")
+    assert solve.rho == 0.5
+    assert solve.residual == 0.0
     assert solve.zero_order == 2
 
 
@@ -67,8 +66,44 @@ def test_refinement_eighth_step_bspline_mask(m, window):
     solve = solve_refinement(c, window)
     assert solve.rho == 2.0 ** (1 - m)
     assert solve.zero_order == m
-    assert solve.b.isclose(want, 1e-9)
-    assert all(e.is_exact and e.dyadic.log2_den <= 3 for e, _ in solve.b.terms())
+    assert solve.b == want
+    assert solve.residual == 0.0
+
+
+def bspline_mask(h: Dyadic, m: int) -> LaurentPoly:
+    """2((1 + T^-h)/2)^m."""
+    half = LaurentPoly.from_dict({0: 0.5, Dyadic(-h.num, h.log2_den): 0.5})
+    c = LaurentPoly.scalar(2.0)
+    for _ in range(m):
+        c = c * half
+    return c
+
+
+@pytest.mark.parametrize("h", [Dyadic(1, 0), Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 3)],
+                         ids=["1", "1/2", "1/4", "1/8"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_every_bspline_mask_gives_its_exact_detail_symbol(m, h):
+    """b = (1 - T^-h)^m with rho = 2^(1-m) and residual exactly 0 in any window
+    that holds b."""
+    want = LaurentPoly.one()
+    for _ in range(m):
+        want = want * LaurentPoly.from_dict({0: 1.0, Dyadic(-h.num, h.log2_den): -1.0})
+    for window in (math.ceil(m * h.num / 2**h.log2_den), 12):
+        solve = solve_refinement(bspline_mask(h, m), window)
+        assert solve.b == want
+        assert (solve.rho, solve.zero_order, solve.residual) == (2.0 ** (1 - m), m, 0.0)
+
+
+def test_refinement_reaches_every_zero_order_the_window_holds():
+    # T * 2((1 + T^-1/8)/2)^16 spans [-1, 1]: its detail symbol has a zero of
+    # order 16, past the reference scan's last candidate m = 8 * window + 4
+    c = parse_laurent("T^1") * bspline_mask(Dyadic(1, 3), 16)
+    want = parse_laurent("T^1")
+    for _ in range(16):
+        want = want * parse_laurent("1 - T^-1/8")
+    solve = solve_refinement(c, 1)
+    assert solve.b == want
+    assert (solve.rho, solve.zero_order, solve.residual) == (2.0**-15, 16, 0.0)
 
 
 def test_refinement_unique_in_growing_windows():
@@ -76,15 +111,15 @@ def test_refinement_unique_in_growing_windows():
     want = parse_laurent("1 - T^-1")
     for window in (2, 3, 4, 6):
         solve = solve_refinement(c, window)
-        assert solve.b.isclose(want, tol=1e-12)
-        assert abs(solve.rho - 1.0) <= 1e-12
+        assert solve.b == want
+        assert solve.rho == 1.0
 
 
 def test_refinement_residual_identity_holds():
     c = parse_laurent("1/2 + T^-1/2 + 1/2*T^-1")
     solve = solve_refinement(c, 3)
     lhs = c.substitute_power(HALF) * solve.b.substitute_power(HALF)
-    assert lhs.isclose(solve.b * solve.rho, tol=1e-12)
+    assert lhs == solve.b * solve.rho
 
 
 def test_refinement_no_solution_in_window():
@@ -94,24 +129,41 @@ def test_refinement_no_solution_in_window():
     with pytest.raises(NoSolutionInWindowError):
         solve_refinement(c, 3)
     solve = solve_refinement(c, 4)
-    assert solve.b.isclose(parse_laurent("1 - T^-4"), tol=1e-12)
+    assert solve.b == parse_laurent("1 - T^-4")
 
 
-def test_refinement_nonunique_reports_basis():
-    # a nullspace with more than one direction aborts the solve; force the
-    # degeneracy with an absurdly loose rank cutoff
-    c = parse_laurent("1 + T^-1")
-    with pytest.raises(NonUniqueSolutionError) as info:
-        solve_refinement(c, 2, nullspace_tol=10.0)
-    assert "non-unique" in str(info.value)
-    assert len(info.value.basis) > 1
+def test_the_solvers_take_no_svd():
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd called")):
+        solve_refinement(bspline_mask(Dyadic(1, 2), 3), 12)
+        prop1_solve(16)
 
 
-def reference_scan(c, support_bound, tol=funceq.NULLSPACE_TOL):
-    """The candidate scan with one full SVD per candidate, the matrix rebuilt
-    entry by entry each time: the rule solve_refinement must reproduce."""
-    q, mask = funceq._mask_exponents(c, "mask")
+# -- the windowed SVD scan solve_refinement replaced, kept as a reference -----
+
+SVD_NULLSPACE_TOL = 1e-10
+
+
+def _svd_vector_to_poly(v, cols, q):
+    peak = float(np.abs(v).max())
+    live = [i for i in range(len(cols)) if abs(v[i]) > 1e-11 * peak]
+    lead = v[live[-1]]  # cols ascend, so the last survivor is the leading term
+    return LaurentPoly(
+        (Exponent.exact(Dyadic(cols[i], q)), complex(v[i] / lead)) for i in live
+    )
+
+
+def reference_scan(c, support_bound):
+    """Candidates rho = c(1)/2^m in ascending m, each matched on the grid
+    2^-q Z (q at least 2) with |exponent| <= support_bound, one full SVD per
+    candidate; the first one-dimensional nullspace whose residual (computed
+    in the normal form) is at most RESIDUAL_TOL wins.  Returns (b, rho, m),
+    or the name of the outcome when there is none."""
+    q0, mask = funceq._mask_exponents(c)
+    q = max(q0, 2)
+    mask = [(a << (q - q0), cc) for a, cc in mask]
     c_at_one = c.eval_phase(0.0)
+    if abs(c_at_one) <= 1e-12:
+        raise ValueError("mask must not vanish at T = 1")
     steps = support_bound << q
     cols = list(range(-steps, steps + 1))
     for m in range(steps + 5):
@@ -125,38 +177,16 @@ def reference_scan(c, support_bound, tol=funceq.NULLSPACE_TOL):
         for i, j, v in entries:
             a[i, j] += v
         _, s, vh = np.linalg.svd(a)
-        rank = int((s > tol * s[0]).sum()) if s[0] > 0.0 else 0
+        rank = int((s > SVD_NULLSPACE_TOL * s[0]).sum()) if s[0] > 0.0 else 0
         basis = [vh[i].conj() for i in range(rank, vh.shape[0])]
-        if not basis:
-            continue
         if len(basis) > 1:
-            raise NonUniqueSolutionError(
-                f"non-unique solution at rho = {rho!r}: nullspace dimension {len(basis)}",
-                [funceq._vector_to_poly(v, cols, q) for v in basis],
-            )
-        b = funceq._vector_to_poly(basis[0], cols, q)
-        residual = funceq._refinement_residual(c, b, rho)
-        if residual <= funceq.RESIDUAL_TOL:
-            return funceq.RefinementSolve(b, rho, residual, m, support_bound)
-    raise NoSolutionInWindowError(f"no solution in window |exponent| <= {support_bound}")
-
-
-def scan_outcome(solver, c, window, tol=funceq.NULLSPACE_TOL):
-    """Everything a solve returns or raises, as text that tells every bit apart."""
-    try:
-        r = solver(c, window, tol)
-    except (NoSolutionInWindowError, NonUniqueSolutionError) as e:
-        return type(e).__name__, str(e), [repr(p.terms()) for p in getattr(e, "basis", [])]
-    return repr(r.b.terms()), repr(r.rho), repr(r.residual), r.zero_order, r.support_bound
-
-
-def bspline_mask(h: Dyadic, m: int) -> LaurentPoly:
-    """2((1 + T^-h)/2)^m."""
-    half = LaurentPoly.from_dict({0: 0.5, Dyadic(-h.num, h.log2_den): 0.5})
-    c = LaurentPoly.scalar(2.0)
-    for _ in range(m):
-        c = c * half
-    return c
+            return "non-unique"
+        if basis:
+            b = _svd_vector_to_poly(basis[0], cols, q)
+            lhs = c.substitute_power(HALF) * b.substitute_power(HALF)
+            if (lhs - b * rho).max_abs_coeff() <= funceq.RESIDUAL_TOL:
+                return b, rho, m
+    return "no solution"
 
 
 SCAN_CASES = [
@@ -173,32 +203,52 @@ SCAN_CASES = [
 ]
 
 
-def test_refinement_scan_is_the_full_svd_scan_bit_for_bit():
+def random_masks(seed: int, count: int):
+    """Seeded masks in windows 1 to 3: shifted and scaled B-spline products
+    (solvable), and dyadic, decimal and complex ones (mostly not)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            c = LaurentPoly.from_dict({Dyadic(rng.randrange(-4, 5), 2): 2.0})
+            c = c * rng.choice((1, 0.3, 0.6 + 0.8j, 1 / 3))
+            for _ in range(rng.randrange(1, 6)):
+                c = c * LaurentPoly.from_dict({0: 0.5, Dyadic(-1, rng.randrange(4)): 0.5})
+        elif kind == 1:
+            c = LaurentPoly.from_dict({Dyadic(rng.randrange(-8, 9), 3): rng.randrange(-8, 9) / 4
+                                       for _ in range(rng.randrange(1, 4))})
+        elif kind == 2:
+            c = LaurentPoly.from_dict({Dyadic(rng.randrange(-4, 5), 2): round(rng.uniform(-2, 2), 2)
+                                       for _ in range(rng.randrange(1, 4))})
+        else:
+            k = rng.randrange(1, 3)
+            c = parse_laurent(f"1 + T^-{k}/4 + T^-{2 * k}/4") * rng.choice((1, 0.3, 0.6 + 0.8j))
+        yield c, rng.choice((1, 2, 3))
+
+
+def test_refinement_recursion_agrees_with_the_svd_scan():
     outcomes = set()
-    for c, window in SCAN_CASES:
-        got = scan_outcome(solve_refinement, c, window)
-        assert got == scan_outcome(reference_scan, c, window), (str(c), window)
-        outcomes.add(got[0] if isinstance(got[0], str) and got[0].endswith("Error") else "solved")
-    assert outcomes == {"solved", "NoSolutionInWindowError"}
-
-
-def test_refinement_nonunique_error_is_the_full_svd_scan_bit_for_bit():
-    for c, window in [(parse_laurent("1 + T^-1"), 2), (bspline_mask(Dyadic(1, 1), 3), 4)]:
-        got = scan_outcome(solve_refinement, c, window, 10.0)
-        assert got[0] == "NonUniqueSolutionError" and len(got[2]) > 1
-        assert got == scan_outcome(reference_scan, c, window, 10.0)
-
-
-def test_refinement_takes_one_svd_with_singular_vectors_per_solve():
-    svd = np.linalg.svd
-    for c, window in [(parse_laurent("1 + T^-1"), 2), (bspline_mask(Dyadic(1, 0), 3), 12),
-                      (bspline_mask(Dyadic(1, 2), 3), 12), (bspline_mask(Dyadic(1, 3), 4), 4)]:
-        with mock.patch.object(np.linalg, "svd", side_effect=svd) as spy:
-            solve = solve_refinement(c, window)
-        full = [call for call in spy.call_args_list if call.kwargs.get("compute_uv", True)]
-        assert len(full) == 1
-        # every rejected candidate was screened out by its singular values alone
-        assert spy.call_count == solve.zero_order + 2
+    for c, window in SCAN_CASES + list(random_masks(20260, 120)):
+        try:
+            want = reference_scan(c, window)
+        except ValueError as exc:  # a mask that vanishes at T = 1
+            with pytest.raises(ValueError, match=str(exc)):
+                solve_refinement(c, window)
+            outcomes.add("ValueError")
+            continue
+        if isinstance(want, str):
+            assert want == "no solution", (str(c), window)
+            with pytest.raises(NoSolutionInWindowError):
+                solve_refinement(c, window)
+            outcomes.add(want)
+            continue
+        b, rho, m = want
+        got = solve_refinement(c, window)
+        assert repr(got.rho) == repr(rho) and got.zero_order == m, (str(c), window)
+        assert (got.b - b).max_abs_coeff() <= 1e-9, (str(c), window)
+        assert got.residual <= funceq.RESIDUAL_TOL
+        outcomes.add("solved")
+    assert outcomes == {"solved", "no solution", "ValueError"}
 
 
 def test_refinement_rejects_vanishing_mask_value():
@@ -285,9 +335,28 @@ def test_prop1_window_structure():
         report = prop1_solve(window)
         assert report["nullspace_dim"] == 2
         assert report["trivial_residual"] == 0.0
+        assert report["complement_residual"] == 0.0
         assert report["boundary_truncated"]
         counts[window] = report["complement_nonzero_count"]
     assert counts[8] < counts[16] < counts[32] < counts[64]
+
+
+@pytest.mark.parametrize("window", [4, 5, 8, 16, 33, 64])
+def test_prop1_basis_is_one_plus_u_and_an_exact_orthogonal_complement(window):
+    report = prop1_solve(window)
+    t, w = report["basis"]
+    assert t == {0: 1 / 2**0.5, 1: 1 / 2**0.5}
+    assert abs(sum(v * t.get(e, 0.0) for e, v in w.items())) <= 1e-15
+    assert sum(v * v for v in w.values()) == pytest.approx(1.0, abs=1e-15)
+    # every interior constraint C_e + C_(e-2) = C_floor(e/2) holds for w up to
+    # the rounding of its one scale factor
+    scale = max(map(abs, w.values()))
+    for e in range(-window + 2, window + 1):
+        got = w.get(e, 0.0) + w.get(e - 2, 0.0) - w.get(e // 2, 0.0)
+        assert abs(got) <= 4e-16 * scale, e
+    assert report["complement_nonzero_count"] == len(w)
+    if window & (window - 1) == 0:
+        assert len(w) == window + 1
 
 
 def test_prop1_pattern_reported_not_enforced():
@@ -420,6 +489,18 @@ def test_bridge_validation():
         suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [0, 2, 4])
     with pytest.raises(ValueError):
         suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [0])
+
+
+def test_bridge_values_beyond_the_float_range_raise_naming_the_quantity():
+    with pytest.raises(EvaluationOverflowError,
+                       match=r"a_n = cosh\(2\^n a_tilde\) is beyond the float range at n = 11"):
+        suq2_bridge_check(GammaMap(math.log(2.0)), 1.0, math.log(2.0), [11, 12])
+    with pytest.raises(EvaluationOverflowError, match=r"at n = 0, a_tilde = 1e\+300"):
+        suq2_bridge_check(GammaMap(1.0), 1.0, 1e300, [0, 1])
+    for j0 in (-2000.0, -20.0):
+        named = rf"xi = cosh\(b 2\^\(-sign J0\)\) is beyond the float range at J0 = {j0}"
+        with pytest.raises(EvaluationOverflowError, match=named):
+            suq2_bridge_check(GammaMap(1.0), 1.0, 1.0, [0, 1], j0_values=(0.0, j0))
 
 
 def test_a_rate_doubling_beyond_the_float_range_raises_naming_n():

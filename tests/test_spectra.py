@@ -95,6 +95,17 @@ def test_a_rate_doubling_beyond_the_float_range_raises_naming_n():
     assert math.isfinite(haar_closed_form(0.5, 1023))  # the last n whose 2^n is a float
 
 
+def test_a_ladder_target_beyond_the_float_range_raises_naming_the_quantity():
+    # cosh(2 lam), the lowering target, is the largest number in a ladder row;
+    # it overflows once |2 lam| passes about 710.48
+    for a_tilde in (700.0, -700.0, 356.0):
+        with pytest.raises(EvaluationOverflowError,
+                           match=rf"cosh\(2\^\(n\+1\) a_tilde\) is beyond the float range "
+                                 rf"at n = 0, a_tilde = {a_tilde}"):
+            ladder_check(a_tilde, [0])
+    assert math.isfinite(ladder_check(355.0, [0])["ladder_rows"][0]["minus_target_a"])
+
+
 U = 2.0**-53  # unit roundoff; one ulp is at most 2u relative
 
 
