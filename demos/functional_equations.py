@@ -43,7 +43,7 @@ def main():
     flat = casimir_constancy_check(range(0, 4), math.log(2.0))
     print(f"  conserved combination on the rate family: "
           f"{complex(flat['reference']).real:g}, spread {flat['max_spread']:.1e}")
-    print(f"  ordering independence: {flat['orderings_ok']}")
+    print(f"  ordering difference: {flat['max_ordering_difference']:.1e}")
 
     print()
     print("== windowed commutant system ==")

@@ -302,7 +302,6 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                  "driving symbol for the telescoping equation"),
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate for the constancy scan"),
             _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings for the scan"),
-            _Opt("--tol", _as_float, 1e-11, "flatness tolerance"),
         ),
     ),
     "prop1": (
@@ -588,7 +587,7 @@ def _run_solve_b(p: dict) -> RunResult:
 
 def _run_casimir(p: dict) -> RunResult:
     solve = solve_casimir_chi(p["r"])
-    flat = casimir_constancy_check(p["n"], p["a_tilde"], p["tol"])
+    flat = casimir_constancy_check(p["n"], p["a_tilde"])
     rows = [[e, re, im] for e, re, im in _poly_terms(solve.chi)]
     results = {"chi": solve.chi, "free_constant": solve.free_constant,
                "constancy": flat}

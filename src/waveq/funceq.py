@@ -199,17 +199,16 @@ def solve_casimir_chi(
     return ChiSolve(LaurentPoly(chi_terms), free_constant=True)
 
 
-def casimir_constancy_check(
-    n_range: Iterable[int], a_tilde: float, tol: float = 1e-11
-) -> dict:
+def casimir_constancy_check(n_range: Iterable[int], a_tilde: float) -> dict:
     """Evaluate the conserved combination on the exponential rate family.
 
     The combination is (lowering o raising) + H applied to the averaging
     operator's eigenvalue, where H is the telescoping solution driven by
-    the ladder commutator's symbol.  Its value must not depend on n.  The
+    the ladder commutator's symbol.  Its value must not depend on n, and the
     flipped ordering (raising o lowering) minus the commutator symbol must
-    give the same number.  a_tilde = 0 collapses the family to constants,
-    so that case is reported as skipped rather than judged.
+    give the same number; the report measures both (max_spread,
+    max_ordering_difference) and judges neither.  a_tilde = 0 collapses the
+    family to constants, so that case is reported as skipped.
     """
     if a_tilde == 0.0:
         return {
@@ -247,9 +246,6 @@ def casimir_constancy_check(
         "reference": values[0],
         "max_spread": spread,
         "max_ordering_difference": flip,
-        "constant_ok": spread <= tol,
-        "orderings_ok": flip <= tol,
-        "tolerance": tol,
     }
 
 
@@ -438,14 +434,15 @@ def suq2_bridge_check(
     and that phi = q^(-Gamma) gains a factor q per step, with q = e^s.
     The third piece, the commutator symbol evaluated at Gamma-preimages
     next to the q-integers [2 J0]_q, is tabulated for inspection only:
-    the report never judges that comparison.  An a_n or a tabulated xi
+    the report never judges that comparison.  A q, a_n or tabulated xi
     beyond the float range raises EvaluationOverflowError naming it.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; q = e^s degenerates at s = 0")
     if a_tilde == 0.0:
         raise ValueError("a_tilde must be nonzero; the rate family degenerates")
-    q = math.exp(s)
+    with _float_range("q = e^s", f"s = {s!r}"):
+        q = math.exp(s)
     ns = sorted(n_range)
     if len(ns) < 2:
         raise ValueError("n_range must contain at least two indices")

@@ -1,10 +1,12 @@
 """Deformed translation/dilation generators and their closure checks.
 
-The two-parameter family is generated by a symmetrized shift W0 and a pair
-of dilation-carrying ladder operators W+/W-, whose commutators close
-through two translation-symbol functions (here `g` and `f`).  A general
-version replaces the fixed symbols with arbitrary Laurent symbols j0 and
-j; `verify_general_closure` checks that family the same way.
+The two-symbol family is built from any Laurent symbols j0 and j: the
+averaging symbol j0(T), the ladder operators j+ = P^nu D^-s j(T) and
+j- = P^nu' D^s j(T^-1), and the two translation symbols that close their
+commutators, found by substitution (`_family`).  The (s, alpha) generator
+triple is the instance j0 = W0(s, alpha), j = (1 + T^s)/2: `build_generators`
+returns it as W0, W+/W- and the closing symbols g and f, and
+`verify_general_closure` checks any other instance the same way.
 
 Exactness policy: the flagship configuration (s, alpha) = (1, 1) must
 produce *exactly zero* residuals in IEEE arithmetic.  Three things make
@@ -17,11 +19,10 @@ rather than computed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .laurent import EvaluationOverflowError, LaurentPoly
+from .laurent import Dyadic, EvaluationOverflowError, LaurentPoly, _float_range
 from .opalgebra import OpExpr, commutator
 
 SINH_1 = math.sinh(1.0)
@@ -48,13 +49,6 @@ def cos_full_turn_half(s: float) -> float:
     return math.cos(math.pi * s)
 
 
-def _unit_phase(theta: float) -> complex:
-    """e^{i theta}, kept exactly 1 when theta is exactly zero."""
-    if theta == 0.0:
-        return 1.0 + 0j
-    return cmath.exp(1j * theta)
-
-
 @dataclass(frozen=True)
 class AlgebraParams:
     """Deformation parameter s and translation-scale parameter alpha."""
@@ -66,16 +60,11 @@ class AlgebraParams:
     def q(self) -> float:
         return math.exp(self.s)
 
-    @property
-    def xi(self) -> complex:
-        """Normalizing constant of the W0 symbol."""
-        return complex(
-            sin_half_turn(self.alpha) / SINH_1, -2.0 * cos_half_turn(self.alpha)
-        )
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """One instance of the two-symbol family (`_family`): j0, j+/-, g and f."""
+
     w0: OpExpr
     w_plus: OpExpr
     w_minus: OpExpr
@@ -142,7 +131,8 @@ def _w0_coefficients(s: float, alpha: float) -> tuple[complex, complex]:
     - 2i cos(a pi/2) sinh(s)) so that at s = alpha = 1 the ratio
     sinh(s)/sinh(1) is the same-argument division, exactly 1.0.
     """
-    sinh_s = math.sinh(s)
+    with _float_range("sinh(s)", f"s = {s!r}"):
+        sinh_s = math.sinh(s)
     if sinh_s == 0.0:
         raise ValueError("W0 is undefined at s = 0 (sinh s divides)")
     denom = 2.0 * complex(
@@ -153,28 +143,71 @@ def _w0_coefficients(s: float, alpha: float) -> tuple[complex, complex]:
 
 def phase_index_plus(s: float) -> float:
     """mu of the single P factor in W+ after merging the split phases."""
-    return -(s - 1.0) * (1.0 + 2.0**-s) / 2.0
+    with _float_range("2^-s", f"s = {s!r}"):
+        return -(s - 1.0) * (1.0 + 2.0**-s) / 2.0
 
 
 def phase_index_minus(s: float) -> float:
     """mu of the single P factor in W-."""
-    return (s - 1.0) * (1.0 + 2.0**s) / 2.0
+    with _float_range("2^s", f"s = {s!r}"):
+        return (s - 1.0) * (1.0 + 2.0**s) / 2.0
+
+
+def _halving_symbol(s: float) -> LaurentPoly:
+    """j = (1 + T^s)/2, the ladder symbol of the (s, alpha) triple."""
+    return LaurentPoly(((0, 0.5), (s, 0.5)))
+
+
+def _ladders(j: LaurentPoly, s: float) -> tuple[OpExpr, OpExpr]:
+    """j+ = P^nu D^-s j(T) and j- = P^nu' D^s j(T^-1), nu and nu' the
+    phase indices of W+ and W-."""
+    return (
+        OpExpr.term(1.0, mu=phase_index_plus(s), beta=-s) * OpExpr.from_laurent(j),
+        OpExpr.term(1.0, mu=phase_index_minus(s), beta=s)
+        * OpExpr.from_laurent(j.substitute_power(-1)),
+    )
+
+
+def _family(j0: LaurentPoly, j: LaurentPoly, s: float) -> GeneratorSet:
+    """The two-symbol family at (j0, j, s): j0, its ladders j+/-, and the
+    closing symbols found by substitution,
+
+        g = j0(T) - j0(e^{i nu'} T^{2^s}),
+        f = j(e^{i nu'} T^{2^s}) j(T^-1) - j(e^{-i nu} T^{-2^-s}) j(T).
+
+    Every phase angle is a multiple of nu or nu', both exactly zero at
+    s = 1, where substitution then keeps the coefficients bit-identical.
+    """
+    j_plus, j_minus = _ladders(j, s)
+    nu, nu_prime = phase_index_plus(s), phase_index_minus(s)
+    g = j0 - j0.substitute_scaled(2.0**s, nu_prime)
+    f = j.substitute_scaled(2.0**s, nu_prime) * j.substitute_power(-1) - (
+        j.substitute_scaled(-(2.0**-s), -nu) * j
+    )
+    return GeneratorSet(OpExpr.from_laurent(j0), j_plus, j_minus,
+                        OpExpr.from_laurent(g), OpExpr.from_laurent(f))
+
+
+def _residuals(gs: GeneratorSet) -> dict:
+    """r1 = [W0, W+] - g W+;  r2 = [W0, W-] + W- g;  r3 = [W+, W-] - f,
+    each as the largest coefficient of its normal form."""
+    return {
+        "r1": (commutator(gs.w0, gs.w_plus) - gs.g * gs.w_plus).max_abs_coeff(),
+        "r2": (commutator(gs.w0, gs.w_minus) + gs.w_minus * gs.g).max_abs_coeff(),
+        "r3": (commutator(gs.w_plus, gs.w_minus) - gs.f).max_abs_coeff(),
+    }
 
 
 def w_plus(s: float) -> OpExpr:
-    """Raising half: 1/2 P D^-s (1 + T^s) with the merged phase index."""
-    return OpExpr.term(0.5, mu=phase_index_plus(s), beta=-s) * (
-        OpExpr.identity() + OpExpr.translation(s)
-    )
+    """Raising half: 1/2 P D^-s (1 + T^s), the j+ ladder of the triple."""
+    return _ladders(_halving_symbol(s), s)[0]
 
 
 def w_minus(s: float) -> OpExpr:
-    """Lowering half: 1/2 P D^s (1 + T^-s); at s = 1 this is the
-    scaling-equation operator (its fixed functions satisfy the Haar
-    two-scale relation)."""
-    return OpExpr.term(0.5, mu=phase_index_minus(s), beta=s) * (
-        OpExpr.identity() + OpExpr.translation(-s)
-    )
+    """Lowering half: 1/2 P D^s (1 + T^-s), the j- ladder of the triple; at
+    s = 1 this is the scaling-equation operator (its fixed functions satisfy
+    the Haar two-scale relation)."""
+    return _ladders(_halving_symbol(s), s)[1]
 
 
 def w_zero(s: float, alpha: float) -> OpExpr:
@@ -184,35 +217,14 @@ def w_zero(s: float, alpha: float) -> OpExpr:
 
 
 def build_generators(p: AlgebraParams) -> GeneratorSet:
-    """W0, W+/-, and the two closure symbols g and f.
+    """W0, W+/-, and the two closure symbols g and f: the two-symbol family
+    at j0 = W0(s, alpha) and j = (1 + T^s)/2.
 
     g and f are pure translation symbols (beta = 0) with complex
-    coefficients; the phase angles are all proportional to (s - 1) and
-    vanish identically at s = 1.
+    coefficients; their phase angles are multiples of (s - 1) and vanish
+    identically at s = 1.
     """
-    s, alpha = p.s, p.alpha
-    w0 = w_zero(s, alpha)
-    wp = w_plus(s)
-    wm = w_minus(s)
-
-    c_plus, c_minus = _w0_coefficients(s, alpha)
-    theta = s * alpha * (1.0 + 2.0**s) * (s - 1.0) / 2.0
-    wide = (2.0**s) * s * alpha
-    g = w0 - (
-        OpExpr.term(_unit_phase(theta) * c_plus, alpha=wide)
-        + OpExpr.term(_unit_phase(-theta) * c_minus, alpha=-wide)
-    )
-
-    theta_p = s * (1.0 + 2.0**s) * (s - 1.0) / 2.0
-    theta_m = s * (1.0 + 2.0**-s) * (s - 1.0) / 2.0
-    one = OpExpr.identity()
-    f = (
-        (one + OpExpr.translation((2.0**s) * s, coeff=_unit_phase(theta_p)))
-        * (one + OpExpr.translation(-s))
-        - (one + OpExpr.translation(-(2.0**-s) * s, coeff=_unit_phase(theta_m)))
-        * (one + OpExpr.translation(s))
-    ) * 0.25
-    return GeneratorSet(w0=w0, w_plus=wp, w_minus=wm, g=g, f=f)
+    return _family(w_zero(p.s, p.alpha).to_laurent(), _halving_symbol(p.s), p.s)
 
 
 def w0_alpha0_report() -> dict:
@@ -229,20 +241,10 @@ def w0_alpha0_report() -> dict:
 
 
 def check_closure(p: AlgebraParams) -> dict:
-    """Residuals of the three defining commutators as normal forms.
-
-    r1 = [W0, W+] - g W+;  r2 = [W0, W-] + W- g;  r3 = [W+, W-] - f.
-    All dyadic data (s = alpha = 1) gives exactly zero residuals.
-    """
+    """The residuals r1-r3 of the triple's three defining commutators (see
+    `_residuals`); all dyadic data (s = alpha = 1) gives exactly zero."""
     gs = build_generators(p)
-    r1 = commutator(gs.w0, gs.w_plus) - gs.g * gs.w_plus
-    r2 = commutator(gs.w0, gs.w_minus) + gs.w_minus * gs.g
-    r3 = commutator(gs.w_plus, gs.w_minus) - gs.f
-    residuals = {
-        "r1": r1.max_abs_coeff(),
-        "r2": r2.max_abs_coeff(),
-        "r3": r3.max_abs_coeff(),
-    }
+    residuals = _residuals(gs)
     return {
         "s": p.s,
         "alpha": p.alpha,
@@ -259,7 +261,7 @@ def check_closure(p: AlgebraParams) -> dict:
     }
 
 
-# -- the general two-symbol family ---------------------------------------------
+# -- any instance of the two-symbol family -------------------------------------
 
 
 def _poly_of_poly(coeffs: dict, p: LaurentPoly) -> LaurentPoly:
@@ -284,66 +286,39 @@ def verify_general_closure(
 ) -> dict:
     """Closure residuals for arbitrary symbols j0(T), j(T) at parameter s.
 
-    Builds j+ = P D^-s P j(T) and j- = P D^s P j(T^-1) with the same phase
-    indices as W+/-, derives the closing symbols by substitution,
-
-        Gt = j0(T) - j0(e^{i nu'} T^{2^s}),
-        Ft = j(e^{i nu'} T^{2^s}) j(T^-1) - j(e^{-i nu} T^{-2^-s}) j(T),
-
-    and reports the residuals of the three commutators.  When polynomial
-    recursions for the closing symbols are supplied (degree -> coefficient
-    maps), their substitution residuals
+    Builds the two-symbol family at (j0, j, s), the ladders j+/- and the
+    closing symbols Gt and Ft (`_family`), and reports the residuals of the
+    three commutators (`_residuals`).  When polynomial recursions for the
+    closing symbols are supplied (degree -> coefficient maps), their
+    substitution residuals
 
         j0(T^2) - j0(T) - script_g(j0(T^2))
         j(T^2) j(T^-1) - j(T^-1/2) j(T) - script_f(j0(T))
 
     are reported as well; they are measurements, not assertions.
     """
-    nu = phase_index_plus(s)
-    nu_prime = phase_index_minus(s)
-    j_plus = OpExpr.term(1.0, mu=nu, beta=-s) * OpExpr.from_laurent(j)
-    j_minus = OpExpr.term(1.0, mu=nu_prime, beta=s) * OpExpr.from_laurent(
-        j.substitute_power(-1)
-    )
-
-    g_tilde = j0 - j0.substitute_scaled(2.0**s, nu_prime)
-    f_tilde = j.substitute_scaled(2.0**s, nu_prime) * j.substitute_power(-1) - (
-        j.substitute_scaled(-(2.0**-s), -nu) * j
-    )
-    g_op = OpExpr.from_laurent(g_tilde)
-    f_op = OpExpr.from_laurent(f_tilde)
-
-    j0_op = OpExpr.from_laurent(j0)
-    r1 = commutator(j0_op, j_plus) - g_op * j_plus
-    r2 = commutator(j0_op, j_minus) + j_minus * g_op
-    r3 = commutator(j_plus, j_minus) - f_op
-
+    gs = _family(j0, j, s)
+    residuals = _residuals(gs)
     report = {
         "s": s,
-        "nu": nu,
-        "nu_prime": nu_prime,
-        "r1": r1.max_abs_coeff(),
-        "r2": r2.max_abs_coeff(),
-        "r3": r3.max_abs_coeff(),
+        "nu": phase_index_plus(s),
+        "nu_prime": phase_index_minus(s),
+        **residuals,
         "j_at_one": abs(j.eval_phase(0.0)),
         "normalized": abs(j.eval_phase(0.0) - 1.0) <= 1e-12,
         "term_counts": {
-            "j_plus": len(j_plus),
-            "j_minus": len(j_minus),
-            "g_tilde": len(g_tilde),
-            "f_tilde": len(f_tilde),
+            "j_plus": len(gs.w_plus),
+            "j_minus": len(gs.w_minus),
+            "g_tilde": len(gs.g),
+            "f_tilde": len(gs.f),
         },
-        "max_residual": max(
-            r1.max_abs_coeff(), r2.max_abs_coeff(), r3.max_abs_coeff()
-        ),
+        "max_residual": max(residuals.values()),
     }
     if script_g is not None:
         lhs = j0.substitute_power(2) - j0
         rhs = _poly_of_poly(script_g, j0.substitute_power(2))
         report["recursion_residual_g"] = (lhs - rhs).max_abs_coeff()
     if script_f is not None:
-        from .laurent import Dyadic
-
         lhs = j.substitute_power(2) * j.substitute_power(-1) - j.substitute_power(
             Dyadic(-1, 1)
         ) * j

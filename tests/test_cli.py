@@ -245,15 +245,24 @@ def test_solve_b_writes_the_recorded_exact_bytes(tmp_path, mask):
     assert got == SOLVE_GOLDEN[mask]
 
 
-def test_nullspace_tol_is_no_longer_an_option(tmp_path, capsys):
-    for argv in (("solve-b", "--c", "1 + T^-1"), ("prop1",)):
-        assert run(tmp_path, *argv, "--nullspace-tol", "1e-10") == 2
-        assert "--nullspace-tol" in capsys.readouterr().err
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"nullspace_tol": 1e-10}))
-        assert run(tmp_path, *argv, "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
-        assert "nullspace_tol" in err and "(offending flag: --config)" in err
+REMOVED_OPTIONS = [
+    (("solve-b", "--c", "1 + T^-1"), "--nullspace-tol"),
+    (("prop1",), "--nullspace-tol"),
+    (("casimir",), "--tol"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_OPTIONS,
+                         ids=[f"{a[0]} {f}" for a, f in REMOVED_OPTIONS])
+def test_nullspace_tol_is_no_longer_an_option(tmp_path, capsys, argv, flag):
+    assert run(tmp_path, *argv, flag, "1e-10") == 2
+    assert flag in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 1e-10}))
+    assert run(tmp_path, *argv, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "(offending flag: --config)" in err
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
@@ -307,6 +316,14 @@ FLOAT_OVERFLOWS = [
     (("bridge", "--a-tilde=1e300"), "a_n = cosh(2^n a_tilde) is beyond the float range at n = 0"),
     (("bridge", "--j0=-2000"),
      "xi = cosh(b 2^(-sign J0)) is beyond the float range at J0 = -2000.0"),
+    (("bridge", "--s=800"), "q = e^s is beyond the float range at s = 800.0"),
+    (("closure", "--s=2000"), "sinh(s) is beyond the float range at s = 2000.0"),
+    (("closure", "--s=1100"), "sinh(s) is beyond the float range at s = 1100.0"),
+    (("closure", "--s=-2000"), "sinh(s) is beyond the float range at s = -2000.0"),
+    (("general-closure", "--j0=1/2*T^1 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1", "--s=2000"),
+     "2^s is beyond the float range at s = 2000.0"),
+    (("general-closure", "--j0=1/2*T^1 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1", "--s=-2000"),
+     "2^-s is beyond the float range at s = -2000.0"),
 ]
 
 

@@ -190,11 +190,7 @@ def test_constant_term_report():
 
 
 def test_params_derived_constants():
-    p = AlgebraParams(1.0, 1.0)
-    assert p.q == math.e
-    assert p.xi == complex(1.0 / SINH_1, 0.0)
-    p2 = AlgebraParams(2.0, 0.0)
-    assert p2.xi == complex(0.0, -2.0)
+    assert AlgebraParams(1.0, 1.0).q == math.e
 
 
 def test_ladder_commutator_matches_f_on_exponentials():
@@ -277,6 +273,104 @@ def test_phase_indices_cancel():
     # opposite halves carry no leftover phase factor
     for s in (0.3, 1.0, 2.7):
         assert abs(phase_index_plus(s) + 2.0**-s * phase_index_minus(s)) < 1e-15
+
+
+# -- the triple as one instance of the two-symbol family -------------------------
+
+U = 2.0**-53
+
+
+def _family_grid():
+    """Seeded (s, alpha) points: the flagship s = 1 at several alpha, then
+    s in the range the benchmark draws and beyond it, alpha never 0."""
+    rng = random.Random(13)
+    points = [(1.0, a) for a in (1.0, 0.5, 1.3, 1.8)]
+    points += [(rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)) for _ in range(60)]
+    return points
+
+
+def _exact_terms(op):
+    return [(t.coeff, t.mu.value, t.beta.value, t.alpha.value) for t in op.terms()]
+
+
+def _unit_phase(theta):
+    return 1.0 + 0j if theta == 0.0 else cmath.exp(1j * theta)
+
+
+def reference_g_f(s, alpha):
+    """g and f of the (s, alpha) triple by hand expansion, with each phase
+    angle written out as a product; returns (g, f, largest g angle,
+    largest f angle)."""
+    c_plus, c_minus = (t.coeff for t in w_zero(s, alpha).terms())
+    theta = s * alpha * (1.0 + 2.0**s) * (s - 1.0) / 2.0
+    wide = (2.0**s) * s * alpha
+    g = w_zero(s, alpha) - (
+        OpExpr.term(_unit_phase(theta) * c_plus, alpha=wide)
+        + OpExpr.term(_unit_phase(-theta) * c_minus, alpha=-wide)
+    )
+    theta_p = s * (1.0 + 2.0**s) * (s - 1.0) / 2.0
+    theta_m = s * (1.0 + 2.0**-s) * (s - 1.0) / 2.0
+    one = OpExpr.identity()
+    f = (
+        (one + OpExpr.translation((2.0**s) * s, coeff=_unit_phase(theta_p)))
+        * (one + OpExpr.translation(-s))
+        - (one + OpExpr.translation(-(2.0**-s) * s, coeff=_unit_phase(theta_m)))
+        * (one + OpExpr.translation(s))
+    ) * 0.25
+    return g, f, abs(theta), max(abs(theta_p), abs(theta_m))
+
+
+def test_triple_ladders_are_the_family_ladders_of_one_plus_t_to_the_s_over_two():
+    for s, alpha in _family_grid():
+        gs = build_generators(AlgebraParams(s, alpha))
+        assert _exact_terms(gs.w_plus) == _exact_terms(w_plus(s))
+        assert _exact_terms(gs.w_minus) == _exact_terms(w_minus(s))
+        # and the hand-written halves 1/2 P D^-+s (1 + T^+-s), bit for bit
+        one = OpExpr.identity()
+        hand_plus = OpExpr.term(0.5, mu=phase_index_plus(s), beta=-s) * (
+            one + OpExpr.translation(s))
+        hand_minus = OpExpr.term(0.5, mu=phase_index_minus(s), beta=s) * (
+            one + OpExpr.translation(-s))
+        assert _exact_terms(gs.w_plus) == _exact_terms(hand_plus)
+        assert _exact_terms(gs.w_minus) == _exact_terms(hand_minus)
+
+
+def test_closure_residuals_are_the_general_closure_residuals_of_the_triple():
+    for s, alpha in _family_grid():
+        triple = check_closure(AlgebraParams(s, alpha))
+        family = verify_general_closure(
+            w_zero(s, alpha).to_laurent(), LaurentPoly.from_dict({0: 0.5, s: 0.5}), s)
+        for r in ("r1", "r2", "r3", "max_residual"):
+            assert triple[r] == family[r], (s, alpha, r)
+
+
+def test_g_and_f_agree_with_the_hand_expansion_to_rounding():
+    # Each phase angle is one product of the same floats in both forms:
+    # the hand expansion forms s*alpha*(1 + 2^s)*(s - 1)/2 (four roundings:
+    # s*alpha, 1 + 2^s, s - 1, and the products), the family forms
+    # nu' = (s - 1)(1 + 2^s)/2 (three) times the exponent s*alpha (one, plus
+    # one for s*alpha itself); the f angles take four roundings each way.
+    # So the two angles differ by at most 10 u |theta| to first order, and
+    # e^{i theta} moves by as much.  Each side's complex exp adds at most
+    # 2 u per component (3 u in modulus), and g's product with c_+- adds
+    # sqrt(5) u per side; f's factors 1/2 and 1/4 are exact.  Hence
+    # |dc| <= |c| u (10 |theta| + 6 + 5) for g and |c| u (10 |theta| + 6)
+    # for f; both are checked against |c| u (10 |theta| + 12), with the
+    # second-order terms in the one unit of slack.
+    worst = 0.0
+    for s, alpha in _family_grid():
+        gs = build_generators(AlgebraParams(s, alpha))
+        g_ref, f_ref, theta_g, theta_f = reference_g_f(s, alpha)
+        for got, ref, theta in ((gs.g, g_ref, theta_g), (gs.f, f_ref, theta_f)):
+            assert len(got) == len(ref)
+            for a, b in zip(got.terms(), ref.terms()):
+                assert a.alpha == b.alpha and a.mu == b.mu and a.beta == b.beta
+                bound = abs(b.coeff) * U * (10.0 * theta + 12.0)
+                assert abs(a.coeff - b.coeff) <= bound, (s, alpha)
+                worst = max(worst, abs(a.coeff - b.coeff) / abs(b.coeff))
+            if s == 1.0:
+                assert _exact_terms(got) == _exact_terms(ref)
+    assert worst > 0.0  # s != 1 does move g and f by rounding
 
 
 # -- Fourier limit --------------------------------------------------------------
