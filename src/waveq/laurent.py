@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import math
+import operator
 import warnings
 
 COEFF_PRUNE_TOL = 1e-15
@@ -235,15 +237,6 @@ class Exponent:
             return Exponent.exact(self.dyadic.scaled_pow2(k))
         return Exponent.approximate(self.approx * (2.0**k))
 
-    def times_dyadic(self, m: Dyadic) -> "Exponent":
-        if self.is_exact:
-            return Exponent.exact(self.dyadic * m)
-        return Exponent.approximate(self.approx * float(m))
-
-    def times_float(self, factor: float) -> "Exponent":
-        """Scaling by a generic real: the result is approximate."""
-        return Exponent.approximate(self.value * factor)
-
     def __repr__(self):
         if self.is_exact:
             return f"Exponent[{self.dyadic}]"
@@ -295,7 +288,7 @@ def _term_text(c: complex, factors) -> tuple[str, bool]:
 # Each class holds only its own rows: LaurentPoly alpha, ExpSum the real and
 # imaginary parts of a rate, OpExpr mu, beta and alpha.  An exact exponent's
 # value is its numerator rounded once to a float.  _den need not be minimal:
-# Dyadic reduces each exponent when terms() builds it.
+# terms() reduces each exponent, as Dyadic does, when it builds it.
 
 MU, BETA, ALPHA = 0, 1, 2  # OpExpr's rows
 
@@ -366,8 +359,10 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
     descending clusters of the rows taken in `order`, stably, and the
     coefficients of equal terms are added in that order; then
     |c| < COEFF_PRUNE_TOL goes, while a NaN in either part stays.  A row of
-    exact exponents needs no snapping: its numerators are its clusters.
-    Normalized columns merge to themselves.
+    exact exponents needs no snapping: its numerators are its clusters.  Nor
+    does a row whose sorted values are pairwise more than EXPONENT_MERGE_TOL
+    apart: each value is its own cluster and representative, so its values
+    are its clusters.  Normalized columns merge to themselves.
     """
     n = len(re)
     if n > 1:
@@ -380,10 +375,15 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
                     keys.append(k)
                     rep_of[r] = True
             elif x.count(True) or v.count(v[0]) < n:  # else nothing to snap
-                by = list(zip(v, [not e for e in x], k))
-                ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x, k)
-                keys.append(ids)
-                rep_of[r], snapped = [reps[c] for c in ids], True
+                s = sorted(v)  # a NaN gap fails the test, and the row takes the walk
+                if all(map(EXPONENT_MERGE_TOL.__lt__, map(operator.sub, s[1:], s))):
+                    keys.append(v)
+                    rep_of[r] = True
+                else:
+                    by = list(zip(v, [not e for e in x], k))
+                    ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x, k)
+                    keys.append(ids)
+                    rep_of[r], snapped = [reps[c] for c in ids], True
         word = list(zip(*keys)) if len(keys) > 1 else keys[0] if keys else [0] * n
         firsts, re_out, im_out, last = [], [], [], None
         for t in sorted(range(n), key=word.__getitem__, reverse=True):  # stable
@@ -402,12 +402,15 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
                 pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
                 for a in (num, val, exact):
                     a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
-    # |c| >= |Re c|; a NaN that min() meets first opens the gate, and no NaN is dropped
+    # |c| >= |Re c|, so |c| is taken only below the tolerance in Re c; a NaN
+    # that min() meets first opens the gate, and no NaN is dropped
     if re and not min(map(abs, re)) >= COEFF_PRUNE_TOL:
-        keep = [not abs(complex(r, i)) < COEFF_PRUNE_TOL for r, i in zip(re, im)]
-        re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
-        num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
-                           for a in (num, val, exact))
+        keep = [abs(r) >= COEFF_PRUNE_TOL or not abs(complex(r, i)) < COEFF_PRUNE_TOL
+                for r, i in zip(re, im)]
+        if not all(keep):
+            re, im = list(itertools.compress(re, keep)), list(itertools.compress(im, keep))
+            num, val, exact = ([list(itertools.compress(row, keep)) for row in a]
+                               for a in (num, val, exact))
     return re, im, num, den, val, exact
 
 
@@ -478,15 +481,37 @@ def _compose(a: "_NormalForm", b: "_NormalForm") -> tuple:
     return re, im, cols[0:3], den, cols[3:6], cols[6:9]
 
 
+_new = object.__new__
+_set_num, _set_log2_den = Dyadic.num.__set__, Dyadic.log2_den.__set__
+_set_dyadic, _set_approx = Exponent.dyadic.__set__, Exponent.approx.__set__
+
+
 def _exponents(num: list, val: list, exact: list, den: int) -> list:
-    """Exponent objects of one row, one object per distinct value."""
-    made, out = {}, []
-    for k, v, x in zip(num, val, exact):
-        key = (x, k if x else v)
-        if key not in made:
-            made[key] = Exponent.exact(Dyadic(k, den)) if x else Exponent.approximate(v)
-        out.append(made[key])
-    return out
+    """Exponent objects of one row, one object per distinct value, so a
+    constant row shares one.  Each is set past the two constructors' checks,
+    with Dyadic's reduction: the columns hold only integer numerators over
+    2**den, den >= 0, and floats.  An approximate entry's numerator is 0 and
+    an exact entry's value follows from its numerator, so (exact, numerator,
+    value) keys the entries as (exact, numerator or value) would."""
+    n = len(num)
+    if n > 1 and exact.count(exact[0]) == num.count(num[0]) == val.count(val[0]) == n:
+        return _exponents(num[:1], val[:1], exact[:1], den) * n
+    keys = list(zip(exact, num, val))
+    made = dict.fromkeys(keys)  # the first of equal keys stays, as of -0.0 and 0.0
+    for key in made:
+        x, k, v = key
+        e = made[key] = _new(Exponent)
+        if x:
+            shift = min((k & -k).bit_length() - 1, den) if k and den else den
+            d = _new(Dyadic)
+            _set_num(d, k >> shift)
+            _set_log2_den(d, den - shift)
+            _set_dyadic(e, d)
+            _set_approx(e, None)
+        else:
+            _set_dyadic(e, None)
+            _set_approx(e, v)
+    return list(map(made.__getitem__, keys))
 
 
 _SCALARS = (int, float, complex)
@@ -692,21 +717,31 @@ class LaurentPoly(_NormalForm):
     # -- the operations the rest of the package needs ---------------------
 
     def substitute_power(self, m) -> "LaurentPoly":
-        """T -> T^m: multiply every exponent by m (integer or Dyadic), m != 0."""
+        """T -> T^m: multiply every exponent by m != 0, read as substitute_scaled reads it."""
         if (m.num if isinstance(m, Dyadic) else float(m)) == 0:
             raise ValueError("substitution power must be nonzero")
         return self.substitute_scaled(m, 0.0)
 
     def substitute_scaled(self, m, phase: float) -> "LaurentPoly":
         """T -> e^{i*phase} T^m: exponents scale by m, coefficients pick up
-        e^{i*phase*alpha}.  phase == 0 keeps coefficients bit-identical."""
-        m = Dyadic(m) if isinstance(m, int) else m
-        out = []
-        for e, c in self._pairs():
-            if phase != 0.0:
-                c = c * cmath.exp(1j * phase * e.value)
-            out.append((e.times_dyadic(m) if isinstance(m, Dyadic) else e.times_float(float(m)), c))
-        return LaurentPoly(out)
+        e^{i*phase*alpha}.  phase == 0 keeps coefficients bit-identical.  m is
+        read as Exponent.of reads it: an int, a Dyadic or a float that is a
+        small dyadic keeps exact exponents exact; any other float makes every
+        exponent approximate."""
+        (num,), (val,), (exact,), re, im = self._num, self._val, self._exact, self._re, self._im
+        if phase != 0.0:
+            z = 1j * phase
+            cs = [complex(r, i) * cmath.exp(z * v) for r, i, v in zip(re, im, val)]
+            re, im = [c.real for c in cs], [c.imag for c in cs]
+        k, log2_den = _split(m)
+        if log2_den is None:
+            n = len(re)
+            return self._normal(re, im, [[0] * n], 0, [[v * k for v in val]], [[False] * n])
+        den = self._den + log2_den
+        factor = None if all(exact) else _exact_value(k, log2_den)  # only where a value needs it
+        num = [a * k for a in num]  # 0 where approximate
+        val = [_exact_value(a, den) if x else v * factor for a, v, x in zip(num, val, exact)]
+        return self._normal(re, im, [num], den, [val], [exact])
 
     def eval_phase(self, lam: complex) -> complex:
         """Evaluate with T^alpha -> e^{lam * alpha}.
@@ -728,6 +763,12 @@ def _exp(z: complex, what: str) -> complex:
     return cmath.exp(z)
 
 
+def _overflow(quantity: str, at: str) -> EvaluationOverflowError:
+    """The error for a quantity beyond the float range, and the input it was computed at."""
+    return EvaluationOverflowError(f"evaluation overflow: {quantity} is beyond the float "
+                                   f"range at {at}")
+
+
 @contextlib.contextmanager
 def _float_range(quantity: str, at: str):
     """Turn an OverflowError raised inside into EvaluationOverflowError naming
@@ -735,14 +776,16 @@ def _float_range(quantity: str, at: str):
     try:
         yield
     except OverflowError:
-        raise EvaluationOverflowError(f"evaluation overflow: {quantity} is beyond the float "
-                                      f"range at {at}") from None
+        raise _overflow(quantity, at) from None
 
 
 def _pow2(n: int) -> float:
-    """2.0**n, or EvaluationOverflowError naming n when 2^n is beyond the float range."""
-    with _float_range("2^n", f"n = {n}"):
+    """2.0**n, or EvaluationOverflowError naming n when 2^n is beyond the float
+    range (caught directly: a context manager per call costs ~20x the power)."""
+    try:
         return 2.0**n
+    except OverflowError:
+        raise _overflow("2^n", f"n = {n}") from None
 
 
 # ---------------------------------------------------------------------------

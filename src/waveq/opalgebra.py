@@ -28,6 +28,7 @@ LaurentPoly only the alpha row.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple
 
 from .laurent import (
@@ -48,6 +49,9 @@ class OpTerm(NamedTuple):
     mu: Exponent
     beta: Exponent
     alpha: Exponent
+
+
+_op_term = functools.partial(tuple.__new__, OpTerm)  # past the Python-level __new__
 
 
 @_own_arithmetic
@@ -106,7 +110,7 @@ class OpExpr(_NormalForm):
     def terms(self) -> tuple[OpTerm, ...]:
         """The terms in normal-form order; built once."""
         if self._terms is None:
-            self._terms = tuple(map(OpTerm, *self._rows()))
+            self._terms = tuple(map(_op_term, zip(*self._rows())))
         return self._terms
 
     def is_translation_only(self) -> bool:

@@ -81,7 +81,9 @@ def test_exponent_arithmetic_keeps_exactness():
     e = Exponent.exact(Dyadic(3, 1))
     assert e.scaled_pow2(-4).is_exact
     assert e.scaled_pow2(-4).dyadic == Dyadic(3, 5)
-    assert not e.times_float(0.3).is_exact
+    # substitution by a generic real makes every exponent approximate
+    ((scaled, _),) = LaurentPoly([(e, 1.0)]).substitute_scaled(0.3, 0.0).terms()
+    assert not scaled.is_exact and scaled.value == 1.5 * 0.3
 
 
 # -- polynomial arithmetic ---------------------------------------------------

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveq import laurent
 from waveq.gridfn import ExpSum
-from waveq.laurent import (EXPONENT_MERGE_TOL, Dyadic, Exponent, ExponentRangeError, LaurentError,
-                           LaurentPoly, parse_laurent)
+from waveq.laurent import (COEFF_PRUNE_TOL, EXPONENT_MERGE_TOL, Dyadic, Exponent, ExponentRangeError,
+                           LaurentError, LaurentPoly, _clusters, _columns, _merged, parse_laurent)
 from waveq.opalgebra import OpExpr, OpTerm, commutator
 
 settings.register_profile("waveq", max_examples=60, deadline=None, derandomize=True)
@@ -243,3 +244,221 @@ def test_shared_arithmetic_is_bound_on_each_class():
         for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__neg__",
                      "is_zero", "max_abs_coeff", "isclose"):
             assert name in vars(cls), (cls.__name__, name)
+
+
+# -- bit-for-bit references ---------------------------------------------------
+#
+# The normal form builds exponents straight from its columns, substitutes on
+# the columns, and keys a row whose sorted values are pairwise more than
+# EXPONENT_MERGE_TOL apart by its values instead of walking it.  The
+# references below are the earlier forms of those three steps: one Exponent
+# per distinct value through the public constructors, substitution through
+# Exponent objects, and a merge that walks every row that is not exact or
+# constant.  Each result must agree with its reference in every bit.
+
+
+def reference_exponents(num, val, exact, den) -> list:
+    made, out = {}, []
+    for k, v, x in zip(num, val, exact):
+        key = (x, k if x else v)
+        if key not in made:
+            made[key] = Exponent.exact(Dyadic(k, den)) if x else Exponent.approximate(v)
+        out.append(made[key])
+    return out
+
+
+def reference_merged(order, re, im, num, den, val, exact) -> tuple:
+    n = len(re)
+    if n > 1:
+        rep_of, keys, snapped = [None] * len(order), [], False
+        for r in order:
+            v, x, k = val[r], exact[r], num[r]
+            if x.count(True) == n:
+                if k.count(k[0]) < n:
+                    keys.append(k)
+                    rep_of[r] = True
+            elif x.count(True) or v.count(v[0]) < n:
+                by = list(zip(v, [not e for e in x], k))
+                ids, reps = _clusters(sorted(range(n), key=by.__getitem__), v, x, k)
+                keys.append(ids)
+                rep_of[r], snapped = [reps[c] for c in ids], True
+        word = list(zip(*keys)) if len(keys) > 1 else keys[0] if keys else [0] * n
+        firsts, re_out, im_out, last = [], [], [], None
+        for t in sorted(range(n), key=word.__getitem__, reverse=True):
+            if word[t] == last:
+                re_out[-1] += re[t]
+                im_out[-1] += im[t]
+            else:
+                firsts.append(t)
+                re_out.append(re[t])
+                im_out.append(im[t])
+                last = word[t]
+        re, im, m = re_out, im_out, len(firsts)
+        if snapped or firsts != list(range(n)):
+            num, val, exact = [*num], [*val], [*exact]
+            for r, reps in enumerate(rep_of):
+                pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
+                for a in (num, val, exact):
+                    a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
+    if re and not min(map(abs, re)) >= COEFF_PRUNE_TOL:
+        keep = [not abs(complex(r, i)) < COEFF_PRUNE_TOL for r, i in zip(re, im)]
+        re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]
+        num, val, exact = ([[x for x, k in zip(row, keep) if k] for row in a]
+                           for a in (num, val, exact))
+    return re, im, num, den, val, exact
+
+
+def reference_substitute_scaled(p: LaurentPoly, m, phase: float) -> tuple:
+    """Raw columns of p(e^{i phase} T^m) through Exponent objects; m is read
+    as Exponent.of reads it (an exact exponent stays exact under a dyadic m)."""
+    m = Dyadic(m) if isinstance(m, int) else m
+    m = (Dyadic.from_float(m) or m) if isinstance(m, float) else m
+    out = []
+    alpha = reference_exponents(p._num[0], p._val[0], p._exact[0], p._den)
+    for c, e in zip(map(complex, p._re, p._im), alpha):
+        if phase != 0.0:
+            c = c * cmath.exp(1j * phase * e.value)
+        if not isinstance(m, Dyadic):
+            e = Exponent.approximate(e.value * float(m))
+        elif e.is_exact:
+            e = Exponent.exact(e.dyadic * m)
+        else:
+            e = Exponent.approximate(e.approx * float(m))
+        out.append((e, c))
+    alpha, coeffs = list(zip(*out)) or ((), ())
+    return reference_merged((0,), *_columns(coeffs, [alpha]))
+
+
+def columns_of(f) -> tuple:
+    return f._re, f._im, f._num, f._den, f._val, f._exact
+
+
+def exponent_bits(e: Exponent) -> tuple:
+    return (True, e.dyadic.num, e.dyadic.log2_den) if e.is_exact else (False, e.approx.hex())
+
+
+def term_bits(c: complex, *exponents: Exponent) -> tuple:
+    return (c.real.hex(), c.imag.hex(), *map(exponent_bits, exponents))
+
+
+def column_bits(columns) -> tuple:
+    """Coefficient parts and values by float.hex, exactness, and each exact
+    exponent as its reduced numerator and denominator (the common
+    denominator of the columns need not be minimal)."""
+    re, im, num, den, val, exact = columns
+    return ([x.hex() for x in re], [x.hex() for x in im],
+            [[(x, (Dyadic(k, den).num, Dyadic(k, den).log2_den) if x else k, v.hex())
+              for k, v, x in zip(*rows)] for rows in zip(num, val, exact)])
+
+
+def sharing(row: list) -> list:
+    """Which entries of a row share an object: the index of each entry's first twin."""
+    first = {}
+    return [first.setdefault(id(e), i) for i, e in enumerate(row)]
+
+
+NAN = float("nan")
+near = st.builds(lambda base, k: base + k * 0.6 * EXPONENT_MERGE_TOL,
+                 st.sampled_from([0.0, 0.3, -1.25, 2.0**60]), st.integers(-3, 3))
+approx_exponent = st.one_of(near, st.floats(-4, 4), st.sampled_from([-0.0, NAN])).map(
+    Exponent.approximate)
+exact_exponent = st.one_of(st.builds(Dyadic, st.integers(-40, 40), st.integers(0, 5)),
+                           st.sampled_from([Dyadic(2**60), Dyadic(2**60 + 1)])).map(Exponent.exact)
+any_exponent = st.one_of(exact_exponent, approx_exponent)
+part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5, 1e-16, NAN]), st.floats(-2, 2))
+coefficient = st.builds(complex, part, part)
+
+
+@st.composite
+def raw_columns(draw, rows: int, max_terms: int = 8):
+    """Unmerged columns of up to max_terms terms: each row exact, approximate
+    or mixed, with clusters near the merge tolerance, -0.0 and NaN."""
+    n = draw(st.integers(0, max_terms))
+    coeffs = draw(st.lists(coefficient, min_size=n, max_size=n))
+    kinds = [draw(st.sampled_from([exact_exponent, approx_exponent, any_exponent]))
+             for _ in range(rows)]
+    return _columns(coeffs, [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds])
+
+
+FORMS = [(LaurentPoly, 1), (OpExpr, 3), (ExpSum, 2)]
+
+
+@given(st.sampled_from(FORMS), st.data())
+@settings(max_examples=300)
+def test_merge_agrees_with_the_walk_of_every_row_bit_for_bit(form, data):
+    cls, rows = form
+    columns = data.draw(raw_columns(rows))
+    if cls is ExpSum:  # rates are floats: every exponent approximate
+        re, im, num, den, val, exact = columns
+        columns = re, im, [[0] * len(re)] * rows, 0, val, [[False] * len(re)] * rows
+    expected = reference_merged(cls._ORDER, *columns)
+    assert column_bits(_merged(cls._ORDER, *columns)) == column_bits(expected)
+
+
+@given(st.sampled_from(FORMS[:2]), st.data())
+@settings(max_examples=200)
+def test_terms_build_the_reference_exponents_bit_for_bit(form, data):
+    cls, rows = form
+    value = cls._normal(*data.draw(raw_columns(rows)))
+    expected_rows = [reference_exponents(*row, value._den)
+                     for row in zip(value._num, value._val, value._exact)]
+    expected = list(zip(map(complex, value._re, value._im), *expected_rows))
+    if cls is OpExpr:
+        assert all(type(t) is OpTerm for t in value.terms())
+        got = list(value.terms())
+    else:
+        got = [(c, e) for e, c in value.terms()]
+    assert [term_bits(*t) for t in got] == [term_bits(*t) for t in expected]
+    for r, expected_row in enumerate(expected_rows, start=1):
+        assert sharing([t[r] for t in got]) == sharing(expected_row)
+
+
+scale = st.one_of(st.integers(-3, 3), st.builds(Dyadic, st.integers(-9, 9), st.integers(0, 3)),
+                  st.sampled_from([0.5, -2.0, 4.0, -0.125, 0.3, -1.7, 2.0**0.37, 2.0**-0.61]))
+
+
+@given(st.data(), scale, st.sampled_from([0.0, -0.0, 0.3, -1.1, 2.0**0.37]))
+@settings(max_examples=300)
+def test_substitution_agrees_with_the_exponent_objects_bit_for_bit(data, m, phase):
+    p = LaurentPoly._normal(*data.draw(raw_columns(1)))
+    got = p.substitute_scaled(m, phase)
+    assert column_bits(columns_of(got)) == column_bits(reference_substitute_scaled(p, m, phase))
+
+
+def approximate_row(values) -> tuple:
+    return _columns([1.0] * len(values), [[Exponent.approximate(v) for v in values]])
+
+
+EDGE_ROWS = {
+    # gaps of 1e-12 that round to either side of the tolerance
+    "chain of 1e-12 steps": approximate_row([0.3 + k * 1e-12 for k in range(6)]),
+    # exact exponents whose floats coincide, alone and with an approximate twin
+    "2^60 against 2^60 + 1": _columns([1.0, 2.0], [[2**60, 2**60 + 1]]),
+    "2^60, 2^60 + 1 and ~2^60": _columns([1.0, 2.0, 4.0], [[2**60, Exponent.approximate(2.0**60),
+                                                            2**60 + 1]]),
+    "equal floats": approximate_row([0.7, 0.7, -0.0, 0.0]),
+    "a NaN exponent value": approximate_row([0.5, NAN, -0.5]),
+}
+WALKED = {"chain of 1e-12 steps", "2^60, 2^60 + 1 and ~2^60", "equal floats", "a NaN exponent value"}
+
+
+@pytest.mark.parametrize("name", list(EDGE_ROWS))
+def test_edge_rows_merge_as_the_walk_merges_them(name, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _clusters(*args)
+
+    monkeypatch.setattr(laurent, "_clusters", counted)
+    columns = EDGE_ROWS[name]
+    assert column_bits(_merged((0,), *columns)) == column_bits(reference_merged((0,), *columns))
+    assert bool(walks) == (name in WALKED)
+
+
+def test_rows_apart_by_more_than_the_tolerance_skip_the_walk(monkeypatch):
+    monkeypatch.setattr(laurent, "_clusters", None)  # a walk would fail
+    apart = [0.3 + k * 1.5 * EXPONENT_MERGE_TOL for k in range(4)]
+    for columns in (approximate_row(apart[::-1]),
+                    _columns([1.0, 2.0, 3.0], [[Dyadic(1, 1), Exponent.approximate(0.25), 2**60]])):
+        assert column_bits(_merged((0,), *columns)) == column_bits(reference_merged((0,), *columns))
