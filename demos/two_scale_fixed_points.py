@@ -32,8 +32,8 @@ def main():
         print(f"== {sys.name} ==")
         print(f"  mask: {mask_line(sys)}")
         adm = check_admissibility(sys)
-        print(f"  coefficient sum {adm['coefficient_sum']} "
-              f"(orthonormal overlaps: {adm['orthonormal']})")
+        print(f"  coefficient sum {adm['coefficient_sum']}, "
+              f"overlaps by shift l (target 2 at l = 0, else 0): {adm['overlaps']}")
 
         res = cascade(sys, start, iters=1)
         print(f"  fixed-point residual after one step: {res.residual}")

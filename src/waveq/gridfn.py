@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import groupby
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _own_arithmetic
 from .opalgebra import OpExpr
-
-SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per call of f in sample_op_applied
 
 
 class GridResolutionError(ValueError):
@@ -276,37 +273,23 @@ def apply_op_grid(
 
 def sample_op_applied(expr: OpExpr, f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate (expr f)(xs) for an analytically known f, at any real
-    dilation power (the deformed scaling construction needs that).
-
-    Runs of terms sharing (beta, mu) are applied in blocks of at most
-    SAMPLE_BLOCK samples: f gets points of shape (k, *xs.shape), so it must
-    work elementwise.  The weighted rows are added in term order, with the
-    coefficient as the left factor, so the result is the term-by-term sum bit
-    for bit.  A non-finite coefficient or phase rate raises
-    NonFiniteWeightError, and a dilation power of 1024 or more
-    ExponentRangeError, before f is called.
+    dilation power (the deformed scaling construction needs that), one term
+    at a time in normal-form order: each term adds c e^{i mu x} f(2^beta x + alpha).
+    A non-finite coefficient or phase rate raises NonFiniteWeightError, and
+    a dilation power of 1024 or more ExponentRangeError, before f is called.
     """
     xs = np.asarray(xs, dtype=float)
+    mus, betas, alphas = expr._val
+    coeffs, scales = list(map(complex, expr._re, expr._im)), []
+    for k, (c, beta, mu) in enumerate(zip(coeffs, betas, mus)):
+        _check_finite(k, c, mu)
+        scales.append(_dilation_scale(k, beta))
     out = np.zeros(xs.shape, dtype=complex)
-    mu, beta, alpha = expr._val
-    coeffs, scales, column = list(map(complex, expr._re, expr._im)), [], (-1,) + (1,) * xs.ndim
-    for k, (c, b, m) in enumerate(zip(coeffs, beta, mu)):
-        _check_finite(k, c, m)
-        scales.append(_dilation_scale(k, b))
-    step, end = max(1, SAMPLE_BLOCK // max(xs.size, 1)), 0
-    for (_, m), run in groupby(zip(beta, mu)):
-        start, end = end, end + len(list(run))
-        scaled = scales[start] * xs
-        # with the block's leading axis: numpy rounds a (1, 1) * (1,) complex
-        # product without the fused multiply-add it uses for a lone row
-        phase = np.exp(1j * m * xs)[None] if m != 0.0 else None
-        for i in range(start, end, step):
-            j = min(i + step, end)
-            vals = np.asarray(f(scaled + np.reshape(alpha[i:j], column)), dtype=complex)
-            if phase is not None:
-                vals = vals * phase
-            for row in np.reshape(coeffs[i:j], column) * vals:
-                out += row
+    for c, mu, alpha, scale in zip(coeffs, mus, alphas, scales):
+        vals = np.asarray(f(scale * xs + alpha), dtype=complex)
+        if mu != 0.0:
+            vals = vals * np.exp(1j * mu * xs)
+        out += c * vals
     return out
 
 

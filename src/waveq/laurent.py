@@ -399,9 +399,13 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
         if snapped or firsts != list(range(n)):  # else the rows stand as they are
             num, val, exact = [*num], [*val], [*exact]
             for r, reps in enumerate(rep_of):
-                pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
+                if reps is None:  # entries equal under ==: only zeros differ, by their sign
+                    num[r], exact[r] = num[r][:m], exact[r][:m]
+                    val[r] = val[r][:m] if val[r][0] else list(map(val[r].__getitem__, firsts))
+                    continue
+                pick = firsts if reps is True else list(map(reps.__getitem__, firsts))
                 for a in (num, val, exact):
-                    a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
+                    a[r] = list(map(a[r].__getitem__, pick))
     # |c| >= |Re c|, so |c| is taken only below the tolerance in Re c; a NaN
     # that min() meets first opens the gate, and no NaN is dropped
     if re and not min(map(abs, re)) >= COEFF_PRUNE_TOL:

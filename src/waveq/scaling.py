@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .gridfn import (
-    SAMPLE_BLOCK,
     GridFunction,
     GridResolutionError,
     _lattice_points,
@@ -32,6 +31,7 @@ from .opalgebra import OpExpr
 from .qdeform import phase_index_minus, w_minus
 
 DIVERGENCE_L2_LIMIT = 1e6
+SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per block of the deformed word's sums
 MAX_WORD_ORDER = 20  # 2^n pairs per point; at 768 points n = 17 takes 1.7 s, n = 20 12 s
 
 
@@ -139,8 +139,8 @@ def hat_grid(resolution: int, window: tuple[int, int] = (-1, 2)) -> GridFunction
 # -- admissibility ---------------------------------------------------------------
 
 
-def check_admissibility(sys: ScalingSystem, tol: float = 1e-12) -> dict:
-    """Coefficient-sum and shifted-overlap conditions for the mask.
+def check_admissibility(sys: ScalingSystem) -> dict:
+    """Coefficient sum and shifted overlaps of the mask.
 
     The overlap target is sum_k C_k C_{k+2l} = 2*delta_{l,0}: the variant
     normalized to delta_{l,0} alone fails for the box mask {1, 1} whose
@@ -153,22 +153,15 @@ def check_admissibility(sys: ScalingSystem, tol: float = 1e-12) -> dict:
     span = float(steps[-1]) - float(steps[0])
     max_l = max(1, int(math.ceil(span / 2.0)))
     overlaps = {}
-    orth_ok = {}
     for l in range(-max_l, max_l + 1):
         shift = Dyadic(2 * l)
-        val = math.fsum(
+        overlaps[str(l)] = math.fsum(
             c * coeffs[k + shift] for k, c in coeffs.items() if k + shift in coeffs
         )
-        target = 2.0 if l == 0 else 0.0
-        overlaps[str(l)] = val
-        orth_ok[str(l)] = abs(val - target) <= tol
     return {
         "system": sys.name,
         "coefficient_sum": total,
-        "sum_ok": abs(total - 2.0) <= tol,
         "overlaps": overlaps,
-        "orth_ok": orth_ok,
-        "orthonormal": all(orth_ok.values()),
         "normalization_note": (
             "overlap target is 2*delta_{l,0}; the delta_{l,0}-normalized "
             "variant is inconsistent with the box mask {1, 1} and with "
@@ -399,12 +392,12 @@ def limit_build_report(
 
 
 def algebraic_form_check(n: int) -> dict:
-    """Verify (1 - T^{-1}) D^n = (1 - T^{-2^-n}) (2 W-)^n exactly.
+    """Measure (1 - T^{-1}) D^n - (1 - T^{-2^-n}) (2 W-)^n in the normal form.
 
     The right side is the halving-word form: (2 W-)^n expands to D^n times
     the full 2^n-term translation sum, so the identity is the operator
-    statement behind the limit-sequence construction.  Checked as a
-    normal-form subtraction; the report carries the word's term count.
+    statement behind the limit-sequence construction.  The report carries
+    the residual of the subtraction and the word's term count.
     """
     if not 0 <= n <= 8:
         raise ValueError(f"n must be within [0, 8], got {n}")
@@ -416,8 +409,6 @@ def algebraic_form_check(n: int) -> dict:
         "n": n,
         "residual": residual,
         "word_terms": len(word),
-        "expected_terms": 2**n,
-        "ok": residual == 0.0 and len(word) == 2**n,
     }
 
 
@@ -463,7 +454,7 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) ->
         total = pair[0] + 1j * pair[1] - np.expm1(-1j * m * h) * (tail[0] + 1j * tail[1])
         vals = (1.0 / np.pi) * np.exp(1j * m * xs) * total
         return GridFunction(resolution, window, vals)
-    if s == 1.0:  # the word telescopes, as `algebraic_form_check` proves
+    if s == 1.0:  # the word telescopes (`algebraic_form_check` measures a zero residual)
         op = (OpExpr.identity() - OpExpr.translation(-1)) * OpExpr.dilation(n)
     else:  # 2 W-(0) = 2 P^-1 is one term
         op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n

@@ -317,6 +317,9 @@ FLOAT_OVERFLOWS = [
     (("bridge", "--j0=-2000"),
      "xi = cosh(b 2^(-sign J0)) is beyond the float range at J0 = -2000.0"),
     (("bridge", "--s=800"), "q = e^s is beyond the float range at s = 800.0"),
+    (("bridge", "--s=300", "--a-tilde=50"),
+     "phi_n = q^(-Gamma(a_n)) is beyond the float range at n = 3, s = 300.0"),
+    (("gamma", "--b=1e300"), "cosh(b) is beyond the float range at b = 1e+300"),
     (("closure", "--s=2000"), "sinh(s) is beyond the float range at s = 2000.0"),
     (("closure", "--s=1100"), "sinh(s) is beyond the float range at s = 1100.0"),
     (("closure", "--s=-2000"), "sinh(s) is beyond the float range at s = -2000.0"),
@@ -336,6 +339,34 @@ def test_float_overflows_exit_one_naming_the_error_and_the_quantity(tmp_path, ca
     assert err.startswith("error: EvaluationOverflowError: evaluation overflow: ")
     assert named in err
     assert not list(tmp_path.iterdir())
+
+
+# the verdicts the reports no longer carry: acceptance.py judges the measurements
+VERDICT_KEYS = {"x_at_one_ok", "x_at_minus_one_ok", "commutant_ok", "partition_ok",
+                "matches_normalized_j", "ladder_ok", "gamma_ladder_ok", "phi_ladder_ok",
+                "agree", "normalized", "sum_ok", "orth_ok", "orthonormal", "ok",
+                "expected_terms"}
+
+
+def _keys(node) -> set:
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+# every subcommand at its defaults; general-closure and solve-b have required symbols
+AT_DEFAULTS = [[sub] for sub in cli._RUNNERS if sub not in ("general-closure", "solve-b")] + [
+    ["general-closure", "--j0", "1/2*T^1 + 1/2*T^-1", "--j", "1/2 + 1/2*T^-1"],
+    ["solve-b", "--c", "1 + T^-1"],
+]
+
+
+@pytest.mark.parametrize("argv", AT_DEFAULTS, ids=lambda argv: argv[0])
+def test_manifests_carry_measurements_not_verdicts(tmp_path, argv):
+    assert run(tmp_path, *argv) == 0
+    assert not _keys(load_manifest(tmp_path, argv[0])) & VERDICT_KEYS
 
 
 @pytest.mark.parametrize("bad", [[-1], [0, 2], [0, 0, 1]])

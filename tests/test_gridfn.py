@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import waveq
-from waveq import gridfn, scaling
+from waveq import scaling
 from waveq.laurent import EXPONENT_MERGE_TOL, Dyadic, EvaluationOverflowError, ExponentRangeError
 from waveq.gridfn import (
     ExpSum,
@@ -277,7 +277,7 @@ def test_sampler_matches_expsum_for_fractional_dilation():
     assert np.max(np.abs(direct - closed)) < 1e-13
 
 
-# -- blocked sampling against the term-by-term rule -------------------------
+# -- sampling against the term-by-term rule ---------------------------------
 
 
 def term_by_term(expr, f, xs):
@@ -307,7 +307,7 @@ shape = st.sampled_from([(1,), (7,), (40,), (3, 5), (2, 3, 4)])
 
 
 def build_op(terms, word_order):
-    """A sum of single terms, plus a deformed word (one long (beta, mu) run)."""
+    """A sum of single terms, plus a deformed word of 2^word_order terms."""
     op = OpExpr.zero()
     for re, im, mu, beta, alpha in terms:
         op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=alpha)
@@ -321,34 +321,17 @@ def build_op(terms, word_order):
     terms=st.lists(op_term, max_size=8),
     word_order=st.sampled_from([0, 3, 6]),
     dims=shape,
-    block=st.sampled_from([1, 5, 64, 1 << 13]),
     f=st.sampled_from([seed, wave, box]),
 )
-@example(terms=[], word_order=0, dims=(3, 5), block=1, f=seed)  # empty operator
-# one point and a phase: numpy rounds a (1, 1) * (1,) product differently from a lone row
-@example(terms=[(1.0, 1.0, -1, 0, 1)], word_order=0, dims=(1,), block=1, f=wave)
-def test_blocked_sampling_is_the_term_by_term_sum_bit_for_bit(terms, word_order, dims, block, f):
+@example(terms=[], word_order=0, dims=(3, 5), f=seed)  # empty operator
+@example(terms=[(1.0, 1.0, -1, 0, 1)], word_order=0, dims=(1,), f=wave)  # one point, a phase
+def test_sampling_is_the_term_by_term_sum_bit_for_bit(terms, word_order, dims, f):
     op = build_op(terms, word_order)
     xs = np.linspace(-1.5, 2.5, math.prod(dims)).reshape(dims)
-    with mock.patch.object(gridfn, "SAMPLE_BLOCK", block):  # blocks of a few terms or one
-        got = sample_op_applied(op, f, xs)
+    got = sample_op_applied(op, f, xs)
     want = term_by_term(op, f, xs)
     assert got.shape == want.shape == dims
     assert got.tobytes() == want.tobytes()
-
-
-def test_sampling_calls_f_once_per_block_with_stacked_points():
-    op = (2.0 * w_minus(0.6)) ** 6  # 64 terms, one (beta, mu) run
-    xs = np.linspace(0.0, 1.0, 10)
-    shapes = []
-
-    def spy(p):
-        shapes.append(p.shape)
-        return seed(p)
-
-    with mock.patch.object(gridfn, "SAMPLE_BLOCK", 300):
-        sample_op_applied(op, spy, xs)
-    assert shapes == [(30, 10), (30, 10), (4, 10)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

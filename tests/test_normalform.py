@@ -217,6 +217,19 @@ def test_nan_coefficients_are_kept_first_last_and_alone():
             assert cmath.isnan(kept[shift]) and kept[2.0] == 1.0
 
 
+def test_merged_terms_keep_their_own_signed_zeros():
+    """A row equal under == throughout (0.0 and -0.0) still moves with its terms:
+    each term keeps its own zero, and a merged term the zero of its first."""
+    neg = complex(-0.0, 1.0)
+    for terms, want in (
+        ([(1.0, 0j), (2.0, neg)], [(2.0, neg), (1.0, 0j)]),
+        ([(2.0, 0j), (1.0, neg), (3.0, 1j)], [(4.0, neg), (2.0, 0j)]),
+    ):
+        got = ExpSum(terms).terms()
+        assert [(c, r.real.hex(), r.imag.hex()) for c, r in got] == [
+            (c, r.real.hex(), r.imag.hex()) for c, r in want]
+
+
 def test_dilations_beyond_the_float_range_compose():
     (t,) = (OpExpr.dilation(1100) * OpExpr.translation(1)).terms()
     assert t.beta.dyadic == Dyadic(1100) and t.alpha.dyadic == Dyadic(1)
@@ -293,13 +306,13 @@ def reference_merged(order, re, im, num, den, val, exact) -> tuple:
                 re_out.append(re[t])
                 im_out.append(im[t])
                 last = word[t]
-        re, im, m = re_out, im_out, len(firsts)
+        re, im = re_out, im_out
         if snapped or firsts != list(range(n)):
             num, val, exact = [*num], [*val], [*exact]
             for r, reps in enumerate(rep_of):
-                pick = firsts if reps is True else reps and list(map(reps.__getitem__, firsts))
+                pick = list(map(reps.__getitem__, firsts)) if isinstance(reps, list) else firsts
                 for a in (num, val, exact):
-                    a[r] = a[r][:m] if pick is None else list(map(a[r].__getitem__, pick))
+                    a[r] = list(map(a[r].__getitem__, pick))
     if re and not min(map(abs, re)) >= COEFF_PRUNE_TOL:
         keep = [not abs(complex(r, i)) < COEFF_PRUNE_TOL for r, i in zip(re, im)]
         re, im = [x for x, k in zip(re, keep) if k], [x for x, k in zip(im, keep) if k]

@@ -5,6 +5,7 @@ import random
 import mpmath
 import pytest
 
+from waveq import qdeform
 from waveq.gridfn import ExpSum, apply_op_expsum
 from waveq.laurent import Dyadic, EvaluationOverflowError, LaurentPoly
 from waveq.opalgebra import OpExpr, commutator
@@ -185,8 +186,25 @@ def test_constant_term_report():
     assert abs(re) < 1e-15
     assert abs(im - 1.0 / (2.0 * SINH_1)) < 1e-15
     # the constant stated alongside the formula differs by a factor of 2;
-    # the report records both and flags the disagreement
-    assert rep["agree"] is False
+    # the report records both, and they disagree
+    assert abs(complex(re, im) - 1j / (4.0 * SINH_1)) > 1e-12
+    assert rep["prose_value"] == [0.0, 1.0 / (4.0 * SINH_1)]
+
+
+def test_closure_builds_the_w0_alpha0_constant_at_most_once(monkeypatch):
+    built = []
+
+    def counting(s, alpha):
+        built.append((s, alpha))
+        return w_zero(s, alpha)
+
+    monkeypatch.setattr(qdeform, "w_zero", counting)
+    first, second = (check_closure(AlgebraParams(0.61, 1.3))["w0_alpha0_constant"]
+                     for _ in range(2))
+    assert built.count((1.0, 0.0)) <= 1
+    assert first == second == w0_alpha0_report()
+    first["from_formula"][1] = 0.0  # each report owns its dict and lists
+    assert second == w0_alpha0_report()
 
 
 def test_params_derived_constants():
@@ -215,7 +233,7 @@ def test_general_closure_reduces_to_unit_configuration():
     j = LaurentPoly.from_dict({0: 0.5, 1: 0.5})
     rep = verify_general_closure(j0, j, 1.0)
     assert rep["max_residual"] == 0.0
-    assert rep["normalized"]
+    assert abs(rep["j_at_one"] - 1.0) <= 1e-12
 
 
 def test_general_closure_quadratic_symbol():
@@ -224,7 +242,7 @@ def test_general_closure_quadratic_symbol():
     j = LaurentPoly.from_dict({0: 0.25, Dyadic(1, 1): 0.5, 1: 0.25})
     rep = verify_general_closure(j0, j, 1.0)
     assert rep["max_residual"] == 0.0
-    assert rep["normalized"]
+    assert abs(rep["j_at_one"] - 1.0) <= 1e-12
 
 
 def test_general_closure_generic_parameters():
@@ -241,7 +259,7 @@ def test_general_closure_generic_parameters():
         s = rng.uniform(0.2, 2.5)
         rep = verify_general_closure(j0, j, s)
         assert rep["max_residual"] <= 1e-12
-        assert rep["normalized"]
+        assert abs(rep["j_at_one"] - 1.0) <= 1e-12
 
 
 def test_general_closure_trivial_j():
