@@ -395,15 +395,11 @@ def _merged(order, re, im, num, den, val, exact) -> tuple:
                 re_out.append(re[t])
                 im_out.append(im[t])
                 last = word[t]
-        re, im, m = re_out, im_out, len(firsts)
+        re, im = re_out, im_out
         if snapped or firsts != list(range(n)):  # else the rows stand as they are
             num, val, exact = [*num], [*val], [*exact]
             for r, reps in enumerate(rep_of):
-                if reps is None:  # entries equal under ==: only zeros differ, by their sign
-                    num[r], exact[r] = num[r][:m], exact[r][:m]
-                    val[r] = val[r][:m] if val[r][0] else list(map(val[r].__getitem__, firsts))
-                    continue
-                pick = firsts if reps is True else list(map(reps.__getitem__, firsts))
+                pick = list(map(reps.__getitem__, firsts)) if isinstance(reps, list) else firsts
                 for a in (num, val, exact):
                     a[r] = list(map(a[r].__getitem__, pick))
     # |c| >= |Re c|, so |c| is taken only below the tolerance in Re c; a NaN
