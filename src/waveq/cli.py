@@ -10,7 +10,8 @@ Flags may also be supplied through ``--config FILE`` (a JSON object whose
 keys are the flag names); explicit flags win over config-file values.
 
 Exit codes: 0 on success, 1 when ``check`` fails or a computation cannot
-be completed (no solution in the window, divergence, overflow), 2 on a
+be completed (no solution in the window, divergence, overflow, an inf or
+nan output, which writes no file), 2 on a
 usage error.  Usage errors name the offending flag and print a one-line
 usage string.
 """
@@ -54,7 +55,7 @@ from .scaling import (
 )
 from .spectra import a2half_step, fig1_csv, fig1_report, iterate_spectrum, ladder_check
 
-__all__ = ["RunConfig", "dispatch", "main"]
+__all__ = ["NonFiniteOutputError", "RunConfig", "dispatch", "main"]
 
 
 class UsageError(Exception):
@@ -63,6 +64,10 @@ class UsageError(Exception):
     def __init__(self, flag: str, message: str):
         super().__init__(message)
         self.flag = flag
+
+
+class NonFiniteOutputError(ValueError):
+    """An inf or nan bound for a CSV cell or a manifest value; names which."""
 
 
 # -- value coercion ------------------------------------------------------------------
@@ -378,33 +383,45 @@ def _poly_terms(p: LaurentPoly) -> list[list[float]]:
     ]
 
 
-def _jsonable(obj):
+def _jsonable(obj, key: str):
+    """obj as JSON values; key names it (dotted, with list indices) in errors."""
     if isinstance(obj, LaurentPoly):
         return {"terms": _poly_terms(obj)}
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real, key), _jsonable(obj.imag, key)]
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NonFiniteOutputError(f"manifest value {key} is {obj!r}")
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     if hasattr(obj, "item"):
-        return _jsonable(obj.item())
+        return _jsonable(obj.item(), key)
     return repr(obj)
 
 
-def _fmt(x: float) -> str:
+def _fmt(x: float, name: str) -> str:
+    if not math.isfinite(x):
+        raise NonFiniteOutputError(f"{name} is {x!r}")
     return f"{x + 0.0:.17g}"
 
 
 def _csv(header: str, rows: list[list]) -> str:
-    lines = [header]
+    lines, columns = [header], [f"CSV column {col}" for col in header.split(",")]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(_fmt(v, col) if isinstance(v, float) else str(v)
+                              for col, v in zip(columns, row)))
     return "\n".join(lines) + "\n"
+
+
+def _cosh_is_one(x: float, n: int = 0) -> bool:
+    """Whether cosh(2^n x) rounds to 1.0, which it does for |2^n x| <= 2^-26."""
+    try:
+        return math.cosh(math.ldexp(x, n)) == 1.0
+    except OverflowError:
+        return False
 
 
 # -- runners ---------------------------------------------------------------------------
@@ -441,7 +458,7 @@ def _run_cascade(p: dict) -> RunResult:
         "iterations": res.iterations,
         "step_changes": list(res.history),
     }
-    return RunResult(res.phi.to_csv(), results, f"residual {_fmt(res.residual)}")
+    return RunResult(res.phi.to_csv(), results, f"residual {_fmt(res.residual, 'residual')}")
 
 
 def _run_wavelet(p: dict) -> RunResult:
@@ -581,7 +598,7 @@ def _run_solve_b(p: dict) -> RunResult:
     return RunResult(
         _csv("exponent,re,im", rows),
         results,
-        f"rho {_fmt(complex(sol.rho).real)}, residual {sol.residual:.2e}",
+        f"rho {_fmt(complex(sol.rho).real, 'rho')}, residual {sol.residual:.2e}",
     )
 
 
@@ -616,12 +633,15 @@ def _run_prop1(p: dict) -> RunResult:
         _csv(header, rows),
         results,
         f"nullspace dim {rep['nullspace_dim']}, "
-        f"trivial residual {_fmt(rep['trivial_residual'])}, "
-        f"pattern residual {_fmt(rep['pattern_constraint_residual'])}",
+        f"trivial residual {_fmt(rep['trivial_residual'], 'trivial residual')}, "
+        f"pattern residual {_fmt(rep['pattern_constraint_residual'], 'pattern residual')}",
     )
 
 
 def _run_gamma(p: dict) -> RunResult:
+    if _cosh_is_one(p["b"]):  # the anchor Gamma(cosh b) needs cosh b > 1
+        raise UsageError("--b", f"cosh(b) rounds to 1.0 at b = {p['b']!r}; "
+                                "gamma needs |b| > 2^-26 (about 1.49e-08)")
     m = GammaMap(b_const=p["b"], sign=p["sign"])
     rep = gamma_ladder_report(m, p["points"], p["lo"], p["hi"])
     return RunResult(
@@ -632,6 +652,11 @@ def _run_gamma(p: dict) -> RunResult:
 
 
 def _run_bridge(p: dict) -> RunResult:
+    if _cosh_is_one(p["a_tilde"], n := min(p["n"])):  # Gamma(a_n) needs a_n > 1
+        raise UsageError(
+            "--a-tilde" if _cosh_is_one(p["a_tilde"]) else "--n",
+            f"a_n = cosh(2^n a_tilde) rounds to 1.0 at n = {n}, a_tilde = {p['a_tilde']!r}; "
+            "gamma needs 2^n |a_tilde| > 2^-26 (about 1.49e-08)")
     b_const = p["a_tilde"] if p["b"] is None else p["b"]
     m = GammaMap(b_const=b_const, sign=p["sign"])
     rep = suq2_bridge_check(m, p["s"], p["a_tilde"], p["n"], tuple(p["j0"]))
@@ -789,24 +814,26 @@ def _effective_params(name: str, ns: argparse.Namespace) -> dict:
     return params
 
 
-def _write_outputs(cfg: RunConfig, result: RunResult) -> tuple[str, str]:
-    out_dir = cfg.params.get("output") or "."
-    os.makedirs(out_dir, exist_ok=True)
-    csv_name = f"{cfg.subcommand}.csv"
-    manifest_name = f"{cfg.subcommand}.manifest.json"
+def _manifest(cfg: RunConfig, result: RunResult) -> str:
     manifest = {
         "subcommand": cfg.subcommand,
         "config": _jsonable(
-            {k: v for k, v in cfg.params.items() if k not in ("output", "config")}
+            {k: v for k, v in cfg.params.items() if k not in ("output", "config")}, "config"
         ),
-        "files": {"csv": csv_name},
-        "results": _jsonable(result.results),
+        "files": {"csv": f"{cfg.subcommand}.csv"},
+        "results": _jsonable(result.results, "results"),
     }
-    with open(os.path.join(out_dir, csv_name), "w", newline="\n") as fh:
-        fh.write(result.csv)
-    with open(os.path.join(out_dir, manifest_name), "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return csv_name, manifest_name
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(cfg: RunConfig, csv: str, manifest: str) -> tuple[str, str]:
+    out_dir = cfg.params.get("output") or "."
+    os.makedirs(out_dir, exist_ok=True)
+    names = (f"{cfg.subcommand}.csv", f"{cfg.subcommand}.manifest.json")
+    for name, text in zip(names, (csv, manifest)):
+        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+            fh.write(text)
+    return names
 
 
 def dispatch(argv: list[str]) -> int:
@@ -820,20 +847,19 @@ def dispatch(argv: list[str]) -> int:
         usage = " ".join(parser.format_usage().split())
         sys.stderr.write(f"error: a subcommand is required\n{usage}\n")
         return 2
+    # catch what a valid configuration can still run into; a bug keeps its traceback
     try:
-        params = _effective_params(ns.subcommand, ns)
+        cfg = RunConfig(ns.subcommand, _effective_params(ns.subcommand, ns))
+        result = _RUNNERS[cfg.subcommand](cfg.params)
+        manifest = _manifest(cfg, result)  # refuses a non-finite value before any file opens
     except UsageError as exc:
         usage = " ".join(by_name[ns.subcommand].format_usage().split())
         sys.stderr.write(f"error: {exc} (offending flag: {exc.flag})\n{usage}\n")
         return 2
-    cfg = RunConfig(ns.subcommand, params)
-    # catch what a valid configuration can still run into; a bug keeps its traceback
-    try:
-        result = _RUNNERS[cfg.subcommand](cfg.params)
     except (ValueError, LaurentError, CascadeDivergenceError, OverflowError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    csv_name, manifest_name = _write_outputs(cfg, result)
+    csv_name, manifest_name = _write_outputs(cfg, result.csv, manifest)
     print(result.summary)
     print(f"wrote {csv_name} and {manifest_name} in {cfg.params.get('output') or '.'}")
     return result.exit_code

@@ -32,7 +32,7 @@ from .qdeform import phase_index_minus, w_minus
 
 DIVERGENCE_L2_LIMIT = 1e6
 SAMPLE_BLOCK = 1 << 13  # samples (terms x points) per block of the deformed word's sums
-MAX_WORD_ORDER = 20  # 2^n pairs per point; at 768 points n = 17 takes 1.7 s, n = 20 12 s
+MAX_WORD_ORDER = 20  # 2^n pairs per point; at 768 points n = 17 takes 0.7 s, n = 20 5.5 s
 
 
 class CascadeDivergenceError(RuntimeError):
@@ -434,7 +434,9 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) ->
     the word is P^M D^B sum_j c_j T^{a_j}, and with h = 2^-n, d = 2^B h,
     u = 2(2^B x + a_j), v = u - 2d each pair c_j (T^{a_j} - e^{-iMh} T^{a_j - d})
     is sampled as c_j (arctan2(2d, 1 + uv) + (1 - e^{-iMh}) arctan v): real dot
-    products on the parts of c over blocks of at most SAMPLE_BLOCK samples."""
+    products on the parts of c over blocks of at most SAMPLE_BLOCK samples.  u and
+    v are formed by exact doubling: uv and v carry the bits of 4y(y - d) and 2(y - d)
+    with y = 2^B x + a_j."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     if n < 1:
@@ -444,13 +446,20 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) ->
     xs = _lattice_points(resolution, window)
     if 0.0 < s < 1.0:
         (c, a, m), b, h = _deformed_columns(s, n), n * s, 2.0**-n
-        scaled, d, parts = (2.0**b) * xs, (2.0**b) * h, np.stack((c.real, c.imag))
+        d, parts = (2.0**b) * h, np.stack((c.real, c.imag))
         pair, tail = np.zeros((2, xs.size)), np.zeros((2, xs.size))
         step = max(1, SAMPLE_BLOCK // xs.size)
+        two_x, two_a = 2.0 * (2.0**b) * xs, 2.0 * a
+        # numpy's arctan2 takes twice as long on a broadcast scalar as on an array
+        two_d = np.full((min(step, len(a)), xs.size), 2.0 * d)
         for i in range(0, len(a), step):
-            rows, y = parts[:, i : i + step], scaled + a[i : i + step, None]
-            pair += rows @ np.arctan2(2.0 * d, 1.0 + 4.0 * y * (y - d))  # uv = 4y(y - d)
-            tail += rows @ np.arctan(2.0 * (y - d))
+            rows, u = parts[:, i : i + step], two_x + two_a[i : i + step, None]
+            num = two_d[: len(u)]
+            v = u - num
+            u *= v  # 1 + uv, in place
+            u += 1.0
+            pair += rows @ np.arctan2(num, u)
+            tail += rows @ np.arctan(v)
         total = pair[0] + 1j * pair[1] - np.expm1(-1j * m * h) * (tail[0] + 1j * tail[1])
         vals = (1.0 / np.pi) * np.exp(1j * m * xs) * total
         return GridFunction(resolution, window, vals)

@@ -509,3 +509,47 @@ def test_gamma_writes_the_report_rows_and_keeps_them_out_of_the_manifest(tmp_pat
     assert [[float(v) for v in ln.split(",")] for ln in lines[1:]] == rows
     results = load_manifest(tmp_path, "gamma")["results"]
     assert "rows" not in results and results["points"] == 20
+
+
+def test_non_finite_csv_cell_exits_one_naming_the_column_and_writes_nothing(tmp_path, capsys):
+    assert run(tmp_path, "gamma", "--hi=1e300") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteOutputError: CSV column gamma_after_step is ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_manifest_value_exits_one_naming_the_key_and_writes_nothing(tmp_path, capsys):
+    def spectrum(p):
+        return cli.RunResult("a\n", {"trace": {"last": [1.0, float("nan")]}}, "done")
+
+    with mock.patch.dict(cli._RUNNERS, {"spectrum": spectrum}):
+        assert run(tmp_path, "spectrum") == 1
+    assert capsys.readouterr().err == (
+        "error: NonFiniteOutputError: manifest value results.trace.last[1] is nan\n")
+    assert not list(tmp_path.iterdir())
+    assert issubclass(cli.NonFiniteOutputError, ValueError)
+    with pytest.raises(cli.NonFiniteOutputError, match=r"results\[0\] is -inf"):
+        cli._jsonable([complex(1.0, float("-inf"))], "results")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("gamma", "--b=1e-9"), "--b"),
+    (("gamma", "--b=-1.4901161193847656e-08"), "--b"),
+    (("bridge", "--a-tilde=1e-300"), "--a-tilde"),
+    (("bridge", "--a-tilde=1e-9", "--b=1"), "--a-tilde"),
+    (("bridge", "--n=-30,-29"), "--n"),
+])
+def test_cosh_that_rounds_to_one_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "rounds to 1.0" in err and "2^-26 (about 1.49e-08)" in err
+    assert f"(offending flag: {flag})" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cosh_just_above_one_still_runs(tmp_path):
+    assert run(tmp_path, "gamma", "--b=1e-7") == 0
+    assert run(tmp_path, "gamma", "--b=1.490116119384766e-08") == 0
+    # bridge evaluates Gamma at cosh(2^n a_tilde), not at cosh(b): a tiny --b runs
+    assert run(tmp_path, "bridge", "--b=1e-9") == 0

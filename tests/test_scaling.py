@@ -435,6 +435,32 @@ def test_deformed_endpoints_are_the_expanded_word_bit_for_bit(s, n):
     assert raw.values.tobytes() == _expanded_raw(s, n, 6).tobytes()
 
 
+def _scalar_two_d_raw(s, n, resolution):
+    """The interior kernel with y = 2^B x + a_j formed first, 2d passed to
+    arctan2 as a Python scalar, 1 + 4y(y - d) and arctan(2(y - d))."""
+    (c, a, m), h = scaling._deformed_columns(s, n), 2.0**-n
+    xs = scaling._lattice_points(resolution, (-1, 2))
+    scaled, d, parts = (2.0 ** (n * s)) * xs, (2.0 ** (n * s)) * h, np.stack((c.real, c.imag))
+    pair, tail = np.zeros((2, xs.size)), np.zeros((2, xs.size))
+    step = max(1, scaling.SAMPLE_BLOCK // xs.size)
+    for i in range(0, len(a), step):
+        rows, y = parts[:, i : i + step], scaled + a[i : i + step, None]
+        pair += rows @ np.arctan2(2.0 * d, 1.0 + 4.0 * y * (y - d))
+        tail += rows @ np.arctan(2.0 * (y - d))
+    total = pair[0] + 1j * pair[1] - np.expm1(-1j * m * h) * (tail[0] + 1j * tail[1])
+    return (1.0 / np.pi) * np.exp(1j * m * xs) * total
+
+
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n", [1, 8, 11])
+@pytest.mark.parametrize("resolution", [4, 7, 12])
+def test_deformed_kernel_is_the_scalar_formulation_bit_for_bit(s, n, resolution):
+    # resolution 12 has 12,288 points, more than SAMPLE_BLOCK, so every block
+    # holds one term; n = 11 at resolution 7 (21 terms a block) ends short
+    raw = scaling._deformed_raw(s, n, resolution, (-1, 2))
+    assert raw.values.tobytes() == _scalar_two_d_raw(s, n, resolution).tobytes()
+
+
 # -- wavelet self-similarity report ------------------------------------------------------
 
 
