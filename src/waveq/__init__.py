@@ -28,7 +28,6 @@ from .funceq import (
     solve_casimir_chi,
     solve_refinement,
     suq2_bridge_check,
-    uniqueness_check,
 )
 from .gridfn import (
     ExpSum,
@@ -38,7 +37,6 @@ from .gridfn import (
     NonFiniteWeightError,
     apply_op_expsum,
     apply_op_grid,
-    sample_op_applied,
 )
 from .laurent import (
     Dyadic,
@@ -57,7 +55,6 @@ from .qdeform import (
     build_generators,
     check_closure,
     fourier_limit_report,
-    invert_q_derivative,
     q_number,
     verify_general_closure,
     w0_alpha0_report,
@@ -80,7 +77,6 @@ from .scaling import (
     limit_build_report,
     limit_oracle,
     wavelet_from_scaling,
-    wavelet_selfequation_report,
 )
 from .spectra import (
     SpectrumTrace,
@@ -151,7 +147,6 @@ __all__ = [
     "haar_closed_form",
     "haar_system",
     "hat_grid",
-    "invert_q_derivative",
     "iterate_spectrum",
     "ladder_check",
     "limit_build",
@@ -161,14 +156,11 @@ __all__ = [
     "prop1_solve",
     "q_number",
     "run_all",
-    "sample_op_applied",
     "solve_casimir_chi",
     "solve_refinement",
     "suq2_bridge_check",
-    "uniqueness_check",
     "verify_general_closure",
     "w0_alpha0_report",
     "wavelet_from_scaling",
-    "wavelet_selfequation_report",
     "zero_crossing_count",
 ]

@@ -136,6 +136,31 @@ def _at_least(bound: int, coerce: Callable = _as_int) -> Callable:
     return checked
 
 
+def _nonzero(v) -> float:
+    x = _as_float(v)
+    if x == 0.0:
+        raise ValueError(f"expected a nonzero number, got {x!r}")
+    return x
+
+
+def _above_one(v) -> float:
+    x = _as_float(v)
+    if not x > 1.0:
+        raise ValueError(f"expected a number > 1, got {x!r}")
+    return x
+
+
+def _gamma_scale(v) -> float:
+    """A positive b whose cosh exceeds 1.0: the anchor Gamma(cosh b) needs both."""
+    b = _as_float(v)
+    if _cosh_is_one(b):
+        raise ValueError(f"cosh(b) rounds to 1.0 at b = {b!r}; "
+                         "gamma needs |b| > 2^-26 (about 1.49e-08)")
+    if b < 0.0:
+        raise ValueError(f"expected a positive number, got {b!r}")
+    return b
+
+
 def _as_ladder_steps(v) -> list[int]:
     """An integer list that sorts to at least two consecutive indices."""
     ns = _as_int_list(v)
@@ -272,7 +297,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "ladder": (
         "raising/lowering actions on exponential modes",
         (
-            _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
+            _Opt("--a-tilde", _nonzero, math.log(2.0), "base rate (nonzero)"),
             _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings, comma-separated"),
             _Opt("--modes", _at_least(1, _as_int_list), [2, 3, 4, 8],
                  "oscillating mode orders (>= 1)"),
@@ -281,7 +306,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "closure": (
         "commutator residuals of the generator triple",
         (
-            _Opt("--s", _as_float, 1.0, "deformation parameter"),
+            _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
             _Opt("--alpha", _as_float, 1.0, "offset parameter"),
         ),
     ),
@@ -318,17 +343,17 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "gamma": (
         "logarithmic relabeling of the coarsening step",
         (
-            _Opt("--b", _as_float, 1.0, "scale constant (positive)"),
+            _Opt("--b", _gamma_scale, 1.0, "scale constant (positive)"),
             _Opt("--sign", _as_sign, 1, "orientation, 1 or -1"),
             _Opt("--points", _at_least(2), 100, "log-spaced grid size"),
-            _Opt("--lo", _as_float, 1.001, "grid start (must exceed 1)"),
+            _Opt("--lo", _above_one, 1.001, "grid start (must exceed 1)"),
             _Opt("--hi", _as_float, 1.0e3, "grid end"),
         ),
     ),
     "bridge": (
         "relabel the eigenvalue ladder and tabulate against q-integers",
         (
-            _Opt("--s", _as_float, 1.0, "deformation parameter (nonzero)"),
+            _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
             _Opt("--b", _as_float, None, "relabeling scale; defaults to a-tilde"),
             _Opt("--sign", _as_sign, 1, "relabeling orientation"),
@@ -639,9 +664,6 @@ def _run_prop1(p: dict) -> RunResult:
 
 
 def _run_gamma(p: dict) -> RunResult:
-    if _cosh_is_one(p["b"]):  # the anchor Gamma(cosh b) needs cosh b > 1
-        raise UsageError("--b", f"cosh(b) rounds to 1.0 at b = {p['b']!r}; "
-                                "gamma needs |b| > 2^-26 (about 1.49e-08)")
     m = GammaMap(b_const=p["b"], sign=p["sign"])
     rep = gamma_ladder_report(m, p["points"], p["lo"], p["hi"])
     return RunResult(

@@ -321,40 +321,6 @@ def prop1_solve(window: int) -> dict:
     }
 
 
-def uniqueness_check(x: LaurentPoly, j: LaurentPoly, points: int = 64) -> dict:
-    """Circle sweeps for the commutant condition x(z^2) j(z) = x(z) j(z^2).
-
-    Also measures the two normalization values x(1) and x(-1), the
-    quadrature partition |x(z)|^2 + |x(-z)|^2 - 1 on the unit circle, and
-    the distance from x to j scaled to unit value at 1 (None where j(1)
-    vanishes).  Nothing is judged here: the caller decides what is fatal.
-    """
-    x_at_one = x.eval_phase(0.0)
-    x_at_minus_one = x.eval_phase(1j * math.pi)
-    commutant = 0.0
-    partition = 0.0
-    for i in range(points):
-        theta = 2.0 * math.pi * i / points
-        z = 1j * theta
-        lhs = x.eval_phase(2.0 * z) * j.eval_phase(z)
-        rhs = x.eval_phase(z) * j.eval_phase(2.0 * z)
-        commutant = max(commutant, abs(lhs - rhs))
-        split = abs(x.eval_phase(z)) ** 2 + abs(x.eval_phase(1j * (theta + math.pi))) ** 2
-        partition = max(partition, abs(split - 1.0))
-    j_at_one = j.eval_phase(0.0)
-    distance = None
-    if abs(j_at_one) > 1e-12:
-        distance = (x - j * (1.0 / j_at_one)).max_abs_coeff()
-    return {
-        "points": points,
-        "x_at_one": x_at_one,
-        "x_at_minus_one": x_at_minus_one,
-        "commutant_max": commutant,
-        "partition_max": partition,
-        "normalized_j_distance": distance,
-    }
-
-
 # -- logarithmic relabeling of the eigenvalue step ------------------------------
 
 

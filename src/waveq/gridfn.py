@@ -271,28 +271,6 @@ def apply_op_grid(
     return GridFunction(res_out, window, out)
 
 
-def sample_op_applied(expr: OpExpr, f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate (expr f)(xs) for an analytically known f, at any real
-    dilation power (the deformed scaling construction needs that), one term
-    at a time in normal-form order: each term adds c e^{i mu x} f(2^beta x + alpha).
-    A non-finite coefficient or phase rate raises NonFiniteWeightError, and
-    a dilation power of 1024 or more ExponentRangeError, before f is called.
-    """
-    xs = np.asarray(xs, dtype=float)
-    mus, betas, alphas = expr._val
-    coeffs, scales = list(map(complex, expr._re, expr._im)), []
-    for k, (c, beta, mu) in enumerate(zip(coeffs, betas, mus)):
-        _check_finite(k, c, mu)
-        scales.append(_dilation_scale(k, beta))
-    out = np.zeros(xs.shape, dtype=complex)
-    for c, mu, alpha, scale in zip(coeffs, mus, alphas, scales):
-        vals = np.asarray(f(scale * xs + alpha), dtype=complex)
-        if mu != 0.0:
-            vals = vals * np.exp(1j * mu * xs)
-        out += c * vals
-    return out
-
-
 @_own_arithmetic
 class ExpSum(_NormalForm):
     """Finite sum of coeff * e^(rate * x) with complex coeff and rate.

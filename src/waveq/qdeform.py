@@ -73,7 +73,7 @@ class GeneratorSet:
     f: OpExpr
 
 
-# -- q-numbers and q-derivatives ----------------------------------------------
+# -- q-numbers -----------------------------------------------------------------
 
 
 def q_number(x: float, s: float) -> float:
@@ -83,43 +83,6 @@ def q_number(x: float, s: float) -> float:
     if abs(s * x) > 700.0 or abs(s) > 700.0:
         raise EvaluationOverflowError(f"overflow: s*x = {s * x!r}")
     return math.sinh(s * x) / math.sinh(s)
-
-
-def _shift_difference(s: float, kind: str) -> OpExpr:
-    """T^s - T^-s (or the D version): the un-normalized derivative core."""
-    if kind == "translation":
-        return OpExpr.translation(s) - OpExpr.translation(-s)
-    if kind == "dilation":
-        return OpExpr.dilation(s) - OpExpr.dilation(-s)
-    raise ValueError(f"kind must be 'translation' or 'dilation', got {kind!r}")
-
-
-def invert_q_derivative(s: float, sign: int, kind: str = "translation") -> OpExpr:
-    """Reconstruct T^{sign*s} (or D^{sign*s}) from difference cores.
-
-    Square-root-free reading: the half-step difference squared restores
-    the symmetric sum, T^s + T^-s = (T^{s/2} - T^{-s/2})^2 + 2, and adding
-    sign*(T^s - T^-s) isolates one shift:
-
-        T^{sign*s} = 1/2 [ sign*(T^s - T^-s) + (T^{s/2} - T^{-s/2})^2 + 2 ]
-
-    Both differences come from _shift_difference, so the identity holds
-    with exactly zero residual; a residual above 1e-12 raises.
-    """
-    if s == 0.0:
-        raise ValueError("inversion needs s != 0")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    full = _shift_difference(s, kind)
-    half = _shift_difference(s / 2.0, kind)
-    reconstructed = (float(sign) * full + half * half + 2.0) * 0.5
-    target = (
-        OpExpr.translation(sign * s) if kind == "translation" else OpExpr.dilation(sign * s)
-    )
-    residual = (reconstructed - target).max_abs_coeff()
-    if residual > 1e-12:
-        raise ValueError(f"inversion identity violated: residual {residual!r}")
-    return reconstructed
 
 
 # -- the generator family ------------------------------------------------------

@@ -13,6 +13,7 @@ so sum C_k = 2 preserves mass exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,6 @@ from .gridfn import (
     GridResolutionError,
     _lattice_points,
     apply_op_grid,
-    sample_op_applied,
 )
 from .laurent import Dyadic, EvaluationOverflowError, LaurentPoly
 from .opalgebra import OpExpr
@@ -463,11 +463,14 @@ def _deformed_raw(s: float, n: int, resolution: int, window: tuple[int, int]) ->
         total = pair[0] + 1j * pair[1] - np.expm1(-1j * m * h) * (tail[0] + 1j * tail[1])
         vals = (1.0 / np.pi) * np.exp(1j * m * xs) * total
         return GridFunction(resolution, window, vals)
-    if s == 1.0:  # the word telescopes (`algebraic_form_check` measures a zero residual)
-        op = (OpExpr.identity() - OpExpr.translation(-1)) * OpExpr.dilation(n)
-    else:  # 2 W-(0) = 2 P^-1 is one term
-        op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n
-    return GridFunction(resolution, window, sample_op_applied(op, _seed_arctan, xs))
+    if s == 1.0:  # the word telescopes to (1 - T^-1) D^n (`algebraic_form_check`)
+        return GridFunction(resolution, window,
+                            limit_build("haar", "arctan", n, resolution, window).values + 0j)
+    # 2 W-(0) = 2 P^-1: (1 - T^-h) 2^n P^-n = 2^n P^-n - 2^n e^{inh} P^-n T^-h
+    h, e = 2.0**-n, np.exp(-1j * n * xs)
+    vals = (2**n * (_seed_arctan(xs) * e)
+            - 2**n * cmath.exp(1j * n * h) * (_seed_arctan(xs - h) * e))
+    return GridFunction(resolution, window, vals)
 
 
 def _unit_integral(raw: GridFunction) -> GridFunction:
@@ -487,12 +490,13 @@ def deformed_scaling(
     """Exploratory deformation: the limit-sequence word with 2 W-(s) in
     place of the two-scale operator, normalized to unit integral.
 
-    op = (1 - T^{-2^-n}) (2 W-(s))^n, applied to the arctan seed by direct
-    sampling (the word's dilation powers are not grid-aligned for generic
-    s).  The word is linear, so normalizing once at the end equals
-    normalizing after every step; s = 1 reproduces the box construction,
-    while the s = 0 endpoint degenerates to pure phases and is reported
-    without any claim.
+    op = (1 - T^{-2^-n}) (2 W-(s))^n, sampled on the arctan seed pointwise
+    (the word's dilation powers are not grid-aligned for generic s): from
+    its factored columns for 0 < s < 1, and in closed form at the endpoints.
+    At s = 1 the word telescopes to the box construction (1 - T^-1) D^n of
+    `limit_build`; at s = 0 it is two phase terms, reported without any
+    claim.  The word is linear, so normalizing once at the end equals
+    normalizing after every step.
     """
     return _unit_integral(_deformed_raw(s, n, resolution, window))
 
@@ -516,34 +520,3 @@ def deformed_scaling_report(
                      "integral_error": abs(f.integral() - 1.0), "raw_mass": mass,
                      "mass_cancellation": float(np.abs(raw.values).sum() * raw.step) / mass})
     return {"n": n, "resolution": resolution, "rows": rows}
-
-
-# -- wavelet self-similarity report ----------------------------------------------------
-
-
-def wavelet_selfequation_report(resolution: int = 7) -> dict:
-    """Residuals of the claimed self-similarity of the hat-mask wavelet.
-
-    The stated relation reads psi = D (1 + 2T^{-1/2} + T^2)^2 psi; the T^2
-    term breaks the symmetry the surrounding construction has, so the
-    T^{-1} variant is measured alongside it.  Both residuals are reported;
-    neither is asserted anywhere.
-    """
-    sys = b2_system()
-    phi = hat_grid(resolution)
-    psi = wavelet_from_scaling(sys, phi, form="canonical")
-    half = Dyadic(1, 1)
-    printed = LaurentPoly.from_dict({0: 1.0, -half: 2.0, 2: 1.0})
-    symmetric = LaurentPoly.from_dict({0: 1.0, -half: 2.0, -1: 1.0})
-    report = {"resolution": resolution, "note": "residuals reported, not asserted"}
-    for label, mask in (("printed", printed), ("symmetric", symmetric)):
-        op = OpExpr.dilation(1) * OpExpr.from_laurent(mask * mask)
-        rhs = apply_op_grid(
-            op, psi, out_resolution=psi.resolution, out_window=psi.window
-        )
-        diff = rhs - psi
-        report[f"{label}_residual_max"] = float(np.max(np.abs(diff.values)))
-        report[f"{label}_residual_l1"] = diff.l1_distance(
-            GridFunction.zeros(psi.resolution, psi.window)
-        )
-    return report

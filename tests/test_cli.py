@@ -548,6 +548,25 @@ def test_cosh_that_rounds_to_one_is_a_usage_error_naming_the_flag(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+DOMAIN_REFUSALS = [  # (arguments, the flag whose domain the value leaves, the message)
+    (("gamma", "--b=-1"), "--b", "expected a positive number, got -1.0"),
+    (("gamma", "--lo=0"), "--lo", "expected a number > 1, got 0.0"),
+    (("closure", "--s=0"), "--s", "expected a nonzero number, got 0.0"),
+    (("bridge", "--s=0"), "--s", "expected a nonzero number, got 0.0"),
+    (("ladder", "--a-tilde=0"), "--a-tilde", "expected a nonzero number, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, message", DOMAIN_REFUSALS,
+                         ids=[" ".join(argv) for argv, *_ in DOMAIN_REFUSALS])
+def test_value_outside_the_flag_domain_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv,
+                                                                        flag, message):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for {flag}: {message} (offending flag: {flag})" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cosh_just_above_one_still_runs(tmp_path):
     assert run(tmp_path, "gamma", "--b=1e-7") == 0
     assert run(tmp_path, "gamma", "--b=1.490116119384766e-08") == 0

@@ -19,7 +19,6 @@ from waveq.funceq import (
     solve_casimir_chi,
     solve_refinement,
     suq2_bridge_check,
-    uniqueness_check,
 )
 from waveq.laurent import Dyadic, EvaluationOverflowError, Exponent, LaurentPoly, parse_laurent
 from waveq.qdeform import AlgebraParams, build_generators
@@ -369,31 +368,6 @@ def test_prop1_pattern_reported_not_enforced():
 def test_prop1_small_window_rejected():
     with pytest.raises(ValueError):
         prop1_solve(3)
-
-
-def test_uniqueness_haar_symbol_passes():
-    j = parse_laurent("1/2 + 1/2*T^-1")
-    report = uniqueness_check(j, j)
-    assert abs(report["x_at_one"] - 1.0) <= 1e-12
-    assert abs(report["x_at_minus_one"]) <= 1e-12
-    assert report["commutant_max"] <= 1e-12
-    assert report["partition_max"] <= 1e-12
-    assert report["normalized_j_distance"] <= 1e-12
-
-
-def test_uniqueness_squared_symbol_fails_partition():
-    x = parse_laurent("1/4 + 1/2*T^-1/2 + 1/4*T^-1")
-    report = uniqueness_check(x, x)
-    assert abs(report["x_at_one"] - 1.0) <= 1e-12
-    assert report["partition_max"] > 0.1
-
-
-def test_uniqueness_reports_violations_without_raising():
-    x = parse_laurent("2 + T^-1")
-    report = uniqueness_check(x, parse_laurent("1/2 + 1/2*T^-1"))
-    assert abs(report["x_at_one"] - 1.0) > 1e-12
-    assert abs(report["x_at_minus_one"]) > 1e-12
-    assert report["normalized_j_distance"] > 1e-12
 
 
 def test_gamma_anchors_and_domain():

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +18,9 @@ from waveq.gridfn import (
     NonFiniteWeightError,
     apply_op_expsum,
     apply_op_grid,
-    sample_op_applied,
 )
 from waveq.opalgebra import OpExpr
-from waveq.qdeform import w_minus
+from reference import term_by_term
 
 
 def box(xs):
@@ -230,7 +228,7 @@ def test_closed_form_action_matches_sampling(spec, lam_re, lam_im):
         op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=alpha)
     lam, xs = complex(lam_re, lam_im), np.linspace(-2, 2, 9)
     closed = apply_op_expsum(op, ExpSum.exponential(lam)).sample(xs)
-    sampled = sample_op_applied(op, lambda p: np.exp(lam * p), xs)
+    sampled = term_by_term(op, lambda p: np.exp(lam * p), xs)
     # each term is c e^(lam (2^beta x + alpha)) e^(i mu x) on both sides, with
     # its exponent rounded in a different order: a relative error of a few
     # units of rounding u per unit of |exponent|, plus u per term in the sum
@@ -272,7 +270,7 @@ def test_sampler_matches_expsum_for_fractional_dilation():
     expr = OpExpr.term(1.3, mu=0.7, beta=Dyadic(1, 1), alpha=Dyadic(-3, 2))
     es = ExpSum.exponential(0.41j)
     xs = np.linspace(-2, 2, 101)
-    direct = sample_op_applied(expr, lambda p: np.exp(0.41j * p), xs)
+    direct = term_by_term(expr, lambda p: np.exp(0.41j * p), xs)
     closed = apply_op_expsum(expr, es).sample(xs)
     assert np.max(np.abs(direct - closed)) < 1e-13
 
@@ -280,58 +278,11 @@ def test_sampler_matches_expsum_for_fractional_dilation():
 # -- sampling against the term-by-term rule ---------------------------------
 
 
-def term_by_term(expr, f, xs):
-    """The sampling rule written out one term at a time."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=complex)
-    for t in expr.terms():
-        vals = np.asarray(f((2.0 ** t.beta.value) * xs + t.alpha.value), dtype=complex)
-        if t.mu.value != 0.0:
-            vals = vals * np.exp(1j * t.mu.value * xs)
-        out += t.coeff * vals
-    return out
-
-
-def seed(p):
-    return np.arctan(2.0 * p) / np.pi
-
-
 def wave(p):
     return np.exp(0.3j * p) / (1.0 + p * p)
 
 
-exponent = st.sampled_from([0, 1, -1, 0.37, -1.3, Dyadic(1, 1), Dyadic(-3, 2)])
 part = st.floats(-2, 2, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
-op_term = st.tuples(part, part, exponent, exponent, exponent)  # re, im, mu, beta, alpha
-shape = st.sampled_from([(1,), (7,), (40,), (3, 5), (2, 3, 4)])
-
-
-def build_op(terms, word_order):
-    """A sum of single terms, plus a deformed word of 2^word_order terms."""
-    op = OpExpr.zero()
-    for re, im, mu, beta, alpha in terms:
-        op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=alpha)
-    if word_order:
-        op = op + (2.0 * w_minus(0.6)) ** word_order
-    return op
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    terms=st.lists(op_term, max_size=8),
-    word_order=st.sampled_from([0, 3, 6]),
-    dims=shape,
-    f=st.sampled_from([seed, wave, box]),
-)
-@example(terms=[], word_order=0, dims=(3, 5), f=seed)  # empty operator
-@example(terms=[(1.0, 1.0, -1, 0, 1)], word_order=0, dims=(1,), f=wave)  # one point, a phase
-def test_sampling_is_the_term_by_term_sum_bit_for_bit(terms, word_order, dims, f):
-    op = build_op(terms, word_order)
-    xs = np.linspace(-1.5, 2.5, math.prod(dims)).reshape(dims)
-    got = sample_op_applied(op, f, xs)
-    want = term_by_term(op, f, xs)
-    assert got.shape == want.shape == dims
-    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -354,7 +305,7 @@ def test_grid_application_agrees_with_sampling_on_lattice_operators(terms):
         op = op + OpExpr.term(complex(re, im), mu=mu, beta=beta, alpha=Dyadic(k, 5))
     src = GridFunction.from_callable(windowed, 5, (-4, 4))
     via_grid = apply_op_grid(op, src, out_window=(-1, 1))
-    sampled = sample_op_applied(op, windowed, via_grid.x_points())
+    sampled = term_by_term(op, windowed, via_grid.x_points())
     assert np.max(np.abs(via_grid.values - sampled)) <= 1e-13
 
 
@@ -535,9 +486,6 @@ def test_non_finite_weights_and_phase_rates_are_refused_by_name():
         assert len(op) > k
         with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
             apply_op_grid(op, g)
-        with pytest.raises(NonFiniteWeightError, match=rf"term {k} has weight .* must be finite"):
-            sample_op_applied(op, mock.Mock(side_effect=AssertionError("f was called")),
-                              np.linspace(0.0, 1.0, 5))
     assert issubclass(NonFiniteWeightError, ValueError)
     assert waveq.NonFiniteWeightError is NonFiniteWeightError
     # the weight is the coefficient: no dilation factor can push it out of range
@@ -545,17 +493,12 @@ def test_non_finite_weights_and_phase_rates_are_refused_by_name():
 
 
 def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
-    xs = np.linspace(0.0, 1.0, 5)
-    never = mock.Mock(side_effect=AssertionError("f was called"))
     refused = r"term 0 has dilation power 1100.0; .* beyond the float range"
     for op in (OpExpr.dilation(1100), OpExpr.dilation(1100) + OpExpr.term(2.0, mu=1.0, alpha=-1)):
         with pytest.raises(ExponentRangeError, match=refused):
-            sample_op_applied(op, never, xs)
-        with pytest.raises(ExponentRangeError, match=refused):
             apply_op_expsum(op, ExpSum.constant(1.0))
-    # the largest power below the range still scales points and rates
+    # the largest power below the range still scales rates
     op = OpExpr.dilation(1023)
-    assert sample_op_applied(op, np.arctan, xs)[1:].real.tolist() == [math.pi / 2] * 4
     assert apply_op_expsum(op, ExpSum.exponential(0.5)).terms() == ((1.0, complex(2.0**1022)),)
 
 

@@ -14,7 +14,6 @@ from waveq.qdeform import (
     build_generators,
     check_closure,
     fourier_limit_report,
-    invert_q_derivative,
     phase_index_minus,
     phase_index_plus,
     q_number,
@@ -82,47 +81,6 @@ def test_q_number_near_the_overflow_guard_against_mpmath():
                 assert abs(got - want) / abs(want) <= bound, (s, x)
     with pytest.raises(EvaluationOverflowError):
         q_number(700.5 / 0.7, 0.7)
-
-
-# -- q-derivatives and their inversion ----------------------------------------
-
-
-def test_invert_q_derivative_exact_zero_residual():
-    # the reconstruction must hit T^{sign*s} with no float residual at all
-    rng = random.Random(5)
-    for _ in range(20):
-        s = rng.uniform(0.1, 3.0)
-        for kind in ("translation", "dilation"):
-            for sign in (1, -1):
-                rebuilt = invert_q_derivative(s, sign, kind)
-                target = (
-                    OpExpr.translation(sign * s)
-                    if kind == "translation"
-                    else OpExpr.dilation(sign * s)
-                )
-                assert (rebuilt - target).max_abs_coeff() == 0.0
-
-
-def test_invert_q_derivative_on_exponential():
-    lam = 1j * math.pi / 4
-    basis = ExpSum.exponential(lam)
-    for sign in (1, -1):
-        op = invert_q_derivative(0.6, sign, "translation")
-        out = apply_op_expsum(op, basis)
-        # T^{sign*0.6} e^{lam x} = e^{lam*sign*0.6} e^{lam x}
-        got = out.coefficient_of(lam)
-        assert abs(got - cmath.exp(lam * sign * 0.6)) <= 1e-12
-
-        opd = invert_q_derivative(0.6, sign, "dilation")
-        outd = apply_op_expsum(opd, basis)
-        assert abs(outd.coefficient_of(lam * 2.0 ** (sign * 0.6)) - 1.0) <= 1e-12
-
-
-def test_invert_q_derivative_validation():
-    with pytest.raises(ValueError):
-        invert_q_derivative(0.0, 1)
-    with pytest.raises(ValueError):
-        invert_q_derivative(1.0, 2)
 
 
 # -- the flagship generator configuration --------------------------------------

@@ -6,7 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from waveq.gridfn import GridFunction, GridResolutionError, sample_op_applied
+from reference import term_by_term
+from waveq.gridfn import GridFunction, GridResolutionError
 from waveq.laurent import Dyadic, EvaluationOverflowError, parse_laurent
 from waveq.opalgebra import OpExpr
 from waveq.qdeform import phase_index_minus, w_minus
@@ -31,7 +32,6 @@ from waveq.scaling import (
     limit_build_report,
     WordTooLargeError,
     wavelet_from_scaling,
-    wavelet_selfequation_report,
 )
 
 
@@ -347,7 +347,7 @@ def _expanded_raw(s, n, resolution):
     """The deformed profile sampled from the expanded 2^n-term word."""
     op = (OpExpr.identity() - OpExpr.translation(Dyadic(-1, n))) * (2.0 * w_minus(s)) ** n
     xs = GridFunction.zeros(resolution, (-1, 2)).x_points()
-    return sample_op_applied(op, scaling._seed_arctan, xs)
+    return term_by_term(op, scaling._seed_arctan, xs)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.9])
@@ -429,8 +429,10 @@ def test_deformed_blocks_of_one_and_seven_terms_agree_within_the_gate(s):
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0])
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [1, 4, 8])
 def test_deformed_endpoints_are_the_expanded_word_bit_for_bit(s, n):
+    # the endpoints are sampled in closed form: at s = 1 the box word of
+    # limit_build, at s = 0 two phase terms; both must be the expanded word
     raw = scaling._deformed_raw(s, n, 6, (-1, 2))
     assert raw.values.tobytes() == _expanded_raw(s, n, 6).tobytes()
 
@@ -459,23 +461,6 @@ def test_deformed_kernel_is_the_scalar_formulation_bit_for_bit(s, n, resolution)
     # holds one term; n = 11 at resolution 7 (21 terms a block) ends short
     raw = scaling._deformed_raw(s, n, resolution, (-1, 2))
     assert raw.values.tobytes() == _scalar_two_d_raw(s, n, resolution).tobytes()
-
-
-# -- wavelet self-similarity report ------------------------------------------------------
-
-
-def test_selfequation_report_shape():
-    rep = wavelet_selfequation_report(resolution=6)
-    for key in (
-        "printed_residual_max",
-        "printed_residual_l1",
-        "symmetric_residual_max",
-        "symmetric_residual_l1",
-    ):
-        assert key in rep
-        assert math.isfinite(rep[key])
-        assert rep[key] >= 0.0
-    assert "not asserted" in rep["note"]
 
 
 def test_profiles_exact_values():
