@@ -347,7 +347,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sign", _as_sign, 1, "orientation, 1 or -1"),
             _Opt("--points", _at_least(2), 100, "log-spaced grid size"),
             _Opt("--lo", _above_one, 1.001, "grid start (must exceed 1)"),
-            _Opt("--hi", _as_float, 1.0e3, "grid end"),
+            _Opt("--hi", _as_float, 1.0e3, "grid end (must exceed --lo)"),
         ),
     ),
     "bridge": (
@@ -355,7 +355,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
-            _Opt("--b", _as_float, None, "relabeling scale; defaults to a-tilde"),
+            _Opt("--b", _as_float, None, "relabeling scale (positive); defaults to a-tilde"),
             _Opt("--sign", _as_sign, 1, "relabeling orientation"),
             _Opt("--n", _as_ladder_steps, [0, 1, 2, 3], "consecutive ladder steps"),
             _Opt("--j0", _as_float_list, [0.0, -1.0, -2.0], "table abscissas"),
@@ -664,6 +664,8 @@ def _run_prop1(p: dict) -> RunResult:
 
 
 def _run_gamma(p: dict) -> RunResult:
+    if not p["lo"] < p["hi"]:
+        raise UsageError("--hi", f"--hi must exceed --lo, got --lo={p['lo']!r}, --hi={p['hi']!r}")
     m = GammaMap(b_const=p["b"], sign=p["sign"])
     rep = gamma_ladder_report(m, p["points"], p["lo"], p["hi"])
     return RunResult(
@@ -679,7 +681,9 @@ def _run_bridge(p: dict) -> RunResult:
             "--a-tilde" if _cosh_is_one(p["a_tilde"]) else "--n",
             f"a_n = cosh(2^n a_tilde) rounds to 1.0 at n = {n}, a_tilde = {p['a_tilde']!r}; "
             "gamma needs 2^n |a_tilde| > 2^-26 (about 1.49e-08)")
-    b_const = p["a_tilde"] if p["b"] is None else p["b"]
+    b_const, flag = (p["a_tilde"], "--a-tilde") if p["b"] is None else (p["b"], "--b")
+    if not b_const > 0.0:  # without --b, a negative --a-tilde is the scale refused here
+        raise UsageError(flag, f"the relabeling scale b must be positive, got {flag}={b_const!r}")
     m = GammaMap(b_const=b_const, sign=p["sign"])
     rep = suq2_bridge_check(m, p["s"], p["a_tilde"], p["n"], tuple(p["j0"]))
     rows = [

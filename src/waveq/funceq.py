@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .laurent import Dyadic, Exponent, LaurentPoly, _float_range, _pow2
 from .gridfn import ExpSum, apply_op_expsum
 from .qdeform import AlgebraParams, build_generators, q_number

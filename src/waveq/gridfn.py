@@ -20,8 +20,7 @@ import cmath
 import math
 from typing import Callable, Iterable
 
-import numpy as np
-
+from . import _numpy as np
 from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _own_arithmetic
 from .opalgebra import OpExpr
 

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from . import _numpy as np
 from .gridfn import (
     GridFunction,
     GridResolutionError,

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 
-from waveq import cli
+from waveq import cli, funceq, gridfn, laurent, scaling
 from waveq.acceptance import CHECKS, run_all
 from waveq.cli import dispatch
 from waveq.scaling import ScalingSystem
@@ -549,11 +555,18 @@ def test_cosh_that_rounds_to_one_is_a_usage_error_naming_the_flag(tmp_path, caps
 
 
 DOMAIN_REFUSALS = [  # (arguments, the flag whose domain the value leaves, the message)
-    (("gamma", "--b=-1"), "--b", "expected a positive number, got -1.0"),
-    (("gamma", "--lo=0"), "--lo", "expected a number > 1, got 0.0"),
-    (("closure", "--s=0"), "--s", "expected a nonzero number, got 0.0"),
-    (("bridge", "--s=0"), "--s", "expected a nonzero number, got 0.0"),
-    (("ladder", "--a-tilde=0"), "--a-tilde", "expected a nonzero number, got 0.0"),
+    (("gamma", "--b=-1"), "--b", "invalid value for --b: expected a positive number, got -1.0"),
+    (("gamma", "--lo=0"), "--lo", "invalid value for --lo: expected a number > 1, got 0.0"),
+    (("closure", "--s=0"), "--s", "invalid value for --s: expected a nonzero number, got 0.0"),
+    (("bridge", "--s=0"), "--s", "invalid value for --s: expected a nonzero number, got 0.0"),
+    (("ladder", "--a-tilde=0"), "--a-tilde",
+     "invalid value for --a-tilde: expected a nonzero number, got 0.0"),
+    # conditions on two flags
+    (("gamma", "--lo=2000"), "--hi", "--hi must exceed --lo, got --lo=2000.0, --hi=1000.0"),
+    (("gamma", "--lo=5", "--hi=5"), "--hi", "--hi must exceed --lo, got --lo=5.0, --hi=5.0"),
+    (("bridge", "--a-tilde=-1"), "--a-tilde",
+     "the relabeling scale b must be positive, got --a-tilde=-1.0"),
+    (("bridge", "--b=-0.0"), "--b", "the relabeling scale b must be positive, got --b=-0.0"),
 ]
 
 
@@ -563,7 +576,7 @@ def test_value_outside_the_flag_domain_is_a_usage_error_naming_the_flag(tmp_path
                                                                         flag, message):
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
-    assert f"invalid value for {flag}: {message} (offending flag: {flag})" in err
+    assert f"error: {message} (offending flag: {flag})" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -572,3 +585,85 @@ def test_cosh_just_above_one_still_runs(tmp_path):
     assert run(tmp_path, "gamma", "--b=1.490116119384766e-08") == 0
     # bridge evaluates Gamma at cosh(2^n a_tilde), not at cosh(b): a tiny --b runs
     assert run(tmp_path, "bridge", "--b=1e-9") == 0
+
+
+def test_an_explicit_b_overrides_the_sign_of_a_tilde(tmp_path):
+    assert run(tmp_path, "bridge", "--a-tilde=-1", "--b=2") == 0
+
+
+EDGE_VALUES = ["0", "-0.0", "-1", "1e-300", "1e-9", "1.5", "700", "1e300", "-1e300"]
+
+FLOAT_FLAGS = [  # every float flag of every subcommand but fig2 and check
+    ("spectrum", "--a0"), ("ladder", "--a-tilde"), ("closure", "--s"), ("closure", "--alpha"),
+    ("general-closure", "--s"), ("casimir", "--a-tilde"), ("gamma", "--b"), ("gamma", "--lo"),
+    ("gamma", "--hi"), ("bridge", "--s"), ("bridge", "--a-tilde"), ("bridge", "--b"),
+    ("bridge", "--j0"),
+]
+
+SYMBOLS = {"general-closure": ("--j0=1/2*T^1 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1")}
+
+WAVEQ_ERRORS = {name for module in (cli, laurent, gridfn, scaling, funceq)
+                for name, obj in vars(module).items()
+                if isinstance(obj, type) and issubclass(obj, Exception)
+                and not issubclass(obj, Warning) and obj.__module__.startswith("waveq.")}
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return True  # not a number: a name or a flag
+
+
+@pytest.mark.parametrize("sub, flag", FLOAT_FLAGS, ids=[f"{s}{f}" for s, f in FLOAT_FLAGS])
+def test_edge_values_exit_with_a_code_that_tells_the_truth(tmp_path, capsys, sub, flag):
+    for i, value in enumerate(EDGE_VALUES):
+        out = tmp_path / str(i)
+        code = dispatch([sub, *SYMBOLS.get(sub, ()), f"{flag}={value}", "--output", str(out)])
+        err, where = capsys.readouterr().err, f"{sub} {flag}={value}"
+        if code == 0:
+            cells = (out / f"{sub}.csv").read_text().replace("\n", ",").split(",")
+            assert all(map(_finite_number, cells)), where
+            json.loads((out / f"{sub}.manifest.json").read_text(),
+                       parse_constant=lambda c: pytest.fail(f"{where}: manifest holds {c}"))
+            continue
+        assert not out.exists(), where
+        if code == 2:
+            assert re.search(r"\(offending flag: --[a-z0-9-]+\)", err), (where, err)
+        else:
+            assert code == 1, where
+            assert (m := re.match(r"error: (\w+): ", err)) and m[1] in WAVEQ_ERRORS, (where, err)
+
+
+NUMPY_FREE = [  # the subcommands whose work is exact algebra or scalar math
+    ["spectrum"], ["ladder"], ["closure"], ["general-closure", *SYMBOLS["general-closure"]],
+    ["solve-b", "--c=1 + T^-1"], ["casimir"], ["gamma"], ["bridge"], ["fig1"],
+]
+
+NUMPY_FREE_SCRIPT = """
+import sys
+out = sys.argv[1]
+import waveq, waveq.cli
+assert "numpy" not in sys.modules, "import waveq"
+from waveq import AlgebraParams, check_closure, parse_laurent, verify_general_closure
+from waveq.qdeform import w_minus
+(2.0 * w_minus(0.6)) ** 9
+check_closure(AlgebraParams(0.6, 1.3))
+verify_general_closure(parse_laurent("1/2*T^1 + 1/2*T^-1"), parse_laurent("1/2 + 1/2*T^-1"), 0.5)
+assert "numpy" not in sys.modules, "the L1 algebra"
+for argv in %r:
+    assert waveq.cli.dispatch([*argv, "--output", out]) == 0
+    assert "numpy" not in sys.modules, argv[0]
+assert waveq.cli.dispatch(["cascade", "--output", out]) == 0
+assert "numpy" in sys.modules, "cascade"
+"""
+
+
+def test_the_algebra_and_nine_subcommands_run_without_numpy(tmp_path):
+    # this process holds numpy already (the pytest warning filter names it), so ask a fresh one
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT % (NUMPY_FREE,), str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    csv = hashlib.sha256((tmp_path / "cascade.csv").read_bytes()).hexdigest()
+    assert csv == GRID_GOLDEN["cascade"][0]  # the first sample loads numpy and keeps the bytes
