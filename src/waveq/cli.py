@@ -441,6 +441,20 @@ def _csv(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_columns(**columns) -> None:
+    """Refuse an inf or nan in any named CSV column; the bad cell is sought only on failure."""
+    for name, col in columns.items():
+        if not all(map(math.isfinite, col)):
+            bad = next(v for v in col if not math.isfinite(v))
+            raise NonFiniteOutputError(f"CSV column {name} is {bad!r}")
+
+
+def _grid_csv(g: GridFunction) -> str:
+    x, re, im = g._columns()
+    _finite_columns(x=x, re=re, im=im)
+    return g.to_csv()
+
+
 def _cosh_is_one(x: float, n: int = 0) -> bool:
     """Whether cosh(2^n x) rounds to 1.0, which it does for |2^n x| <= 2^-26."""
     try:
@@ -483,7 +497,7 @@ def _run_cascade(p: dict) -> RunResult:
         "iterations": res.iterations,
         "step_changes": list(res.history),
     }
-    return RunResult(res.phi.to_csv(), results, f"residual {_fmt(res.residual, 'residual')}")
+    return RunResult(_grid_csv(res.phi), results, f"residual {_fmt(res.residual, 'residual')}")
 
 
 def _run_wavelet(p: dict) -> RunResult:
@@ -496,7 +510,7 @@ def _run_wavelet(p: dict) -> RunResult:
         "window": list(psi.window),
         "resolution": psi.resolution,
     }
-    return RunResult(psi.to_csv(), results, f"integral magnitude {abs(mean):.3g}")
+    return RunResult(_grid_csv(psi), results, f"integral magnitude {abs(mean):.3g}")
 
 
 def _run_limit(p: dict) -> RunResult:
@@ -511,9 +525,9 @@ def _run_limit(p: dict) -> RunResult:
         rows = [[n, rep["errors"][n]["l1"], rep["errors"][n]["max"]] for n in orders]
         csv = _csv("n,l1_error,max_error", rows)
     else:
-        csv = limit_build(
+        csv = _grid_csv(limit_build(
             p["preset"], delta, max(orders), p["resolution"], p["window"]
-        ).to_csv()
+        ))
     final = rep["errors"][max(orders)]["l1"]
     results = {
         "delta": delta,
@@ -532,6 +546,7 @@ def _run_spectrum(p: dict) -> RunResult:
         trace = iterate_spectrum(p["a0"], n=p["n"])
     else:
         trace = iterate_spectrum(p["a0"], step=a2half_step, n=p["n"])
+    _finite_columns(a_n=[a for _, a in trace.values])
     last_n, last_a = trace.values[-1]
     results = {
         "closed_form_tag": trace.closed_form_tag,
@@ -702,6 +717,7 @@ def _run_bridge(p: dict) -> RunResult:
 
 def _run_fig1(p: dict) -> RunResult:
     rep = fig1_report(p["n"], p["grid"])
+    _finite_columns(a0=[r[0] for r in rep["rows"]], a_n=[r[2] for r in rep["rows"]])
     results = {
         "zero_crossings": {str(n): c for n, c in rep["zero_crossings"].items()},
     }
@@ -856,9 +872,13 @@ def _write_outputs(cfg: RunConfig, csv: str, manifest: str) -> tuple[str, str]:
     out_dir = cfg.params.get("output") or "."
     os.makedirs(out_dir, exist_ok=True)
     names = (f"{cfg.subcommand}.csv", f"{cfg.subcommand}.manifest.json")
+    # write over the old bytes, then cut to length: a file opened with O_TRUNC and
+    # rewritten has ext4 (auto_da_alloc) start its writeback at close, which then waits
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     for name, text in zip(names, (csv, manifest)):
-        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-            fh.write(text)
+        with open(os.open(os.path.join(out_dir, name), flags, 0o666), "wb") as fh:
+            fh.write(text.encode())  # ASCII: numbers, header names, ensure_ascii JSON
+            fh.truncate()
     return names
 
 

@@ -187,10 +187,13 @@ class GridFunction:
 
     def to_csv(self) -> str:
         """Rows x,re,im at 17 significant digits, LF line endings."""
-        lines = ["x,re,im"]
-        for x, v in zip(self.x_points().tolist(), self.values.tolist()):
-            lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
-        return "\n".join(lines) + "\n"
+        return "x,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *self._columns()))
+
+    def _columns(self) -> tuple[list, list, list]:
+        """The x, re and im columns of to_csv as Python numbers."""
+        vals = self.values
+        im = vals.imag.tolist() if vals.dtype.kind == "c" else [0.0] * len(vals)
+        return self.x_points().tolist(), vals.real.tolist(), im
 
     def __repr__(self):
         return (
@@ -313,7 +316,8 @@ class ExpSum(_NormalForm):
         return sum(hits, 0j)
 
     def eval(self, x):
-        if isinstance(x, np.ndarray):
+        # a Python number never reads np, so scalar evaluation does not load numpy
+        if not isinstance(x, (int, float, complex)) and isinstance(x, np.ndarray):
             out = np.zeros(x.shape, dtype=complex)
             for c, r in self._pairs():
                 out += c * np.exp(r * x)

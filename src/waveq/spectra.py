@@ -13,6 +13,7 @@ data behind the oscillation-count chart.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -272,9 +273,7 @@ def fig1_data(
 
 
 def fig1_csv(rows: Iterable[tuple[float, int, float]]) -> str:
-    lines = ["a0,n,a_n"]
-    lines.extend(f"{a0:.17g},{n},{an:.17g}" for a0, n, an in rows)
-    return "\n".join(lines) + "\n"
+    return "a0,n,a_n\n" + "".join(itertools.starmap("{:.17g},{},{:.17g}\n".format, rows))
 
 
 def zero_crossing_count(values: Sequence[float]) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end via dispatch()."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -539,6 +540,33 @@ def test_non_finite_manifest_value_exits_one_naming_the_key_and_writes_nothing(t
         cli._jsonable([complex(1.0, float("-inf"))], "results")
 
 
+def test_non_finite_grid_sample_exits_one_naming_the_column_and_writes_nothing(tmp_path, capsys,
+                                                                                 monkeypatch):
+    def cascade(*args):
+        res = scaling.cascade(*args)
+        res.phi.values[3] = float("nan")
+        return res
+
+    monkeypatch.setattr(cli, "cascade", cascade)
+    assert run(tmp_path, "cascade") == 1
+    assert capsys.readouterr().err == "error: NonFiniteOutputError: CSV column re is nan\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_trace_and_fig1_columns_are_checked_for_non_finite_cells(tmp_path, capsys, monkeypatch):
+    trace = cli.iterate_spectrum(0.5, n=3)
+    trace = dataclasses.replace(trace, values=(*trace.values[:-1], (3, -math.inf)))
+    monkeypatch.setattr(cli, "iterate_spectrum", lambda *a, **k: trace)
+    rows = [(0.0, 2, 1.0), (1.0, 2, math.inf)]
+    monkeypatch.setattr(cli, "fig1_report", lambda *a: {"rows": rows, "zero_crossings": {}})
+    for sub, column in (("spectrum", "a_n is -inf"), ("fig1", "a_n is inf")):
+        assert run(tmp_path, sub) == 1
+        assert capsys.readouterr().err == f"error: NonFiniteOutputError: CSV column {column}\n"
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(cli.NonFiniteOutputError, match="^CSV column im is inf$"):
+        cli._grid_csv(gridfn.GridFunction(0, (0, 2), [1.0, complex(0.0, math.inf)]))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("gamma", "--b=1e-9"), "--b"),
     (("gamma", "--b=-1.4901161193847656e-08"), "--b"),
@@ -648,6 +676,7 @@ assert "numpy" not in sys.modules, "import waveq"
 from waveq import AlgebraParams, check_closure, parse_laurent, verify_general_closure
 from waveq.qdeform import w_minus
 (2.0 * w_minus(0.6)) ** 9
+waveq.ExpSum.constant().eval(0.5)
 check_closure(AlgebraParams(0.6, 1.3))
 verify_general_closure(parse_laurent("1/2*T^1 + 1/2*T^-1"), parse_laurent("1/2 + 1/2*T^-1"), 0.5)
 assert "numpy" not in sys.modules, "the L1 algebra"
@@ -667,3 +696,40 @@ def test_the_algebra_and_nine_subcommands_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     csv = hashlib.sha256((tmp_path / "cascade.csv").read_bytes()).hexdigest()
     assert csv == GRID_GOLDEN["cascade"][0]  # the first sample loads numpy and keeps the bytes
+
+
+def _files(out: pathlib.Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_a_rewrite_leaves_the_bytes_a_fresh_directory_gets(tmp_path):
+    shared = tmp_path / "shared"
+    # a first write, an identical rewrite, a shorter one and a longer one
+    for i, points in enumerate(["100", "100", "10", "1000"]):
+        assert run(tmp_path / f"fresh{i}", "gamma", "--points", points) == 0
+        assert run(shared, "gamma", "--points", points) == 0
+        assert _files(shared) == _files(tmp_path / f"fresh{i}")
+        if points == "10":
+            assert len(_files(shared)["gamma.csv"].splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv, code", [(("gamma", "--lo=2000"), 2), (("gamma", "--hi=1e300"), 1)])
+def test_a_refused_run_leaves_earlier_outputs_unchanged(tmp_path, capsys, argv, code):
+    assert run(tmp_path, "gamma") == 0
+    before = _files(tmp_path)
+    assert run(tmp_path, *argv) == code
+    assert _files(tmp_path) == before
+
+
+def test_outputs_are_written_over_the_old_file_never_opened_with_o_trunc(tmp_path, monkeypatch):
+    opened, os_open = [], os.open
+
+    def recording_open(path, flags, *args):
+        opened.append((os.path.basename(path), flags))
+        return os_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # the second pass writes over existing files
+        assert run(tmp_path, "gamma") == 0
+    assert [name for name, _ in opened] == 2 * ["gamma.csv", "gamma.manifest.json"]
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
