@@ -7,7 +7,7 @@ tables below track the L1 distance to the exact target.
 Run with: python3 demos/limit_sequences.py
 """
 
-from waveq import limit_build, limit_build_report, limit_oracle
+from waveq import PRESETS, limit_build, limit_build_report
 from waveq.gridfn import GridFunction
 
 
@@ -32,7 +32,7 @@ def main():
 
     # the n = 20 build is visually indistinguishable from the target
     built = limit_build("haar", "tanh", 20, 6)
-    target = GridFunction.from_callable(limit_oracle("haar"), 6, (-1, 2))
+    target = GridFunction.from_callable(PRESETS["haar"].target, 6, (-1, 2))
     print("sampled values at x = -0.25, 0, 0.25, 0.5, 0.75, 1.0:")
     for label, f in (("built ", built), ("target", target)):
         vals = [f.value_at(x).real for x in (-0.25, 0.0, 0.25, 0.5, 0.75, 1.0)]

@@ -34,6 +34,7 @@ from .gridfn import (
     GridFunction,
     GridMismatchError,
     GridResolutionError,
+    GridTooLargeError,
     NonFiniteWeightError,
     apply_op_expsum,
     apply_op_grid,
@@ -60,6 +61,7 @@ from .qdeform import (
     w0_alpha0_report,
 )
 from .scaling import (
+    PRESETS,
     CascadeDivergenceError,
     CascadeResult,
     ScalingSystem,
@@ -75,7 +77,6 @@ from .scaling import (
     hat_grid,
     limit_build,
     limit_build_report,
-    limit_oracle,
     wavelet_from_scaling,
 )
 from .spectra import (
@@ -110,6 +111,7 @@ __all__ = [
     "GridFunction",
     "GridMismatchError",
     "GridResolutionError",
+    "GridTooLargeError",
     "LaurentError",
     "LaurentParseError",
     "LaurentPoly",
@@ -117,6 +119,7 @@ __all__ = [
     "NonFiniteWeightError",
     "OpExpr",
     "OpTerm",
+    "PRESETS",
     "RefinementSolve",
     "ScalingSystem",
     "SpectrumTrace",
@@ -151,7 +154,6 @@ __all__ = [
     "ladder_check",
     "limit_build",
     "limit_build_report",
-    "limit_oracle",
     "parse_laurent",
     "prop1_solve",
     "q_number",

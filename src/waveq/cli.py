@@ -41,14 +41,13 @@ from .gridfn import GridFunction
 from .laurent import LaurentError, LaurentParseError, LaurentPoly, parse_laurent
 from .qdeform import AlgebraParams, check_closure, verify_general_closure
 from .scaling import (
+    PRESETS,
     CascadeDivergenceError,
-    b2_system,
-    box_grid,
     box_midpoint_profile,
+    box_profile,
     cascade,
     deformed_scaling_report,
-    haar_system,
-    hat_grid,
+    hat_profile,
     limit_build,
     limit_build_report,
     wavelet_from_scaling,
@@ -223,15 +222,17 @@ _COMMON = (
 )
 
 _DYADIC_COMMUTATOR = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
+_PROFILES = {"box": box_profile, "box-midpoint": box_midpoint_profile, "hat": hat_profile}
+_SYSTEM = _Opt("--system", _choice(*PRESETS), "haar", "mask preset")
 
 _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "cascade": (
         "iterate the two-scale map on a start profile",
         (
-            _Opt("--system", _choice("haar", "b2"), "haar", "mask preset"),
+            _SYSTEM,
             _Opt(
                 "--start",
-                _choice("auto", "box", "box-midpoint", "hat"),
+                _choice("auto", *_PROFILES),
                 "auto",
                 "start profile; auto picks the system's fixed point",
             ),
@@ -243,10 +244,10 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "wavelet": (
         "build the mother wavelet from a scaling profile",
         (
-            _Opt("--system", _choice("haar", "b2"), "haar", "mask preset"),
+            _SYSTEM,
             _Opt(
                 "--start",
-                _choice("auto", "box", "box-midpoint", "hat"),
+                _choice("auto", *_PROFILES),
                 "auto",
                 "scaling profile; auto picks the system's fixed point",
             ),
@@ -262,7 +263,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "limit": (
         "convergence of the one-word limit construction",
         (
-            _Opt("--preset", _choice("haar", "b2"), "haar", "target profile"),
+            _Opt("--preset", _choice(*PRESETS), "haar", "target profile"),
             _Opt(
                 "--delta",
                 _choice("auto", "arctan", "tanh", "tri"),
@@ -474,24 +475,14 @@ class RunResult:
     exit_code: int = 0
 
 
-def _system(name: str):
-    return haar_system() if name == "haar" else b2_system()
-
-
-def _start_grid(system: str, start: str, resolution: int, window) -> GridFunction:
-    if start == "auto":
-        start = "box" if system == "haar" else "hat"
-    if start == "box":
-        return box_grid(resolution, window)
-    if start == "hat":
-        return hat_grid(resolution, window)
-    return GridFunction.from_callable(box_midpoint_profile, resolution, window)
+def _start_grid(p: dict, window) -> GridFunction:
+    auto = p["start"] == "auto"
+    profile = PRESETS[p["system"]].profile if auto else _PROFILES[p["start"]]
+    return GridFunction.from_callable(profile, p["resolution"], window)
 
 
 def _run_cascade(p: dict) -> RunResult:
-    sys_obj = _system(p["system"])
-    start = _start_grid(p["system"], p["start"], p["resolution"], p["window"])
-    res = cascade(sys_obj, start, p["iters"])
+    res = cascade(PRESETS[p["system"]].system, _start_grid(p, p["window"]), p["iters"])
     results = {
         "residual": res.residual,
         "iterations": res.iterations,
@@ -501,9 +492,8 @@ def _run_cascade(p: dict) -> RunResult:
 
 
 def _run_wavelet(p: dict) -> RunResult:
-    sys_obj = _system(p["system"])
-    phi = _start_grid(p["system"], p["start"], p["resolution"], (-1, 2))
-    psi = wavelet_from_scaling(sys_obj, phi, form=p["form"])
+    phi = _start_grid(p, (-1, 2))
+    psi = wavelet_from_scaling(PRESETS[p["system"]].system, phi, form=p["form"])
     mean = psi.integral()
     results = {
         "integral": mean,
@@ -514,9 +504,7 @@ def _run_wavelet(p: dict) -> RunResult:
 
 
 def _run_limit(p: dict) -> RunResult:
-    delta = p["delta"]
-    if delta == "auto":
-        delta = "arctan" if p["preset"] == "haar" else "tri"
+    delta = PRESETS[p["preset"]].seeds[0] if p["delta"] == "auto" else p["delta"]
     orders = p["n"]
     rep = limit_build_report(
         p["preset"], delta, tuple(orders), p["resolution"], p["window"]

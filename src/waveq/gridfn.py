@@ -24,6 +24,8 @@ from . import _numpy as np
 from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _own_arithmetic
 from .opalgebra import OpExpr
 
+MAX_SAMPLES = 1 << 22  # 32 MiB a float64 lattice; `check` samples 3 * 2^18 = 786,432 points
+
 
 class GridResolutionError(ValueError):
     """An operator asked for samples that are not on the source lattice."""
@@ -31,6 +33,10 @@ class GridResolutionError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two grid functions live on different lattices or windows."""
+
+
+class GridTooLargeError(ValueError):
+    """A lattice with more than MAX_SAMPLES samples, refused before it is allocated."""
 
 
 class NonFiniteWeightError(ValueError):
@@ -62,6 +68,10 @@ def _sample_count(resolution: int, window: tuple[int, int]) -> int:
         raise ValueError("window must be integers lo < hi")
     if resolution < 0:
         raise ValueError("resolution must be >= 0")
+    # the first test keeps a huge resolution from building a huge int
+    if resolution > MAX_SAMPLES.bit_length() or (hi - lo) << resolution > MAX_SAMPLES:
+        raise GridTooLargeError(f"window {window} at 2^-{resolution} needs {hi - lo} * "
+                                f"2^{resolution} samples, above MAX_SAMPLES = {MAX_SAMPLES}")
     return (hi - lo) << resolution
 
 

@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .laurent import Dyadic, EvaluationOverflowError, LaurentPoly, _float_range
+from .laurent import EvaluationOverflowError, LaurentPoly, _float_range
 from .opalgebra import OpExpr, commutator
 
 SINH_1 = math.sinh(1.0)
@@ -230,42 +230,16 @@ def check_closure(p: AlgebraParams) -> dict:
 # -- any instance of the two-symbol family -------------------------------------
 
 
-def _poly_of_poly(coeffs: dict, p: LaurentPoly) -> LaurentPoly:
-    """Evaluate a polynomial (degree -> coefficient) at a Laurent symbol."""
-    out = LaurentPoly.zero()
-    for deg, c in coeffs.items():
-        if deg < 0 or deg != int(deg):
-            raise ValueError("polynomial degrees must be nonnegative integers")
-        term = LaurentPoly.scalar(c)
-        for _ in range(int(deg)):
-            term = term * p
-        out = out + term
-    return out
-
-
-def verify_general_closure(
-    j0: LaurentPoly,
-    j: LaurentPoly,
-    s: float,
-    script_g: dict | None = None,
-    script_f: dict | None = None,
-) -> dict:
+def verify_general_closure(j0: LaurentPoly, j: LaurentPoly, s: float) -> dict:
     """Closure residuals for arbitrary symbols j0(T), j(T) at parameter s.
 
     Builds the two-symbol family at (j0, j, s), the ladders j+/- and the
     closing symbols Gt and Ft (`_family`), and reports the residuals of the
-    three commutators (`_residuals`).  When polynomial recursions for the
-    closing symbols are supplied (degree -> coefficient maps), their
-    substitution residuals
-
-        j0(T^2) - j0(T) - script_g(j0(T^2))
-        j(T^2) j(T^-1) - j(T^-1/2) j(T) - script_f(j0(T))
-
-    are reported as well; they are measurements, not assertions.
+    three commutators (`_residuals`).
     """
     gs = _family(j0, j, s)
     residuals = _residuals(gs)
-    report = {
+    return {
         "s": s,
         "nu": phase_index_plus(s),
         "nu_prime": phase_index_minus(s),
@@ -279,17 +253,6 @@ def verify_general_closure(
         },
         "max_residual": max(residuals.values()),
     }
-    if script_g is not None:
-        lhs = j0.substitute_power(2) - j0
-        rhs = _poly_of_poly(script_g, j0.substitute_power(2))
-        report["recursion_residual_g"] = (lhs - rhs).max_abs_coeff()
-    if script_f is not None:
-        lhs = j.substitute_power(2) * j.substitute_power(-1) - j.substitute_power(
-            Dyadic(-1, 1)
-        ) * j
-        rhs = _poly_of_poly(script_f, j0)
-        report["recursion_residual_f"] = (lhs - rhs).max_abs_coeff()
-    return report
 
 
 # -- the small-s (Fourier) limit ------------------------------------------------

@@ -55,20 +55,13 @@ def _to_dyadic(step) -> Dyadic:
 
 @dataclass(frozen=True)
 class ScalingSystem:
-    """A two-scale coefficient mask with its wavelet shift.
-
-    coeffs maps translation steps (dyadic rationals) to real coefficients
-    C_k; lam is the odd integer translation used by the literal wavelet
-    formula.
-    """
+    """A two-scale coefficient mask: coeffs maps translation steps (dyadic
+    rationals) to real coefficients C_k."""
 
     name: str
     coeffs: dict
-    lam: int = 1
 
     def __post_init__(self):
-        if self.lam % 2 != 1:
-            raise ValueError(f"wavelet shift must be odd, got {self.lam}")
         object.__setattr__(
             self,
             "coeffs",
@@ -133,6 +126,36 @@ def box_grid(resolution: int, window: tuple[int, int] = (-1, 2)) -> GridFunction
 
 def hat_grid(resolution: int, window: tuple[int, int] = (-1, 2)) -> GridFunction:
     return GridFunction.from_callable(hat_profile, resolution, window)
+
+
+# -- presets ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A worked example: a mask with its exact fixed profile and its limit word."""
+
+    system: ScalingSystem
+    profile: Callable  # the mask's exact fixed profile
+    word: LaurentPoly  # the mask's detail symbol b(T), as `funceq.solve_refinement` finds it
+    zero_order: int  # m, the order of b's zero at T = 1
+    target: Callable  # the profile the word converges to on a seed
+    seeds: tuple[str, ...]  # the seed flavors it takes; the first is the default
+
+
+PRESETS = {
+    "haar": Preset(haar_system(), box_profile, LaurentPoly.from_dict({0: 1.0, -1: -1.0}), 1,
+                   box_midpoint_profile, ("arctan", "tanh")),
+    "b2": Preset(b2_system(), hat_profile,
+                 LaurentPoly.from_dict({0: 1.0, Dyadic(-1, 1): -2.0, -1: 1.0}), 2,
+                 hat_profile, ("tri",)),
+}
+
+
+def _preset(name: str) -> Preset:
+    if name not in PRESETS:
+        raise ValueError(f"preset must be one of {sorted(PRESETS)}, got {name!r}")
+    return PRESETS[name]
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -272,7 +295,7 @@ def wavelet_from_scaling(
 ) -> GridFunction:
     """Mother wavelet from a scaling function.
 
-    form="literal" applies -T^{-lam} D g(-T^{-1}), which needs integer mask
+    form="literal" applies -T^{-1} D g(-T^{-1}), which needs integer mask
     steps; form="canonical" applies D times the alternating mask
     sum (-1)^{k/h} C_k T^{-k}, which also covers half-step masks and, for
     the box mask, is the usual difference wavelet D(1 - T^{-1}) phi.
@@ -282,7 +305,7 @@ def wavelet_from_scaling(
         sub = _alternate_reflect(sys.g)
         op = (
             OpExpr.scalar(-1.0)
-            * OpExpr.translation(-sys.lam)
+            * OpExpr.translation(-1)
             * OpExpr.dilation(1)
             * OpExpr.from_laurent(sub)
         )
@@ -314,7 +337,6 @@ def _seed_tri(y):
 
 
 _SEEDS = {"arctan": _seed_arctan, "tanh": _seed_tanh, "tri": _seed_tri}
-_PRESET_SEEDS = {"haar": ("arctan", "tanh"), "b2": ("tri",)}
 
 
 def limit_build(
@@ -326,43 +348,27 @@ def limit_build(
 ) -> GridFunction:
     """Scaling function as one difference word on a dilated smooth seed.
 
-    haar: (1 - T^{-1}) D^n applied to an odd sigmoid seed (arctan or tanh
-    flavor), converging to the box with midpoint values at its jumps.
-    b2: (1 - 2T^{-1/2} + T^{-1}) D^n applied to the even kink seed, with
-    the amplitude divided by 2^{n-1}, converging to the peak-2 hat.
-    Evaluated in closed form on the target lattice; no grid iteration.
+    The preset's word b(T) = sum_k b_k T^{e_k} times D^n, applied to the
+    seed and divided by 2^((m-1)(n-1)), m the order of b's zero at T = 1:
+    sum_k b_k seed(2^n (x + e_k)) / 2^((m-1)(n-1)).  haar: (1 - T^{-1}) D^n
+    on an odd sigmoid seed (arctan or tanh flavor) converges to the box with
+    midpoint values at its jumps; b2: (1 - 2T^{-1/2} + T^{-1}) D^n on the
+    even kink seed converges to the peak-2 hat.  Evaluated in closed form on
+    the target lattice; no grid iteration.
     """
-    if preset not in _PRESET_SEEDS:
-        raise ValueError(f"preset must be one of {sorted(_PRESET_SEEDS)}, got {preset!r}")
-    if delta not in _SEEDS:
-        raise ValueError(f"delta must be one of {sorted(_SEEDS)}, got {delta!r}")
-    if delta not in _PRESET_SEEDS[preset]:
-        raise ValueError(f"delta preset {delta!r} is not available for {preset!r}")
+    p = _preset(preset)
+    if delta not in p.seeds:
+        raise ValueError(f"delta must be one of {list(p.seeds)} for {preset!r}, got {delta!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 60:
         raise EvaluationOverflowError(
             f"amplitude compensation overflows past n = 60, got {n}"
         )
-    seed = _SEEDS[delta]
-    scale = 2.0**n
-    xs = _lattice_points(resolution, window)
-    if preset == "haar":
-        vals = seed(scale * xs) - seed(scale * (xs - 1.0))
-    else:
-        comp = 2.0 ** (n - 1)
-        vals = (
-            seed(scale * xs) - 2.0 * seed(scale * (xs - 0.5)) + seed(scale * (xs - 1.0))
-        ) / comp
-    return GridFunction(resolution, window, vals)
-
-
-def limit_oracle(preset: str) -> Callable:
-    if preset == "haar":
-        return box_midpoint_profile
-    if preset == "b2":
-        return hat_profile
-    raise ValueError(f"no oracle for preset {preset!r}")
+    seed, scale, xs = _SEEDS[delta], 2.0**n, _lattice_points(resolution, window)
+    first, *rest = (c.real * seed(scale * (xs + e.value)) for e, c in p.word.terms())
+    vals = sum(rest, first)  # in term order from the first: 0 + (-0.0) loses a zero's sign
+    return GridFunction(resolution, window, vals / 2.0 ** ((p.zero_order - 1) * (n - 1)))
 
 
 def limit_build_report(
@@ -374,7 +380,7 @@ def limit_build_report(
 ) -> dict:
     """L1 and max distances to the exact target for each word order n,
     plus whether the L1 error strictly decreases along n_values."""
-    target = GridFunction.from_callable(limit_oracle(preset), resolution, window)
+    target = GridFunction.from_callable(_preset(preset).target, resolution, window)
     errors = {}
     for n in n_values:
         f = limit_build(preset, delta, n, resolution, window)

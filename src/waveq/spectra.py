@@ -129,10 +129,12 @@ def a2half_step(a: float) -> float:
 
     Written as a*(u + 1/u) with u = a + sqrt(a^2 + 1) so that rational
     inputs with exactly representable square roots stay exact; 3/4 maps
-    to 15/8 with no rounding at all.
+    to 15/8 with no rounding at all.  The map is odd, and u cancels for
+    a < 0, so it is evaluated at |a| and given the sign of a.
     """
-    u = a + math.sqrt(a * a + 1.0)
-    return a * (u + 1.0 / u)
+    t = abs(a)
+    u = t + math.sqrt(t * t + 1.0)
+    return math.copysign(t * (u + 1.0 / u), a)
 
 
 # -- ladder transitions --------------------------------------------------------

@@ -203,7 +203,8 @@ def test_no_solution_exits_one(tmp_path, capsys):
 
 def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
     bad = ScalingSystem("haar", {0: float("inf"), 1: 1.0})
-    with mock.patch.object(cli, "haar_system", lambda: bad):
+    preset = dataclasses.replace(scaling.PRESETS["haar"], system=bad)
+    with mock.patch.dict(scaling.PRESETS, {"haar": preset}):
         assert run(tmp_path, "cascade") == 1
     assert capsys.readouterr().err.startswith("error: NonFiniteWeightError: term ")
 
@@ -504,6 +505,17 @@ def test_oversized_deformed_word_exits_one_naming_the_error(tmp_path, capsys, mo
     assert run(tmp_path, "fig2", "--n", "40") == 1
     assert "WordTooLargeError" in capsys.readouterr().err
     assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_oversized_lattice_exits_one_naming_the_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(["cascade", "--resolution", "40", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: GridTooLargeError: ")
+    assert not out.exists()
+
+
+def test_half_map_runs_from_a_large_negative_start(tmp_path):
+    assert run(tmp_path, "spectrum", "--map", "half", "--a0=-1e8") == 0
 
 
 def test_gamma_writes_the_report_rows_and_keeps_them_out_of_the_manifest(tmp_path):

@@ -15,6 +15,7 @@ from waveq.gridfn import (
     GridFunction,
     GridMismatchError,
     GridResolutionError,
+    GridTooLargeError,
     NonFiniteWeightError,
     apply_op_expsum,
     apply_op_grid,
@@ -92,6 +93,22 @@ def test_negative_resolutions_and_bad_windows_are_refused_before_any_sample_is_m
             with pytest.raises(ValueError, match="window must be integers lo < hi"):
                 make(2, window)
     assert len(GridFunction.zeros(0, (-1, 2)).values) == 3
+
+
+def test_oversized_lattices_are_refused_before_any_sample_is_made():
+    # 3 * 2^40 samples would be 24 TiB; the bound refuses them before numpy is asked
+    makers = [
+        GridFunction.zeros,
+        lambda res, window: GridFunction.from_callable(box, res, window),
+        lambda res, window: GridFunction(res, window, []),
+        lambda res, window: apply_op_grid(OpExpr.identity(), GridFunction.zeros(0, window),
+                                          out_resolution=res),
+        lambda res, window: scaling.limit_build("haar", "arctan", 8, res, window),
+    ]
+    for make in makers:
+        with pytest.raises(GridTooLargeError, match="MAX_SAMPLES"):
+            make(40, (-1, 2))
+    assert issubclass(waveq.GridTooLargeError, ValueError)
 
 
 def test_value_at():

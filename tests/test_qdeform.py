@@ -228,22 +228,6 @@ def test_general_closure_trivial_j():
     assert rep["r3"] == 0.0
 
 
-def test_general_closure_recursion_scripts():
-    j0 = LaurentPoly.from_dict({1: 0.5, -1: 0.5})
-    j = LaurentPoly.from_dict({0: 0.5, 1: 0.5})
-    # the quadratic recursion candidate for the halving symbol leaves an
-    # order-one residual; it is reported, not asserted
-    rep = verify_general_closure(
-        j0, j, 1.0, script_g={0: -0.5, 1: 1.0, 2: -1.0}
-    )
-    assert rep["recursion_residual_g"] > 0.1
-
-    rep2 = verify_general_closure(
-        j0, LaurentPoly.one(), 1.0, script_f={}
-    )
-    assert rep2["recursion_residual_f"] == 0.0
-
-
 def test_phase_indices_cancel():
     # the P exponents of the two ladder halves are tuned so products of
     # opposite halves carry no leftover phase factor

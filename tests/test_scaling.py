@@ -12,8 +12,10 @@ from waveq.laurent import Dyadic, EvaluationOverflowError, parse_laurent
 from waveq.opalgebra import OpExpr
 from waveq.qdeform import phase_index_minus, w_minus
 from waveq import scaling
+from waveq.funceq import solve_refinement
 from waveq.scaling import (
     MAX_WORD_ORDER,
+    PRESETS,
     CascadeDivergenceError,
     ScalingSystem,
     algebraic_form_check,
@@ -51,13 +53,9 @@ def test_b2_symbol():
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        ScalingSystem("bad", {0: 1.0}, lam=2)
-    with pytest.raises(ValueError):
         ScalingSystem("bad", {})
     with pytest.raises(ValueError):
         ScalingSystem("bad", {1.0 / 3.0: 1.0})
-    # negative odd shifts are fine
-    ScalingSystem("ok", {0: 2.0}, lam=-1)
 
 
 def overlap_errors(rep) -> dict:
@@ -182,15 +180,6 @@ def test_wavelet_canonical_haar_values():
     assert psi.inner(phi_fine) == 0j
 
 
-def test_wavelet_literal_shift():
-    sys1 = haar_system()
-    sys3 = ScalingSystem("haar3", {0: 1.0, 1: 1.0}, lam=3)
-    psi1 = wavelet_from_scaling(sys1, box_grid(4), form="literal")
-    psi3 = wavelet_from_scaling(sys3, box_grid(4), form="literal")
-    for x in (0.5, 0.75, 1.0, 1.25):
-        assert psi3.value_at(x + 2.0) == psi1.value_at(x)
-
-
 def test_wavelet_b2_canonical():
     psi = wavelet_from_scaling(b2_system(), hat_grid(4), form="canonical")
     assert abs(psi.integral()) <= 1e-12
@@ -208,6 +197,28 @@ def test_wavelet_form_validation():
 
 
 # -- limit sequences ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_limit_word_is_the_masks_detail_symbol(name):
+    # the duality: the word each preset stores is what the refinement solver finds
+    p = PRESETS[name]
+    sol = solve_refinement(p.system.g, 4)
+    assert sol.b == p.word
+    assert sol.zero_order == p.zero_order
+
+
+@pytest.mark.parametrize("preset,delta", [("haar", "arctan"), ("haar", "tanh"), ("b2", "tri")])
+@pytest.mark.parametrize("n", [1, 2, 12, 33, 60])
+def test_limit_build_is_the_written_out_difference_bit_for_bit(preset, delta, n):
+    seed, xs = scaling._SEEDS[delta], scaling._lattice_points(6, (-3, 4))
+    at = lambda shift: seed(2.0**n * (xs - shift))  # noqa: E731
+    if preset == "haar":
+        want = at(0.0) - at(1.0)
+    else:
+        want = (at(0.0) - 2.0 * at(0.5) + at(1.0)) / 2.0 ** (n - 1)
+    got = limit_build(preset, delta, n, 6, (-3, 4)).values
+    assert got.tobytes() == want.tobytes()
 
 
 def test_limit_build_arctan_accuracy():

@@ -144,6 +144,17 @@ def test_half_step_doubles_sinh_argument():
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def test_half_step_is_odd_and_accurate_for_negative_arguments_against_mpmath():
+    # evaluated at |a|, the map has no cancellation: seven roundings at most
+    for k in range(0, 151):
+        for a in (-(10.0**k), -(10.0**k) / 3.0):
+            with mpmath.workprec(200):
+                want = 2 * mpmath.mpf(a) * mpmath.sqrt(1 + mpmath.mpf(a) ** 2)
+            got = a2half_step(a)
+            assert got == -a2half_step(-a)
+            assert abs(got - want) <= 8 * U * abs(want), a
+
+
 def test_half_step_alternative_form():
     rng = random.Random(20260822)
     for _ in range(200):
