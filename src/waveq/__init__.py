@@ -19,6 +19,7 @@ from .funceq import (
     ChiSolve,
     GammaMap,
     NoSolutionInWindowError,
+    SymbolDomainError,
     RefinementSolve,
     casimir_constancy_check,
     gamma_eval,
@@ -83,7 +84,6 @@ from .spectra import (
     SpectrumTrace,
     a2half_step,
     doubling_step,
-    fig1_csv,
     fig1_data,
     fig1_report,
     haar_closed_form,
@@ -123,6 +123,7 @@ __all__ = [
     "RefinementSolve",
     "ScalingSystem",
     "SpectrumTrace",
+    "SymbolDomainError",
     "WordTooLargeError",
     "a2half_step",
     "algebraic_form_check",
@@ -139,7 +140,6 @@ __all__ = [
     "deformed_scaling",
     "deformed_scaling_report",
     "doubling_step",
-    "fig1_csv",
     "fig1_data",
     "fig1_report",
     "format_report",

@@ -40,7 +40,7 @@ from .funceq import (
 from .gridfn import apply_op_grid
 from .laurent import parse_laurent
 from .opalgebra import OpExpr
-from .qdeform import AlgebraParams, build_generators, check_closure, fourier_limit_report
+from .qdeform import DYADIC_F, AlgebraParams, build_generators, check_closure, fourier_limit_report
 from .scaling import (
     algebraic_form_check,
     b2_system,
@@ -128,10 +128,6 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
-# the ladder commutator's symbol for the (1, 1) generator triple
-_DYADIC_F = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
-
-
 @_check("exchange-word")
 def check_exchange_word():
     """(1 - T^{-1}) D^n equals (1 - T^{-2^-n}) (2 W-)^n with zero residual.
@@ -158,7 +154,7 @@ def check_dyadic_closure():
     rep = check_closure(params)
     return [
         *((r, rep[r], "==", 0.0) for r in ("r1", "r2", "r3")),
-        ("f", build_generators(params).f.to_laurent(), "==", parse_laurent(_DYADIC_F)),
+        ("f", build_generators(params).f.to_laurent(), "==", parse_laurent(DYADIC_F)),
     ]
 
 
@@ -265,7 +261,7 @@ def check_functional_equations():
             (f"{name}.rho", sol.rho, "==", rho),
             (f"{name}.residual", sol.residual, "==", 0.0),
         ]
-    chi = solve_casimir_chi(parse_laurent(_DYADIC_F)).chi
+    chi = solve_casimir_chi(parse_laurent(DYADIC_F)).chi
     flat = casimir_constancy_check(range(0, 4), math.log(2.0))
     return claims + [
         ("chi", chi, "==", parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")),

@@ -25,11 +25,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from .acceptance import format_report, run_all
 from .funceq import (
     GammaMap,
+    SymbolDomainError,
     casimir_constancy_check,
     gamma_ladder_report,
     prop1_solve,
@@ -39,7 +41,7 @@ from .funceq import (
 )
 from .gridfn import GridFunction
 from .laurent import LaurentError, LaurentParseError, LaurentPoly, parse_laurent
-from .qdeform import AlgebraParams, check_closure, verify_general_closure
+from .qdeform import DYADIC_F, AlgebraParams, check_closure, verify_general_closure
 from .scaling import (
     PRESETS,
     CascadeDivergenceError,
@@ -52,7 +54,7 @@ from .scaling import (
     limit_build_report,
     wavelet_from_scaling,
 )
-from .spectra import a2half_step, fig1_csv, fig1_report, iterate_spectrum, ladder_check
+from .spectra import a2half_step, fig1_report, iterate_spectrum, ladder_check
 
 __all__ = ["NonFiniteOutputError", "RunConfig", "dispatch", "main"]
 
@@ -221,7 +223,6 @@ _COMMON = (
     _Opt("--config", _as_str, None, "JSON file with flag values; flags win"),
 )
 
-_DYADIC_COMMUTATOR = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
 _PROFILES = {"box": box_profile, "box-midpoint": box_midpoint_profile, "hat": hat_profile}
 _SYSTEM = _Opt("--system", _choice(*PRESETS), "haar", "mask preset")
 
@@ -329,7 +330,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "casimir": (
         "telescoping potential and the conserved combination",
         (
-            _Opt("--r", _as_symbol, parse_laurent(_DYADIC_COMMUTATOR),
+            _Opt("--r", _as_symbol, parse_laurent(DYADIC_F),
                  "driving symbol for the telescoping equation"),
             _Opt("--a-tilde", _as_float, math.log(2.0), "base rate for the constancy scan"),
             _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings for the scan"),
@@ -434,26 +435,35 @@ def _fmt(x: float, name: str) -> str:
     return f"{x + 0.0:.17g}"
 
 
-def _csv(header: str, rows: list[list]) -> str:
-    lines, columns = [header], [f"CSV column {col}" for col in header.split(",")]
-    for row in rows:
-        lines.append(",".join(_fmt(v, col) if isinstance(v, float) else str(v)
-                              for col, v in zip(columns, row)))
-    return "\n".join(lines) + "\n"
-
-
-def _finite_columns(**columns) -> None:
-    """Refuse an inf or nan in any named CSV column; the bad cell is sought only on failure."""
-    for name, col in columns.items():
-        if not all(map(math.isfinite, col)):
-            bad = next(v for v in col if not math.isfinite(v))
-            raise NonFiniteOutputError(f"CSV column {name} is {bad!r}")
+def _csv(header: str, rows) -> str:
+    """header and rows as CSV text: a float at 17 significant digits with -0.0 as 0, any
+    other cell by str, an inf or nan refused naming its column.  A column of floats, or of
+    no floats, has one format, so a row is one % of the line format."""
+    names, table = header.split(","), list(zip(*rows))
+    columns, floats = [], []
+    for col in table:
+        count = sum(map(isinstance, col, repeat(float)))
+        if 0 < count < len(col):  # floats among other cells: each is written on its own
+            col = ["%.17g" % (v + 0.0) if isinstance(v, float) else str(v) for v in col]
+        columns.append(col)
+        floats.append(count == len(col))
+    line = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    body = "".join(map(line.__mod__, zip(*columns)))
+    if "inf" in body or "nan" in body:  # a float cell may be inf or nan: find the first
+        for name, col in zip(names, table):
+            bad = [v for v in col if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise NonFiniteOutputError(f"CSV column {name} is {bad[0]!r}")
+    if "-0," in body or "-0\n" in body:  # a float cell may be -0.0: write it as 0
+        columns = [[v + 0.0 for v in col] if f else col for col, f in zip(columns, floats)]
+        body = "".join(map(line.__mod__, zip(*columns)))
+    return f"{header}\n{body}"
 
 
 def _grid_csv(g: GridFunction) -> str:
-    x, re, im = g._columns()
-    _finite_columns(x=x, re=re, im=im)
-    return g.to_csv()
+    vals = g.values
+    im = vals.imag.tolist() if vals.dtype.kind == "c" else [0.0] * len(vals)
+    return _csv("x,re,im", zip(g.x_points().tolist(), vals.real.tolist(), im))
 
 
 def _cosh_is_one(x: float, n: int = 0) -> bool:
@@ -534,7 +544,7 @@ def _run_spectrum(p: dict) -> RunResult:
         trace = iterate_spectrum(p["a0"], n=p["n"])
     else:
         trace = iterate_spectrum(p["a0"], step=a2half_step, n=p["n"])
-    _finite_columns(a_n=[a for _, a in trace.values])
+    csv = _csv("n,a_n", trace.values)  # refused before the summary reads the last value
     last_n, last_a = trace.values[-1]
     results = {
         "closed_form_tag": trace.closed_form_tag,
@@ -542,9 +552,7 @@ def _run_spectrum(p: dict) -> RunResult:
         "steps_recorded": len(trace.values) - 1,
         "final": {"n": last_n, "a_n": last_a},
     }
-    return RunResult(
-        trace.to_csv(), results, f"{len(trace.values) - 1} steps, a_final {last_a:.6g}"
-    )
+    return RunResult(csv, results, f"{len(trace.values) - 1} steps, a_final {last_a:.6g}")
 
 
 def _run_ladder(p: dict) -> RunResult:
@@ -586,8 +594,7 @@ def _run_ladder(p: dict) -> RunResult:
 
 def _run_closure(p: dict) -> RunResult:
     rep = check_closure(AlgebraParams(p["s"], p["alpha"]))
-    rows = [["r1", rep["r1"]], ["r2", rep["r2"]], ["r3", rep["r3"]],
-            ["max_residual", rep["max_residual"]]]
+    rows = [[k, rep[k]] for k in ("r1", "r2", "r3", "max_residual")]
     results = {k: v for k, v in rep.items() if k not in ("s", "alpha")}
     return RunResult(
         _csv("quantity,value", rows),
@@ -598,13 +605,7 @@ def _run_closure(p: dict) -> RunResult:
 
 def _run_general_closure(p: dict) -> RunResult:
     rep = verify_general_closure(p["j0"], p["j"], p["s"])
-    rows = [
-        ["r1", rep["r1"]],
-        ["r2", rep["r2"]],
-        ["r3", rep["r3"]],
-        ["max_residual", rep["max_residual"]],
-        ["j_at_one", rep["j_at_one"]],
-    ]
+    rows = [[k, rep[k]] for k in ("r1", "r2", "r3", "max_residual", "j_at_one")]
     results = {k: v for k, v in rep.items() if k != "s"}
     return RunResult(
         _csv("quantity,value", rows),
@@ -614,8 +615,10 @@ def _run_general_closure(p: dict) -> RunResult:
 
 
 def _run_solve_b(p: dict) -> RunResult:
-    sol = solve_refinement(p["c"], p["window"])
-    rows = [[e, re, im] for e, re, im in _poly_terms(sol.b)]
+    try:
+        sol = solve_refinement(p["c"], p["window"])
+    except SymbolDomainError as exc:
+        raise UsageError("--c", f"invalid value for --c: {exc}") from exc
     results = {
         "b": sol.b,
         "rho": sol.rho,
@@ -624,16 +627,19 @@ def _run_solve_b(p: dict) -> RunResult:
         "support_bound": sol.support_bound,
     }
     return RunResult(
-        _csv("exponent,re,im", rows),
+        _csv("exponent,re,im", _poly_terms(sol.b)),
         results,
         f"rho {_fmt(complex(sol.rho).real, 'rho')}, residual {sol.residual:.2e}",
     )
 
 
 def _run_casimir(p: dict) -> RunResult:
-    solve = solve_casimir_chi(p["r"])
+    try:
+        solve = solve_casimir_chi(p["r"])
+    except SymbolDomainError as exc:
+        raise UsageError("--r", f"invalid value for --r: {exc}") from exc
     flat = casimir_constancy_check(p["n"], p["a_tilde"])
-    rows = [[e, re, im] for e, re, im in _poly_terms(solve.chi)]
+    csv = _csv("exponent,re,im", _poly_terms(solve.chi))
     results = {"chi": solve.chi, "free_constant": solve.free_constant,
                "constancy": flat}
     if "skipped" in flat:
@@ -643,7 +649,7 @@ def _run_casimir(p: dict) -> RunResult:
             f"combination value {complex(flat['reference']).real:.6g}, "
             f"spread {flat['max_spread']:.2e}"
         )
-    return RunResult(_csv("exponent,re,im", rows), results, summary)
+    return RunResult(csv, results, summary)
 
 
 def _run_prop1(p: dict) -> RunResult:
@@ -705,18 +711,19 @@ def _run_bridge(p: dict) -> RunResult:
 
 def _run_fig1(p: dict) -> RunResult:
     rep = fig1_report(p["n"], p["grid"])
-    _finite_columns(a0=[r[0] for r in rep["rows"]], a_n=[r[2] for r in rep["rows"]])
+    csv = _csv("a0,n,a_n", rep["rows"])  # refused before the summary reads the counts
     results = {
         "zero_crossings": {str(n): c for n, c in rep["zero_crossings"].items()},
     }
     counts = rep["zero_crossings"]
     summary = "zero crossings " + ", ".join(f"n={n}: {counts[n]}" for n in p["n"])
-    return RunResult(fig1_csv(rep["rows"]), results, summary)
+    return RunResult(csv, results, summary)
 
 
 def _run_fig2(p: dict) -> RunResult:
     rep = deformed_scaling_report(tuple(p["s_values"]), p["n"], p["resolution"])
-    rows = [[r["s"], r["l1_to_box"], r["integral_error"]] for r in rep["rows"]]
+    csv = _csv("s,l1_to_box,integral_error",
+               [[r["s"], r["l1_to_box"], r["integral_error"]] for r in rep["rows"]])
     results = {
         "rows": rep["rows"],
         "note": "survey data; only the s = 1 endpoint carries an accuracy claim",
@@ -727,7 +734,7 @@ def _run_fig2(p: dict) -> RunResult:
         if end
         else f"{len(rep['rows'])} profiles surveyed"
     )
-    return RunResult(_csv("s,l1_to_box,integral_error", rows), results, summary)
+    return RunResult(csv, results, summary)
 
 
 def _run_check(p: dict) -> RunResult:

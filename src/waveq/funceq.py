@@ -28,6 +28,10 @@ class NoSolutionInWindowError(ValueError):
     pass
 
 
+class SymbolDomainError(ValueError):
+    """A mask or right-hand side outside the domain of its equation."""
+
+
 # -- refinement eigenproblem ---------------------------------------------------
 
 
@@ -48,7 +52,8 @@ def _mask_exponents(p: LaurentPoly) -> tuple[int, list[tuple[int, complex]]]:
     terms = p.terms()
     for e, _ in terms:
         if not e.is_exact or e.dyadic.log2_den > 3:
-            raise ValueError(f"mask exponents must be dyadic with denominator at most 8, got {e!r}")
+            raise SymbolDomainError(
+                f"mask exponents must be dyadic with denominator at most 8, got {e!r}")
     q = max([0] + [e.dyadic.log2_den for e, _ in terms])
     return q, [(e.dyadic.num << (q - e.dyadic.log2_den), c) for e, c in terms]
 
@@ -88,7 +93,7 @@ def solve_refinement(c: LaurentPoly, support_bound: int) -> RefinementSolve:
     q, mask = _mask_exponents(c)
     c_at_one = c.eval_phase(0.0)
     if abs(c_at_one) <= 1e-12:
-        raise ValueError("mask must not vanish at T = 1")
+        raise SymbolDomainError("mask must not vanish at T = 1")
     (hi, c_hi), lo = mask[0], mask[-1][0]
     m = round(math.log2(abs(c_at_one / c_hi)))
     no_solution = NoSolutionInWindowError(f"no solution in window |exponent| <= {support_bound}")
@@ -158,7 +163,7 @@ def solve_casimir_chi(
     returned solution sets it to zero.
     """
     if abs(r.coeff_at(0)) > 1e-12:
-        raise ValueError("the right-hand side must have zero constant term")
+        raise SymbolDomainError("the right-hand side must have zero constant term")
     if support_bound is not None:
         worst = max((abs(e.value) for e, _ in r.terms()), default=0.0)
         if worst > support_bound:
@@ -176,7 +181,7 @@ def solve_casimir_chi(
         total = sum(cc for _, cc in chain.values())
         if abs(total) > 1e-12:
             exps = sorted(e.value for e, _ in chain.values())
-            raise ValueError(
+            raise SymbolDomainError(
                 f"inconsistent chain: exponents {exps} sum to {total!r}, "
                 "so no finitely supported solution exists"
             )

@@ -193,18 +193,6 @@ class GridFunction:
         self._check_same_lattice(other)
         return bool(np.array_equal(self.values, other.values))
 
-    # -- text form -----------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """Rows x,re,im at 17 significant digits, LF line endings."""
-        return "x,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *self._columns()))
-
-    def _columns(self) -> tuple[list, list, list]:
-        """The x, re and im columns of to_csv as Python numbers."""
-        vals = self.values
-        im = vals.imag.tolist() if vals.dtype.kind == "c" else [0.0] * len(vals)
-        return self.x_points().tolist(), vals.real.tolist(), im
-
     def __repr__(self):
         return (
             f"GridFunction(2^-{self.resolution} on [{self.lo},{self.hi}), "

@@ -180,6 +180,10 @@ def w_zero(s: float, alpha: float) -> OpExpr:
     return OpExpr.term(c_plus, alpha=sa) + OpExpr.term(c_minus, alpha=-sa)
 
 
+# f of the (1, 1) triple, written out (the built f carries -0.0 imaginary parts)
+DYADIC_F = "1/4*T^2 + 1/4*T^-1 - 1/4*T^1/2 - 1/4*T^-1/2"
+
+
 def build_generators(p: AlgebraParams) -> GeneratorSet:
     """W0, W+/-, and the two closure symbols g and f: the two-symbol family
     at j0 = W0(s, alpha) and j = (1 + T^s)/2.

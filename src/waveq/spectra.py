@@ -13,7 +13,6 @@ data behind the oscillation-count chart.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -58,11 +57,6 @@ class SpectrumTrace:
             if k == n:
                 return a
         raise KeyError(f"no entry at n = {n} (trace has {len(self.values)} values)")
-
-    def to_csv(self) -> str:
-        lines = ["n,a_n"]
-        lines.extend(f"{n},{a:.17g}" for n, a in self.values)
-        return "\n".join(lines) + "\n"
 
 
 def iterate_spectrum(
@@ -272,10 +266,6 @@ def fig1_data(
         for a in grid:
             rows.append((a, n, haar_closed_form(a, n)))
     return rows
-
-
-def fig1_csv(rows: Iterable[tuple[float, int, float]]) -> str:
-    return "a0,n,a_n\n" + "".join(itertools.starmap("{:.17g},{},{:.17g}\n".format, rows))
 
 
 def zero_crossing_count(values: Sequence[float]) -> int:

@@ -12,11 +12,17 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waveq import cli, funceq, gridfn, laurent, scaling
 from waveq.acceptance import CHECKS, run_all
 from waveq.cli import dispatch
+from waveq.gridfn import GridFunction, apply_op_grid
+from waveq.opalgebra import OpExpr
 from waveq.scaling import ScalingSystem
+from waveq.spectra import haar_closed_form, iterate_spectrum
+from test_gridfn import real_case
 
 
 def run(tmp_path, *argv):
@@ -579,6 +585,123 @@ def test_trace_and_fig1_columns_are_checked_for_non_finite_cells(tmp_path, capsy
         cli._grid_csv(gridfn.GridFunction(0, (0, 2), [1.0, complex(0.0, math.inf)]))
 
 
+# -- the one CSV writer ----------------------------------------------------------------
+
+
+def test_each_cell_is_written_by_one_rule_whatever_its_column_holds():
+    rows = [(1, -0.0, "info-0", -0.0), (2, 1 / 3, "nan", 7)]  # the last column mixes kinds
+    assert cli._csv("n,v,name,mixed", rows) == (
+        "n,v,name,mixed\n1,0,info-0,0\n2,0.33333333333333331,nan,7\n")
+    assert cli._csv("a,b", []) == "a,b\n"
+    for rows, refused in (([(1.0, 2.0), (math.inf, 3.0)], "a is inf"),
+                          ([(1.0, "s"), (-math.inf, math.nan)], "a is -inf"),
+                          ([("s", 1.0), ("t", 2)], None), ([(0, "s"), (math.nan, "t")], "a is nan")):
+        if refused is None:
+            assert cli._csv("a,b", rows) == "a,b\ns,1\nt,2\n"
+            continue
+        with pytest.raises(cli.NonFiniteOutputError, match=f"^CSV column {refused}$"):
+            cli._csv("a,b", rows)
+
+
+def test_csv_shape_and_roundtrip():
+    text = cli._grid_csv(GridFunction(2, (0, 1), [0.0, 1.0, 2.0, 1.0]))
+    lines = text.splitlines()
+    assert lines[0] == "x,re,im"
+    assert len(lines) == 1 + 4
+    x, re, im = lines[2].split(",")
+    assert float(x) == 0.25 and float(re) == 1.0 and float(im) == 0.0
+
+
+def test_csv_17_digit_fidelity():
+    vals = [1 / 3 + 1e-17j, math.pi, -2.7182818284590452]
+    for line, v in zip(cli._grid_csv(GridFunction(0, (0, 3), vals)).splitlines()[1:], vals):
+        _, re, im = line.split(",")
+        assert float(re) == complex(v).real
+        assert float(im) == complex(v).imag
+
+
+def _written(g: GridFunction) -> str:
+    """The grid's CSV text, or the message that refuses it."""
+    try:
+        return cli._grid_csv(g)
+    except cli.NonFiniteOutputError as exc:
+        return f"refused: {exc}"
+
+
+def cell_by_cell_csv(g: GridFunction) -> str:
+    """The grid CSV written one numpy scalar at a time, or the first inf or nan by column."""
+    columns = {"x": g.x_points(), "re": g.values.real, "im": g.values.imag}
+    for name, col in columns.items():
+        bad = [v for v in col if not math.isfinite(v)]
+        if bad:
+            return f"refused: CSV column {name} is {float(bad[0])!r}"
+    rows = (",".join(f"{v + 0.0:.17g}" for v in row) for row in zip(*columns.values()))
+    return "".join(f"{line}\n" for line in ["x,re,im", *rows])
+
+
+EDGE_FLOATS = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+               1e-300, -1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    resolution=st.integers(0, 3),
+    lo=st.integers(-3, 3),
+    parts=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(1e299, 1e301)
+                   | st.floats(-1e-299, -1e-301), min_size=16, max_size=16),
+)
+@example(resolution=3, lo=-1, parts=EDGE_FLOATS + EDGE_FLOATS[::-1][:6])
+@example(resolution=3, lo=-1, parts=[-0.0, 1.0] * 8)
+def test_grid_csv_writes_each_finite_cell_at_17_digits_and_refuses_the_rest(resolution, lo, parts):
+    n = 1 << resolution
+    g = GridFunction(resolution, (lo, lo + 1),
+                     [complex(parts[2 * i % 16], parts[(2 * i + 1) % 16]) for i in range(n)])
+    assert _written(g) == cell_by_cell_csv(g)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=real_case())
+@example(case=(OpExpr.identity() - OpExpr.translation(-1),
+               GridFunction(0, (0, 4), [math.inf, -0.0, 5e-324, -math.inf]),
+               GridFunction(0, (0, 4), [-0.0, 1.0, -5e-324, 2.0]), 0, (-1, 5)))
+def test_a_real_grid_and_its_complex_copy_write_the_same_csv(case):
+    """A real grid's im column is zeros, a complex copy's is +0.0 where the value is finite."""
+    op, src, other, res_out, window = case
+    src_c, other_c = (GridFunction(g.resolution, g.window, g.values.astype(complex))
+                      for g in (src, other))
+    got, got_c = (apply_op_grid(op, g, out_resolution=res_out, out_window=window)
+                  for g in (src, src_c))
+    for real, cplx in ((src, src_c), (other, other_c), (got, got_c)):
+        assert _written(real) == _written(cplx)
+
+
+def test_trace_csv_roundtrip(tmp_path):
+    assert run(tmp_path, "spectrum", "--a0", "0.3", "--n", "4") == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "n,a_n"
+    assert len(lines) == 6
+    for line, (n, a_n) in zip(lines[1:], iterate_spectrum(0.3, n=4).values):
+        ns, vs = line.split(",")
+        assert int(ns) == n
+        assert float(vs) == a_n
+
+
+def test_fig1_csv_header_and_digits(tmp_path):
+    assert run(tmp_path, "fig1", "--n", "2", "--grid", "3") == 0
+    lines = (tmp_path / "fig1.csv").read_text().splitlines()
+    assert lines[0] == "a0,n,a_n"
+    a0, n, a_n = lines[2].split(",")
+    assert float(a0) == 0.5
+    assert int(n) == 2
+    assert float(a_n) == haar_closed_form(0.5, 2)
+
+
+def test_a_negative_zero_start_is_written_as_zero(tmp_path):
+    assert run(tmp_path, "spectrum", "--a0=-0.0") == 0
+    assert (tmp_path / "spectrum.csv").read_text().splitlines()[1] == "0,0"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("gamma", "--b=1e-9"), "--b"),
     (("gamma", "--b=-1.4901161193847656e-08"), "--b"),
@@ -607,6 +730,14 @@ DOMAIN_REFUSALS = [  # (arguments, the flag whose domain the value leaves, the m
     (("bridge", "--a-tilde=-1"), "--a-tilde",
      "the relabeling scale b must be positive, got --a-tilde=-1.0"),
     (("bridge", "--b=-0.0"), "--b", "the relabeling scale b must be positive, got --b=-0.0"),
+    # symbols outside the solver's domain
+    (("solve-b", "--c=0"), "--c", "invalid value for --c: mask must not vanish at T = 1"),
+    (("solve-b", "--c=1 + T^1/16"), "--c", "invalid value for --c: mask exponents must be "
+     "dyadic with denominator at most 8, got Exponent[1/2^4]"),
+    (("casimir", "--r=1 + T^1"), "--r",
+     "invalid value for --r: the right-hand side must have zero constant term"),
+    (("casimir", "--r=T^1"), "--r", "invalid value for --r: inconsistent chain: exponents [1.0] "
+     "sum to (1+0j), so no finitely supported solution exists"),
 ]
 
 
@@ -632,6 +763,9 @@ def test_an_explicit_b_overrides_the_sign_of_a_tilde(tmp_path):
 
 
 EDGE_VALUES = ["0", "-0.0", "-1", "1e-300", "1e-9", "1.5", "700", "1e300", "-1e300"]
+# sizes 40 and 64 are refused up front where they would allocate (GridTooLargeError)
+INT_EDGE_VALUES = ["0", "1", "2", "-1", "40", "64", "1e3", "2.5", ""]
+SYMBOL_EDGE_VALUES = ["0", "T^1/3", "T^1e300", "nan*T", "1/0", "T^^1", "(1+T)"]
 
 FLOAT_FLAGS = [  # every float flag of every subcommand but fig2 and check
     ("spectrum", "--a0"), ("ladder", "--a-tilde"), ("closure", "--s"), ("closure", "--alpha"),
@@ -640,7 +774,23 @@ FLOAT_FLAGS = [  # every float flag of every subcommand but fig2 and check
     ("bridge", "--j0"),
 ]
 
-SYMBOLS = {"general-closure": ("--j0=1/2*T^1 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1")}
+INT_FLAGS = [  # every integer flag of every subcommand but fig2 and check
+    ("cascade", "--iters"), ("cascade", "--resolution"), ("cascade", "--window"),
+    ("wavelet", "--resolution"), ("limit", "--n"), ("limit", "--resolution"), ("limit", "--window"),
+    ("spectrum", "--n"), ("ladder", "--n"), ("ladder", "--modes"), ("solve-b", "--window"),
+    ("casimir", "--n"), ("prop1", "--window"), ("gamma", "--points"), ("bridge", "--n"),
+    ("fig1", "--n"), ("fig1", "--grid"),
+]
+
+SYMBOL_FLAGS = [("general-closure", "--j0"), ("general-closure", "--j"), ("solve-b", "--c"),
+                ("casimir", "--r")]
+
+EDGE_SWEEP = [*((sub, flag, EDGE_VALUES) for sub, flag in FLOAT_FLAGS),
+              *((sub, flag, INT_EDGE_VALUES) for sub, flag in INT_FLAGS),
+              *((sub, flag, SYMBOL_EDGE_VALUES) for sub, flag in SYMBOL_FLAGS)]
+
+SYMBOLS = {"general-closure": ("--j0=1/2*T^1 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1"),
+           "solve-b": ("--c=1 + T^-1",)}
 
 WAVEQ_ERRORS = {name for module in (cli, laurent, gridfn, scaling, funceq)
                 for name, obj in vars(module).items()
@@ -655,9 +805,9 @@ def _finite_number(text: str) -> bool:
         return True  # not a number: a name or a flag
 
 
-@pytest.mark.parametrize("sub, flag", FLOAT_FLAGS, ids=[f"{s}{f}" for s, f in FLOAT_FLAGS])
-def test_edge_values_exit_with_a_code_that_tells_the_truth(tmp_path, capsys, sub, flag):
-    for i, value in enumerate(EDGE_VALUES):
+@pytest.mark.parametrize("sub, flag, values", EDGE_SWEEP, ids=[f"{s}{f}" for s, f, _ in EDGE_SWEEP])
+def test_edge_values_exit_with_a_code_that_tells_the_truth(tmp_path, capsys, sub, flag, values):
+    for i, value in enumerate(values):
         out = tmp_path / str(i)
         code = dispatch([sub, *SYMBOLS.get(sub, ()), f"{flag}={value}", "--output", str(out)])
         err, where = capsys.readouterr().err, f"{sub} {flag}={value}"

@@ -468,10 +468,10 @@ def real_case(draw):
                GridFunction(0, (0, 4), [math.inf, -0.0, 5e-324, -math.inf]),
                GridFunction(0, (0, 4), [-0.0, 1.0, -5e-324, 2.0]), 0, (-1, 5)))
 def test_a_real_grid_and_its_complex_copy_agree_bit_for_bit(case):
-    """The real path gives the real parts of the complex one; integral, inner,
-    the CSV and np.abs are the same bits.  inf * 0 is NaN, so the complex copy's
-    imaginary part is +0 exactly where the applied value is finite, and the
-    applied grids agree as wholes only when every value is."""
+    """The real path gives the real parts of the complex one; integral, inner
+    and np.abs are the same bits (test_cli compares the CSV).  inf * 0 is NaN,
+    so the complex copy's imaginary part is +0 exactly where the applied value
+    is finite, and the applied grids agree as wholes only when every value is."""
     op, src, other, res_out, window = case
     src_c, other_c = (GridFunction(g.resolution, g.window, g.values.astype(complex))
                       for g in (src, other))
@@ -485,7 +485,6 @@ def test_a_real_grid_and_its_complex_copy_agree_bit_for_bit(case):
     pairs = [(src, src_c), (other, other_c)] + [(got, got_c)] * bool(finite.all())
     for real, cplx in pairs:
         assert bits(real.integral()) == bits(cplx.integral())
-        assert real.to_csv() == cplx.to_csv()
         assert np.abs(real.values).tobytes() == np.abs(cplx.values).tobytes()
     assert bits(src.inner(other)) == bits(src_c.inner(other_c))
     assert bits(other.inner(src)) == bits(other_c.inner(src_c))
@@ -517,52 +516,3 @@ def test_dilation_powers_beyond_the_float_range_are_refused_by_name():
     # the largest power below the range still scales rates
     op = OpExpr.dilation(1023)
     assert apply_op_expsum(op, ExpSum.exponential(0.5)).terms() == ((1.0, complex(2.0**1022)),)
-
-
-# -- CSV -----------------------------------------------------------------
-
-
-def test_csv_shape_and_roundtrip():
-    g = GridFunction.from_callable(hat, 2, (0, 1))
-    text = g.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 1 + 4
-    x, re, im = lines[2].split(",")
-    assert float(x) == 0.25 and float(re) == 1.0 and float(im) == 0.0
-
-
-def test_csv_17_digit_fidelity(tmp_path):
-    vals = np.array([1 / 3 + 1e-17j, math.pi, -2.7182818284590452], dtype=complex)
-    g = GridFunction(0, (0, 3), vals)
-    for line, v in zip(g.to_csv().splitlines()[1:], vals):
-        _, re, im = line.split(",")
-        assert float(re) == v.real
-        assert float(im) == v.imag
-
-
-def numpy_scalar_csv(g: GridFunction) -> str:
-    """The CSV text formatted from numpy scalars, one by one."""
-    lines = ["x,re,im"]
-    for x, v in zip(g.x_points(), g.values):
-        lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-EDGE_FLOATS = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
-               1e-300, -1e300, 1.7976931348623157e308]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    resolution=st.integers(0, 3),
-    lo=st.integers(-3, 3),
-    parts=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(1e299, 1e301)
-                   | st.floats(-1e-299, -1e-301), min_size=16, max_size=16),
-)
-@example(resolution=3, lo=-1, parts=EDGE_FLOATS + EDGE_FLOATS[::-1][:6])
-def test_csv_text_is_the_numpy_scalar_formatting(resolution, lo, parts):
-    n = 1 << resolution
-    g = GridFunction(resolution, (lo, lo + 1),
-                     [complex(parts[2 * i % 16], parts[(2 * i + 1) % 16]) for i in range(n)])
-    assert g.to_csv() == numpy_scalar_csv(g)

@@ -10,7 +10,6 @@ from waveq.spectra import (
     SpectrumTrace,
     a2half_step,
     doubling_step,
-    fig1_csv,
     fig1_data,
     fig1_report,
     haar_closed_form,
@@ -265,29 +264,6 @@ def test_zero_crossing_counts_an_exact_zero_at_a_sign_change_once():
     assert zero_crossing_count([0.0, 0.0, 1.0]) == 0
     assert zero_crossing_count([0.0, 0.0]) == 0
     assert zero_crossing_count([]) == 0
-
-
-def test_trace_csv_roundtrip():
-    trace = iterate_spectrum(0.3, n=4)
-    text = trace.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,a_n"
-    assert len(lines) == 6
-    for line, (n, a_n) in zip(lines[1:], trace.values):
-        ns, vs = line.split(",")
-        assert int(ns) == n
-        assert float(vs) == a_n
-
-
-def test_fig1_csv_header_and_digits():
-    rows = fig1_data([2], [0.0, 0.5, 1.0])
-    text = fig1_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "a0,n,a_n"
-    a0, n, a_n = lines[2].split(",")
-    assert float(a0) == 0.5
-    assert int(n) == 2
-    assert float(a_n) == haar_closed_form(0.5, 2)
 
 
 def test_trace_value_at():
