@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
@@ -40,7 +41,13 @@ from .funceq import (
     suq2_bridge_check,
 )
 from .gridfn import GridFunction
-from .laurent import LaurentError, LaurentParseError, LaurentPoly, parse_laurent
+from .laurent import (
+    ApproximateExponentWarning,
+    LaurentError,
+    LaurentParseError,
+    LaurentPoly,
+    parse_laurent,
+)
 from .qdeform import DYADIC_F, AlgebraParams, check_closure, verify_general_closure
 from .scaling import (
     PRESETS,
@@ -834,20 +841,26 @@ def _effective_params(name: str, ns: argparse.Namespace) -> dict:
                 )
             config[dest] = value
     params = {}
-    for opt in opts:
-        cli_value = getattr(ns, opt.dest)
-        source = cli_value if cli_value is not None else config.get(opt.dest)
-        if source is None:
-            if opt.required:
-                raise UsageError(opt.flag, f"{opt.flag} is required")
-            params[opt.dest] = opt.default
-            continue
-        try:
-            params[opt.dest] = opt.coerce(source)
-        except (ValueError, LaurentParseError) as exc:
-            raise UsageError(
-                opt.flag, f"invalid value for {opt.flag}: {exc}"
-            ) from exc
+    # a value's warning is noted in one line naming its flag, not at its source location
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always", ApproximateExponentWarning)
+        for opt in opts:
+            cli_value = getattr(ns, opt.dest)
+            source = cli_value if cli_value is not None else config.get(opt.dest)
+            if source is None:
+                if opt.required:
+                    raise UsageError(opt.flag, f"{opt.flag} is required")
+                params[opt.dest] = opt.default
+                continue
+            try:
+                params[opt.dest] = opt.coerce(source)
+            except (ValueError, LaurentParseError) as exc:
+                raise UsageError(
+                    opt.flag, f"invalid value for {opt.flag}: {exc}"
+                ) from exc
+            for note in notes:
+                sys.stderr.write(f"note: {opt.flag}: {note.message}\n")
+            notes.clear()
     return params
 
 

@@ -151,9 +151,7 @@ def _orbit_key(e: Exponent) -> tuple:
     return ("float", sign * round(mant, 12)), ex
 
 
-def solve_casimir_chi(
-    r: LaurentPoly, support_bound: float | None = None
-) -> ChiSolve:
+def solve_casimir_chi(r: LaurentPoly) -> ChiSolve:
     """Solve chi(T) - chi(T^2) = r(T) by summing along halving chains.
 
     Matching coefficients at exponent e gives chi_e - chi_{e/2} = r_e, so
@@ -164,12 +162,6 @@ def solve_casimir_chi(
     """
     if abs(r.coeff_at(0)) > 1e-12:
         raise SymbolDomainError("the right-hand side must have zero constant term")
-    if support_bound is not None:
-        worst = max((abs(e.value) for e, _ in r.terms()), default=0.0)
-        if worst > support_bound:
-            raise ValueError(
-                f"exponent {worst!r} exceeds support bound {support_bound!r}"
-            )
 
     orbits: dict[tuple, dict[int, tuple[Exponent, complex]]] = {}
     for e, cc in r.terms():

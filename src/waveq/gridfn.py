@@ -129,9 +129,6 @@ class GridFunction:
             vals = np.array([f(float(x)) for x in xs])
         return GridFunction(resolution, window, vals)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.resolution, self.window, self.values.copy())
-
     # -- calculus on the lattice ------------------------------------------
 
     # integral and inner sum in complex: numpy's pairwise float64 sum and vdot
@@ -170,10 +167,6 @@ class GridFunction:
                 f"2^-{other.resolution} on {other.window}"
             )
 
-    def isclose(self, other: "GridFunction", tol: float = 1e-12) -> bool:
-        self._check_same_lattice(other)
-        return float(np.abs(self.values - other.values).max(initial=0.0)) <= tol
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_lattice(other)
         return GridFunction(self.resolution, self.window, self.values + other.values)
@@ -187,11 +180,6 @@ class GridFunction:
         return GridFunction(self.resolution, self.window, self.values * (c if c.imag else c.real))
 
     __rmul__ = __mul__
-
-    def identical(self, other: "GridFunction") -> bool:
-        """Bit-for-bit equality of samples on the same lattice."""
-        self._check_same_lattice(other)
-        return bool(np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return (

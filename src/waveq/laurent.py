@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import math
 import operator
+import re
 import warnings
 
 COEFF_PRUNE_TOL = 1e-15
@@ -550,14 +551,8 @@ class _NormalForm:
     def __len__(self):
         return len(self._re)
 
-    def is_zero(self) -> bool:
-        return not self._re
-
     def max_abs_coeff(self) -> float:
         return max(map(abs, map(complex, self._re, self._im)), default=0.0)
-
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
 
     def _coerce(self, other):
         if isinstance(other, _SCALARS):
@@ -653,8 +648,8 @@ class _NormalForm:
 def _own_arithmetic(cls):
     """Bind the shared public methods in cls's own namespace, where
     per-class instrumentation (bench/tracer.py walks vars(cls)) finds them."""
-    for name in ("is_zero", "max_abs_coeff", "isclose", "__add__", "__radd__", "__neg__",
-                 "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__"):
+    for name in ("max_abs_coeff", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__pow__"):
         setattr(cls, name, vars(_NormalForm)[name])
     return cls
 
@@ -791,107 +786,53 @@ def _pow2(n: int) -> float:
 # ---------------------------------------------------------------------------
 # parsing
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise LaurentParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def read_digits(self) -> str:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise LaurentParseError("expected digits", start)
-        return self.text[start : self.pos]
-
-    def read_number(self) -> tuple[str, bool]:
-        """Unsigned numeric literal; returns (text, is_integer_literal)."""
-        start = self.pos
-        self.read_digits()
-        is_int = True
-        if self.peek() == ".":
-            is_int = False
-            self.pos += 1
-            while self.peek().isdigit():
-                self.pos += 1
-        if self.peek() in ("e", "E"):
-            save = self.pos
-            self.pos += 1
-            if self.peek() in ("+", "-"):
-                self.pos += 1
-            if self.peek().isdigit():
-                is_int = False
-                while self.peek().isdigit():
-                    self.pos += 1
-            else:
-                self.pos = save  # not an exponent part after all
-        return self.text[start : self.pos], is_int
+_SPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"\d+")
+_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")  # an integer literal when no group matched
 
 
-def _parse_exponent(sc: _Scanner) -> Exponent:
-    sc.skip_ws()
-    start = sc.pos
-    sign = 1
-    if sc.peek() in ("+", "-"):
-        if sc.peek() == "-":
-            sign = -1
-        sc.pos += 1
-        sc.skip_ws()
-    if not sc.peek().isdigit():
-        raise LaurentParseError("expected exponent", sc.pos)
-    num_text, num_is_int = sc.read_number()
-    if sc.peek() != "/":
-        if num_is_int:
-            return Exponent.exact(sign * int(num_text))
-        return Exponent.approximate(sign * float(num_text))
+def _skip(text: str, pos: int) -> int:
+    """The position after the whitespace at pos."""
+    return _SPACE.match(text, pos).end()
+
+
+def _read_tfactor(text: str, pos: int) -> tuple[Exponent, int]:
+    """Read `T^exp` from the T at pos: the exponent and the position after it."""
+    pos = _skip(text, pos + 1)
+    if text[pos : pos + 1] != "^":
+        raise LaurentParseError("expected '^' after T", pos)
+    pos = start = _skip(text, pos + 1)
+    sign = -1 if text[pos : pos + 1] == "-" else 1
+    if text[pos : pos + 1] in ("+", "-"):
+        pos = _skip(text, pos + 1)
+    num = _NUMBER.match(text, pos)
+    if num is None:
+        raise LaurentParseError("expected exponent", pos)
+    pos = num.end()
+    if text[pos : pos + 1] != "/":
+        if any(num.groups()):
+            return Exponent.approximate(sign * float(num[0])), pos
+        return Exponent.exact(sign * int(num[0])), pos
     # rational exponent p/q or p/2^m
-    if not num_is_int:
+    if any(num.groups()):
         raise LaurentParseError("rational exponent needs an integer numerator", start)
-    sc.pos += 1
-    if not sc.peek().isdigit():
-        raise LaurentParseError("expected denominator", sc.pos)
-    den_start = sc.pos
-    den_text = sc.read_digits()
-    if den_text == "2" and sc.peek() == "^":
-        sc.pos += 1
-        m_text = sc.read_digits()
-        return Exponent.exact(Dyadic(sign * int(num_text), int(m_text)))
-    den = int(den_text)
-    if den == 0:
-        raise LaurentParseError("zero denominator", den_start)
-    if den & (den - 1) == 0:
-        return Exponent.exact(Dyadic(sign * int(num_text), den.bit_length() - 1))
-    warnings.warn(
-        f"non-dyadic exponent {sign * int(num_text)}/{den} stored as approximate",
-        ApproximateExponentWarning,
-        stacklevel=3,
-    )
-    return Exponent.approximate(sign * int(num_text) / den)
-
-
-def _parse_tfactor(sc: _Scanner) -> Exponent:
-    sc.expect("T")
-    sc.skip_ws()
-    if sc.peek() != "^":
-        raise LaurentParseError("expected '^' after T", sc.pos)
-    sc.pos += 1
-    return _parse_exponent(sc)
+    p, den = sign * int(num[0]), _DIGITS.match(text, pos + 1)
+    if den is None:
+        raise LaurentParseError("expected denominator", pos + 1)
+    pos = den.end()
+    if den[0] == "2" and text[pos : pos + 1] == "^":
+        m = _DIGITS.match(text, pos + 1)
+        if m is None:
+            raise LaurentParseError("expected digits", pos + 1)
+        return Exponent.exact(Dyadic(p, int(m[0]))), m.end()
+    q = int(den[0])
+    if q == 0:
+        raise LaurentParseError("zero denominator", den.start())
+    if q & (q - 1) == 0:
+        return Exponent.exact(Dyadic(p, q.bit_length() - 1)), pos
+    warnings.warn(f"non-dyadic exponent {p}/{q} stored as approximate",
+                  ApproximateExponentWarning, stacklevel=2)
+    return Exponent.approximate(p / q), pos
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -901,62 +842,45 @@ def parse_laurent(text: str) -> LaurentPoly:
     coeff is a decimal or rational p/q; exp is an integer, a decimal
     (stored approximate), or a dyadic rational p/2^m or p/q with q a power
     of two.  A non-dyadic rational exponent is accepted as an approximate
-    float and flagged with ApproximateExponentWarning.
+    float and flagged with ApproximateExponentWarning.  Digits are decimal
+    digits.  Malformed text raises LaurentParseError with the 0-based
+    position of the fault.
     """
-    sc = _Scanner(text)
-    terms: list[tuple[Exponent, complex]] = []
-    sc.skip_ws()
-    if sc.at_end():
+    pos = _skip(text, 0)
+    if pos == len(text):
         raise LaurentParseError("empty input", 0)
-    first = True
+    terms: list[tuple[Exponent, complex]] = []
     while True:
-        sc.skip_ws()
-        sign = 1.0
-        if sc.peek() in ("+", "-"):
-            if sc.peek() == "-":
-                sign = -1.0
-            sc.pos += 1
-            sc.skip_ws()
-        elif not first:
-            if sc.at_end():
-                break
-            raise LaurentParseError("expected '+' or '-'", sc.pos)
-        first = False
-        if sc.peek() == "T":
-            exp = _parse_tfactor(sc)
+        sign = -1.0 if text[pos : pos + 1] == "-" else 1.0
+        if text[pos : pos + 1] in ("+", "-"):
+            pos = _skip(text, pos + 1)
+        if text[pos : pos + 1] == "T":
+            exp, pos = _read_tfactor(text, pos)
             terms.append((exp, complex(sign)))
-        elif sc.peek().isdigit():
-            num_text, _ = sc.read_number()
-            coeff = float(num_text)
-            if sc.peek() == "/":
-                sc.pos += 1
-                if not sc.peek().isdigit():
-                    raise LaurentParseError("expected denominator", sc.pos)
-                den_start = sc.pos
-                den_text, den_is_int = sc.read_number()
-                if not den_is_int:
-                    raise LaurentParseError("expected integer denominator", den_start)
-                den = int(den_text)
-                if den == 0:
-                    raise LaurentParseError("zero denominator", den_start)
-                coeff /= den
-            sc.skip_ws()
-            if sc.peek() == "*":
-                sc.pos += 1
-                sc.skip_ws()
-                if sc.peek() != "T":
-                    raise LaurentParseError("expected T after '*'", sc.pos)
-                exp = _parse_tfactor(sc)
-                terms.append((exp, sign * coeff + 0j))
-            else:
-                terms.append((Exponent.exact(0), sign * coeff + 0j))
-        elif sc.at_end():
-            raise LaurentParseError("dangling sign", sc.pos)
+        elif (num := _NUMBER.match(text, pos)) is not None:
+            coeff, pos = float(num[0]), num.end()
+            if text[pos : pos + 1] == "/":
+                den = _NUMBER.match(text, pos + 1)
+                if den is None:
+                    raise LaurentParseError("expected denominator", pos + 1)
+                if any(den.groups()):
+                    raise LaurentParseError("expected integer denominator", pos + 1)
+                if int(den[0]) == 0:
+                    raise LaurentParseError("zero denominator", pos + 1)
+                coeff, pos = coeff / int(den[0]), den.end()
+            exp, pos = Exponent.exact(0), _skip(text, pos)
+            if text[pos : pos + 1] == "*":
+                pos = _skip(text, pos + 1)
+                if text[pos : pos + 1] != "T":
+                    raise LaurentParseError("expected T after '*'", pos)
+                exp, pos = _read_tfactor(text, pos)
+            terms.append((exp, sign * coeff + 0j))
+        elif pos == len(text):
+            raise LaurentParseError("dangling sign", pos)
         else:
-            raise LaurentParseError(f"unexpected character {sc.peek()!r}", sc.pos)
-        sc.skip_ws()
-        if sc.at_end():
-            break
-        if sc.peek() not in ("+", "-"):
-            raise LaurentParseError("expected '+' or '-'", sc.pos)
-    return LaurentPoly(terms)
+            raise LaurentParseError(f"unexpected character {text[pos]!r}", pos)
+        pos = _skip(text, pos)
+        if pos == len(text):
+            return LaurentPoly(terms)
+        if text[pos] not in "+-":
+            raise LaurentParseError("expected '+' or '-'", pos)

@@ -94,10 +94,6 @@ class OpExpr(_NormalForm):
         return OpExpr.term(coeff, beta=beta)
 
     @staticmethod
-    def phase(mu, coeff: complex = 1.0) -> "OpExpr":
-        return OpExpr.term(coeff, mu=mu)
-
-    @staticmethod
     def from_laurent(p: LaurentPoly) -> "OpExpr":
         """A pure translation polynomial g(T): its alpha row under two rows of exact zeros."""
         n, out = len(p), object.__new__(OpExpr)

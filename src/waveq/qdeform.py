@@ -57,10 +57,6 @@ class AlgebraParams:
     s: float
     alpha: float
 
-    @property
-    def q(self) -> float:
-        return math.exp(self.s)
-
 
 @dataclass(frozen=True)
 class GeneratorSet:

@@ -202,6 +202,17 @@ def test_unparseable_symbol_is_usage_error(tmp_path, capsys):
     assert "--c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_non_dyadic_exponent_is_noted_in_one_line_naming_the_flag(tmp_path, capsys, source):
+    symbols = {"j0": "T^1/3", "j": "1/2 + 1/2*T^-1"}
+    argv = [f"--{key}={value}" for key, value in symbols.items()]
+    if source == "config":
+        (tmp_path / "run.json").write_text(json.dumps(symbols))
+        argv = ["--config", str(tmp_path / "run.json")]
+    assert run(tmp_path, "general-closure", *argv) == 0
+    assert capsys.readouterr().err == "note: --j0: non-dyadic exponent 1/3 stored as approximate\n"
+
+
 def test_no_solution_exits_one(tmp_path, capsys):
     assert run(tmp_path, "solve-b", "--c", "1 + T^-4", "--window", "3") == 1
     assert "no solution" in capsys.readouterr().err
@@ -765,7 +776,7 @@ def test_an_explicit_b_overrides_the_sign_of_a_tilde(tmp_path):
 EDGE_VALUES = ["0", "-0.0", "-1", "1e-300", "1e-9", "1.5", "700", "1e300", "-1e300"]
 # sizes 40 and 64 are refused up front where they would allocate (GridTooLargeError)
 INT_EDGE_VALUES = ["0", "1", "2", "-1", "40", "64", "1e3", "2.5", ""]
-SYMBOL_EDGE_VALUES = ["0", "T^1/3", "T^1e300", "nan*T", "1/0", "T^^1", "(1+T)"]
+SYMBOL_EDGE_VALUES = ["0", "T^1/3", "T^1e300", "nan*T", "1/0", "T^^1", "(1+T)", "T^²"]
 
 FLOAT_FLAGS = [  # every float flag of every subcommand but fig2 and check
     ("spectrum", "--a0"), ("ladder", "--a-tilde"), ("closure", "--s"), ("closure", "--alpha"),

@@ -1,6 +1,6 @@
 """Every script in demos/ runs to completion against the package in src/,
-and every public function is reached from the package, a demo or a
-benchmark workload."""
+and every public function and method is reached from the package, a demo
+or a benchmark workload."""
 
 import inspect
 import os
@@ -30,23 +30,41 @@ def test_demo_exits_zero(script, tmp_path):
     assert proc.stdout
 
 
+PACKAGE = Path(waveq.__file__).resolve().parent
+SOURCES = {p: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+USERS = "\n".join(p.read_text() for p in [*DEMOS, ROOT / "bench" / "workloads.py"])
+
+
+def _named_outside_its_def(pattern: str, fn) -> bool:
+    """Whether pattern occurs in a src/waveq module other than __init__.py
+    (outside fn's own def), in a demo script or in a benchmark workload."""
+    lines, start = inspect.getsourcelines(fn)
+    home = Path(inspect.getsourcefile(fn)).resolve()
+    own = SOURCES[home].splitlines(keepends=True)
+    del own[start - 1 : start - 1 + len(lines)]
+    others = [text for path, text in SOURCES.items() if path != home]
+    return re.search(pattern, "\n".join([*others, "".join(own), USERS])) is not None
+
+
 def test_every_public_function_is_named_outside_its_own_def():
-    """A function in waveq.__all__ that only tests call is unreached API.  It
-    must be named in a src/waveq module other than __init__.py (outside its own
-    def), in a demo script or in a benchmark workload."""
-    package = Path(waveq.__file__).resolve().parent
-    texts = {p: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
-    users = "\n".join(p.read_text() for p in [*DEMOS, ROOT / "bench" / "workloads.py"])
-    unreached = []
-    for name in waveq.__all__:
-        fn = getattr(waveq, name)
-        if not inspect.isfunction(fn):
-            continue
-        lines, start = inspect.getsourcelines(fn)
-        home = Path(inspect.getsourcefile(fn)).resolve()
-        own = texts[home].splitlines(keepends=True)
-        del own[start - 1 : start - 1 + len(lines)]
-        others = [text for path, text in texts.items() if path != home]
-        if not re.search(rf"\b{name}\b", "\n".join([*others, "".join(own), users])):
-            unreached.append(name)
+    """A function in waveq.__all__ that only tests call is unreached API."""
+    unreached = [name for name in waveq.__all__ if inspect.isfunction(fn := getattr(waveq, name))
+                 and not _named_outside_its_def(rf"\b{name}\b", fn)]
     assert unreached == []
+
+
+def test_every_public_method_is_accessed_outside_its_own_def():
+    """A public method or property of a waveq.__all__ class, or of a waveq class
+    it inherits from, that only tests reach is unreached API.  A use is an
+    attribute access `.name`."""
+    unreached = set()
+    for cls in (getattr(waveq, name) for name in waveq.__all__):
+        for klass in inspect.getmro(cls) if inspect.isclass(cls) else ():
+            if not klass.__module__.startswith("waveq."):
+                continue
+            for attr, member in vars(klass).items():
+                fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+                if (not attr.startswith("_") and inspect.isfunction(fn)
+                        and not _named_outside_its_def(rf"\.{attr}\b", fn)):
+                    unreached.add(fn.__qualname__)
+    assert sorted(unreached) == []

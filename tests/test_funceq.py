@@ -267,7 +267,7 @@ def test_chi_known_ladder_symbol():
     solve = solve_casimir_chi(r)
     assert solve.free_constant
     want = parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")
-    assert solve.chi.isclose(want, tol=1e-15)
+    assert (solve.chi - want).max_abs_coeff() <= 1e-15
 
 
 def test_chi_telescopes_exactly():
@@ -302,11 +302,6 @@ def test_chi_inconsistent_chain():
 def test_chi_rejects_constant_term():
     with pytest.raises(ValueError):
         solve_casimir_chi(parse_laurent("1 + T^1 - T^2"))
-
-
-def test_chi_respects_support_bound():
-    with pytest.raises(ValueError):
-        solve_casimir_chi(parse_laurent("T^1 - T^4"), support_bound=2.0)
 
 
 def test_casimir_constant_on_ladder():
@@ -485,4 +480,4 @@ def test_chi_drives_casimir_from_generators():
     gs = build_generators(AlgebraParams(1.0, 1.0))
     chi = solve_casimir_chi(gs.f.to_laurent()).chi
     want = parse_laurent("-1/4*T^1 - 1/4*T^1/2 - 1/4*T^-1/2")
-    assert chi.isclose(want, tol=1e-15)
+    assert (chi - want).max_abs_coeff() <= 1e-15

@@ -51,7 +51,7 @@ def test_lattice_layout():
 def test_from_callable_scalar_fallback():
     g1 = GridFunction.from_callable(box, 3, (-1, 2))
     g2 = GridFunction.from_callable(lambda x: 1.0 if 0 <= x < 1 else 0.0, 3, (-1, 2))
-    assert g1.identical(g2)
+    assert np.array_equal(g1.values, g2.values)
 
 
 def test_box_integral_exact():
@@ -134,7 +134,7 @@ def test_halving_word_fixes_box_exactly():
     g = GridFunction.from_callable(box, 4, (-2, 3))
     word = OpExpr.dilation(1) * (OpExpr.identity() + OpExpr.translation(-1))
     out = apply_op_grid(word, g)
-    assert out.identical(g)
+    assert np.array_equal(out.values, g.values)
 
 
 def test_translation_below_lattice_raises():
@@ -196,7 +196,7 @@ def test_expsum_action_rules():
     ((c, r),) = dilated.terms()
     assert abs(r - 0.3j * math.sqrt(2)) < 1e-15
 
-    phased = apply_op_expsum(OpExpr.phase(1.5), es)
+    phased = apply_op_expsum(OpExpr.term(1.0, mu=1.5), es)
     ((c, r),) = phased.terms()
     assert abs(r - (0.3 + 1.5) * 1j) < 1e-15
 
@@ -225,7 +225,7 @@ def test_expsum_products_multiply_the_functions():
     xs = np.linspace(-2, 2, 17)
     assert np.allclose((a * b).sample(xs), a.sample(xs) * b.sample(xs), rtol=1e-14, atol=0)
     assert len(a * b) == 6 and a * b == b * a
-    assert ExpSum.constant(2.0) * a == 2 * a and (a * ExpSum()).is_zero()
+    assert ExpSum.constant(2.0) * a == 2 * a and len(a * ExpSum()) == 0
 
 
 def test_expsum_text_form():
@@ -280,7 +280,7 @@ def test_grid_and_expsum_applications_agree():
         src = GridFunction.from_callable(es.sample, 6, (-4, 4))
         via_grid = apply_op_grid(expr, src, out_resolution=6, out_window=(-1, 1))
         via_sum = GridFunction.from_callable(apply_op_expsum(expr, es).sample, 6, (-1, 1))
-        assert via_grid.isclose(via_sum, 1e-10)
+        assert np.abs((via_grid - via_sum).values).max() <= 1e-10
 
 
 def test_sampler_matches_expsum_for_fractional_dilation():
@@ -408,7 +408,7 @@ def test_real_data_stays_float64_through_every_grid_builder():
         scaling.limit_build("haar", "arctan", 8, 5), scaling.limit_build("b2", "tri", 8, 5),
         apply_op_grid(OpExpr.term(-0.5, beta=1, alpha=1) + OpExpr.identity(), box_g),
         apply_op_grid(OpExpr.term(complex(2.0, -0.0)), box_g, out_window=(-3, 4)),
-        box_g * 3, 2.0 * box_g, box_g * (1.5 + 0j), box_g + hat_g, box_g - hat_g, box_g.copy(),
+        box_g * 3, 2.0 * box_g, box_g * (1.5 + 0j), box_g + hat_g, box_g - hat_g,
     ]
     assert [g.values.dtype for g in grids] == [np.float64] * len(grids)
 

@@ -77,7 +77,7 @@ def test_ring_laws_hold_bit_for_bit_on_dyadic_words(p, q, r):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert a + b == b + a
-    assert (a - a).is_zero() and (a * 0).is_zero()
+    assert len(a - a) == len(a * 0) == 0
     assert a * OpExpr.identity() == a == OpExpr.identity() * a
 
 
@@ -120,7 +120,7 @@ def test_translation_products_agree_with_the_general_composition(p, q):
 
 
 def test_to_laurent_keeps_only_the_alpha_row():
-    op = OpExpr.phase(0.1) * OpExpr.phase(-0.1) * OpExpr.translation(1)
+    op = OpExpr.term(1.0, mu=0.1) * OpExpr.term(1.0, mu=-0.1) * OpExpr.translation(1)
     assert str(op) == "P^0*T^1"  # an approximate zero phase is still a phase
     assert str(op.to_laurent()) == "T^1"
     assert op.to_laurent() == LaurentPoly.from_dict({1: 1.0})
@@ -255,7 +255,7 @@ def test_shared_arithmetic_is_bound_on_each_class():
     # per-class instrumentation such as bench/tracer.py reads vars(cls)
     for cls in (OpExpr, LaurentPoly, ExpSum):
         for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__neg__",
-                     "is_zero", "max_abs_coeff", "isclose"):
+                     "max_abs_coeff"):
             assert name in vars(cls), (cls.__name__, name)
 
 

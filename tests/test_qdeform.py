@@ -165,10 +165,6 @@ def test_closure_builds_the_w0_alpha0_constant_at_most_once(monkeypatch):
     assert second == w0_alpha0_report()
 
 
-def test_params_derived_constants():
-    assert AlgebraParams(1.0, 1.0).q == math.e
-
-
 def test_ladder_commutator_matches_f_on_exponentials():
     # eigen-coefficient of [W+, W-] computed by operator application must
     # agree with direct evaluation of f on the same exponential
