@@ -76,8 +76,11 @@ def _sample_count(resolution: int, window: tuple[int, int]) -> int:
 
 
 def _lattice_points(resolution: int, window: tuple[int, int]) -> np.ndarray:
-    """x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1."""
-    return window[0] + np.arange(_sample_count(resolution, window)) * 2.0**-resolution
+    """x = lo + k/2^J, k = 0 .. (hi-lo)*2^J - 1, formed in the one array it returns."""
+    xs = np.arange(_sample_count(resolution, window), dtype=float)
+    xs *= 2.0**-resolution
+    xs += window[0]
+    return xs
 
 
 class GridFunction:
@@ -247,6 +250,7 @@ def apply_op_grid(
     # a real coefficient times a real sample is the real part of the complex product
     real = not (np.iscomplexobj(f.values) or any(c.imag or mu for c, mu, _, _ in plan))
     out = np.zeros(n_out, float if real else complex)
+    scratch = np.empty_like(out)  # each term's weighted samples, before they are added
     for coeff, mu, base, s in plan:
         # output i reads source base + i*s; keep the i with 0 <= base + i*s < n_src
         lo, hi = max(0, -(base // s)), min(n_out, -((base - n_src) // s))
@@ -255,7 +259,7 @@ def apply_op_grid(
         picked = f.values[base + lo * s : base + (hi - 1) * s + 1 : s]
         if mu != 0.0:
             picked = picked * np.exp(1j * mu * (out_lo + np.arange(lo, hi) * out_step))
-        out[lo:hi] += (coeff.real if real else coeff) * picked
+        out[lo:hi] += np.multiply(coeff.real if real else coeff, picked, out=scratch[: hi - lo])
     return GridFunction(res_out, window, out)
 
 

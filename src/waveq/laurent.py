@@ -796,6 +796,24 @@ def _skip(text: str, pos: int) -> int:
     return _SPACE.match(text, pos).end()
 
 
+def _int(digits: re.Match) -> int:
+    """The integer a run of digits spells, refused at its position when it has more
+    digits than Python converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits[0])
+    except ValueError:
+        raise LaurentParseError(f"integer of {len(digits[0])} digits is too long",
+                                digits.start()) from None
+
+
+def _finite(num: re.Match) -> float:
+    """The float a number literal spells, refused at its position beyond the float range."""
+    value = float(num[0])
+    if math.isinf(value):
+        raise LaurentParseError("number beyond the float range", num.start())
+    return value
+
+
 def _read_tfactor(text: str, pos: int) -> tuple[Exponent, int]:
     """Read `T^exp` from the T at pos: the exponent and the position after it."""
     pos = _skip(text, pos + 1)
@@ -811,12 +829,12 @@ def _read_tfactor(text: str, pos: int) -> tuple[Exponent, int]:
     pos = num.end()
     if text[pos : pos + 1] != "/":
         if any(num.groups()):
-            return Exponent.approximate(sign * float(num[0])), pos
-        return Exponent.exact(sign * int(num[0])), pos
+            return Exponent.approximate(sign * _finite(num)), pos
+        return Exponent.exact(sign * _int(num)), pos
     # rational exponent p/q or p/2^m
     if any(num.groups()):
         raise LaurentParseError("rational exponent needs an integer numerator", start)
-    p, den = sign * int(num[0]), _DIGITS.match(text, pos + 1)
+    p, den = sign * _int(num), _DIGITS.match(text, pos + 1)
     if den is None:
         raise LaurentParseError("expected denominator", pos + 1)
     pos = den.end()
@@ -824,15 +842,19 @@ def _read_tfactor(text: str, pos: int) -> tuple[Exponent, int]:
         m = _DIGITS.match(text, pos + 1)
         if m is None:
             raise LaurentParseError("expected digits", pos + 1)
-        return Exponent.exact(Dyadic(p, int(m[0]))), m.end()
-    q = int(den[0])
+        return Exponent.exact(Dyadic(p, _int(m))), m.end()
+    q = _int(den)
     if q == 0:
         raise LaurentParseError("zero denominator", den.start())
     if q & (q - 1) == 0:
         return Exponent.exact(Dyadic(p, q.bit_length() - 1)), pos
+    try:
+        value = p / q
+    except OverflowError:
+        raise LaurentParseError("exponent beyond the float range", start) from None
     warnings.warn(f"non-dyadic exponent {p}/{q} stored as approximate",
                   ApproximateExponentWarning, stacklevel=2)
-    return Exponent.approximate(p / q), pos
+    return Exponent.approximate(value), pos
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -858,16 +880,17 @@ def parse_laurent(text: str) -> LaurentPoly:
             exp, pos = _read_tfactor(text, pos)
             terms.append((exp, complex(sign)))
         elif (num := _NUMBER.match(text, pos)) is not None:
-            coeff, pos = float(num[0]), num.end()
+            coeff, pos = _finite(num), num.end()
             if text[pos : pos + 1] == "/":
                 den = _NUMBER.match(text, pos + 1)
                 if den is None:
                     raise LaurentParseError("expected denominator", pos + 1)
                 if any(den.groups()):
                     raise LaurentParseError("expected integer denominator", pos + 1)
-                if int(den[0]) == 0:
+                # an integer's float rounds as float / int does, and takes any length
+                if (q := _finite(den)) == 0.0:
                     raise LaurentParseError("zero denominator", pos + 1)
-                coeff, pos = coeff / int(den[0]), den.end()
+                coeff, pos = coeff / q, den.end()
             exp, pos = Exponent.exact(0), _skip(text, pos)
             if text[pos : pos + 1] == "*":
                 pos = _skip(text, pos + 1)

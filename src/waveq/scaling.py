@@ -110,14 +110,19 @@ def box_midpoint_profile(x):
     of the odd-seed difference sequences."""
     x = np.asarray(x, dtype=float)
     inner = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
-    return inner + np.where((x == 0.0) | (x == 1.0), 0.5, 0.0)
+    inner += np.where((x == 0.0) | (x == 1.0), 0.5, 0.0)
+    return inner
 
 
 def hat_profile(x):
     """Peak-2 hat on [0, 1]: 2 - |4x - 2| clipped at zero; exact on any
     dyadic lattice."""
     x = np.asarray(x, dtype=float)
-    return np.maximum(0.0, 2.0 - np.abs(4.0 * x - 2.0))
+    t = np.multiply(4.0, x, out=np.empty_like(x))  # the one array written; x is only read
+    t -= 2.0
+    np.abs(t, out=t)
+    np.subtract(2.0, t, out=t)
+    return np.maximum(0.0, t, out=t)
 
 
 def box_grid(resolution: int, window: tuple[int, int] = (-1, 2)) -> GridFunction:
@@ -204,9 +209,17 @@ class CascadeResult:
     history: tuple
 
 
+def _l2_in_place(v: np.ndarray, step: float) -> float:
+    """sqrt(step * sum |v|^2) of an array the caller gives up: a real v is squared in
+    its own memory (v * v has the bits of |v| ** 2), a complex v in |v|'s."""
+    if np.iscomplexobj(v):
+        v = np.abs(v)
+    v *= v
+    return math.sqrt(step * float(np.sum(v)))
+
+
 def _l2_norm(f: GridFunction) -> float:
-    step = 2.0 ** -f.resolution
-    return math.sqrt(step * float(np.sum(np.abs(f.values) ** 2)))
+    return _l2_in_place(np.abs(f.values), f.step)
 
 
 def _check_alignment(sys: ScalingSystem, resolution: int) -> None:
@@ -230,20 +243,24 @@ def cascade(sys: ScalingSystem, start: GridFunction, iters: int) -> CascadeResul
         raise ValueError("iteration count must be nonnegative")
     _check_alignment(sys, start.resolution)
     op = sys.two_scale_op()
-    phi = start
+    # start's samples are only read and never returned; each difference below is
+    # formed in an array made here
+    phi = start if iters else GridFunction(start.resolution, start.window, start.values.copy())
     history = []
     for i in range(iters):
         nxt = apply_op_grid(op, phi)
-        history.append(_l2_norm(nxt - phi))
+        history.append(_l2_in_place(np.subtract(nxt.values, phi.values), phi.step))
         phi = nxt
         norm = _l2_norm(phi)
         if norm > DIVERGENCE_L2_LIMIT:
             raise CascadeDivergenceError(
                 f"cascade divergence: L2 norm {norm:.3e} after {i + 1} iterations"
             )
-    final_residual = float(np.max(np.abs((apply_op_grid(op, phi) - phi).values)))
+    last = apply_op_grid(op, phi).values
+    last -= phi.values
+    gap = np.abs(last) if np.iscomplexobj(last) else np.abs(last, out=last)
     return CascadeResult(
-        phi=phi, iterations=iters, residual=final_residual, history=tuple(history)
+        phi=phi, iterations=iters, residual=float(np.max(gap)), history=tuple(history)
     )
 
 
@@ -321,19 +338,35 @@ def wavelet_from_scaling(
 # -- limit sequences ---------------------------------------------------------------
 
 
+# the seeds take a float array y, read it only, and write into arrays of their own
+
+
 def _seed_arctan(y):
-    return np.arctan(2.0 * y) / np.pi
+    t = 2.0 * y
+    np.arctan(t, out=t)
+    t /= np.pi
+    return t
 
 
 def _seed_tanh(y):
-    return 0.5 * np.tanh(2.0 * y)
+    t = 2.0 * y
+    np.tanh(t, out=t)
+    t *= 0.5
+    return t
 
 
 def _seed_tri(y):
-    y = np.asarray(y, dtype=float)
-    return (2.0 * y / np.pi) * np.arctan(2.0 * y) - np.log1p(4.0 * y * y) / (
-        2.0 * np.pi
-    )
+    """(2y / pi) arctan(2y) - log1p(4y^2) / (2 pi), in two arrays."""
+    t = 2.0 * y
+    u = np.arctan(t)
+    t /= np.pi
+    t *= u
+    np.multiply(4.0, y, out=u)
+    u *= y
+    np.log1p(u, out=u)
+    u /= 2.0 * np.pi
+    t -= u
+    return t
 
 
 _SEEDS = {"arctan": _seed_arctan, "tanh": _seed_tanh, "tri": _seed_tri}
@@ -366,9 +399,18 @@ def limit_build(
             f"amplitude compensation overflows past n = 60, got {n}"
         )
     seed, scale, xs = _SEEDS[delta], 2.0**n, _lattice_points(resolution, window)
-    first, *rest = (c.real * seed(scale * (xs + e.value)) for e, c in p.word.terms())
-    vals = sum(rest, first)  # in term order from the first: 0 + (-0.0) loses a zero's sign
-    return GridFunction(resolution, window, vals / 2.0 ** ((p.zero_order - 1) * (n - 1)))
+    y, vals = np.empty_like(xs), None
+    for e, c in p.word.terms():
+        np.add(xs, e.value, out=y)
+        y *= scale
+        term = seed(y)
+        term *= c.real
+        if vals is None:  # summed in term order from the first: 0 + (-0.0) loses a zero's sign
+            vals = term
+        else:
+            vals += term
+    vals /= 2.0 ** ((p.zero_order - 1) * (n - 1))
+    return GridFunction(resolution, window, vals)
 
 
 def limit_build_report(
@@ -384,7 +426,8 @@ def limit_build_report(
     errors = {}
     for n in n_values:
         f = limit_build(preset, delta, n, resolution, window)
-        gap = np.abs(f.values - target.values)
+        gap = np.subtract(f.values, target.values)
+        np.abs(gap, out=gap)
         errors[n] = {"l1": float(gap.sum() * f.step), "max": float(gap.max())}
     l1s = [errors[n]["l1"] for n in n_values]
     return {

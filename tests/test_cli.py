@@ -226,12 +226,11 @@ def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: NonFiniteWeightError: term ")
 
 
-# SHA-256 of (CSV, manifest) written at the defaults, as in CHANGES.md;
-# both subcommands iterate D g(T) through apply_op_grid, so a change to the
-# lattice path cannot move a byte of them unnoticed.
-# SHA-256 of the CSV and the manifest, keyed by the arguments.  Every sample is
-# exact dyadic arithmetic, so the bytes hold on any machine; `limit` is left
-# out because its arctan seeds go through libm.
+# SHA-256 of the CSV and the manifest, keyed by the arguments, so a change to
+# the lattice path cannot move a byte unnoticed.  cascade and wavelet samples
+# are exact dyadic arithmetic, so their bytes hold on any machine.  limit's
+# seeds go through numpy's arctan and log1p; its bytes are the same with
+# numpy's AVX-512 kernels on and switched off (NPY_DISABLE_CPU_FEATURES).
 GRID_GOLDEN = {
     "cascade": ("57204f0c14098c18b4a220f60aa5d2da1f010a1496efce939aaf3cd3451292db",
                 "11a4e023c1d7e7b97476d925f9d23b2f6c8dbbb0369728d061c320f6ba2814aa"),
@@ -246,6 +245,15 @@ GRID_GOLDEN = {
     "wavelet --form literal": (
         "32c07c29cdf9c99f2fb979f5e5eed7e4ce84eeba18fcb9a9b978665149399118",
         "264f877a2d707fe997bf2a2136bb53f0403d33391dd78550f99d3f15f4b7a683"),
+    "limit": ("549fb38c6103aacb61be6d4ef95413a3994496dfc15d2e9dcc811a54e2786aa5",
+              "160cb428077d034c8036281f5f9f6a82a89a050e1ae29e7ddcb240a0e6d81c83"),
+    "limit --preset b2": (
+        "d5236dda09fdcaef7b82cbc9ecaa5cacec88338e3fdab47b9975015c5ee4bb22",
+        "14bc35799528be9e6b0957705e84c52349386d24eeeff67838ad63754660c763"),
+    # 3 * 2^14 samples, 384 KiB a lattice: the size at which temporaries cost page faults
+    "cascade --resolution 14": (
+        "c1d546c6512eeadf1cc3fd700a189f8866d61216d6d142996419a73d70a0560a",
+        "a3cbeca8d69dd733bae11bc6b24d3bd225bce07b591a50acdb241a36ee5ce5b7"),
 }
 
 
@@ -776,7 +784,8 @@ def test_an_explicit_b_overrides_the_sign_of_a_tilde(tmp_path):
 EDGE_VALUES = ["0", "-0.0", "-1", "1e-300", "1e-9", "1.5", "700", "1e300", "-1e300"]
 # sizes 40 and 64 are refused up front where they would allocate (GridTooLargeError)
 INT_EDGE_VALUES = ["0", "1", "2", "-1", "40", "64", "1e3", "2.5", ""]
-SYMBOL_EDGE_VALUES = ["0", "T^1/3", "T^1e300", "nan*T", "1/0", "T^^1", "(1+T)", "T^²"]
+SYMBOL_EDGE_VALUES = ["0", "T^1/3", "T^1e300", "nan*T", "1/0", "T^^1", "(1+T)", "T^²", "1e400",
+                      "T^1e400", "T^" + "1" * 5000]
 
 FLOAT_FLAGS = [  # every float flag of every subcommand but fig2 and check
     ("spectrum", "--a0"), ("ladder", "--a-tilde"), ("closure", "--s"), ("closure", "--alpha"),
@@ -834,6 +843,19 @@ def test_edge_values_exit_with_a_code_that_tells_the_truth(tmp_path, capsys, sub
         else:
             assert code == 1, where
             assert (m := re.match(r"error: (\w+): ", err)) and m[1] in WAVEQ_ERRORS, (where, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-b", "--c=1e400 + T^-1"],
+    ["general-closure", "--j0=1/2*T^1e400 + 1/2*T^-1", "--j=1/2 + 1/2*T^-1"],
+], ids=["solve-b", "general-closure"])
+def test_a_literal_beyond_the_float_range_is_refused_at_its_position(tmp_path, capsys, argv):
+    # read as inf, the first died on a bare ValueError and the second reported residual 0
+    assert dispatch([*argv, "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "number beyond the float range (position " in err
+    assert f"(offending flag: {argv[1].split('=')[0]})" in err
+    assert not (tmp_path / "out").exists()
 
 
 NUMPY_FREE = [  # the subcommands whose work is exact algebra or scalar math

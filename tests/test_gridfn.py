@@ -182,6 +182,20 @@ def test_unit_cell_constant_mass_preserved():
     assert abs(out.integral() - g.integral()) < 1e-12
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.75])
+@pytest.mark.parametrize("weight", [1.0, 1 - 0.5j])
+def test_apply_op_grid_only_reads_its_source(weight, mu):
+    rng = random.Random(25)
+    samples = np.array([rng.randint(-256, 256) / 256 for _ in range(96)])
+    g = GridFunction(5, (-1, 2), samples * weight)
+    before = g.values.tobytes()
+    op = (OpExpr.term(0.5, beta=1, alpha=0.25) + OpExpr.term(-1.25, alpha=-1.0)
+          + OpExpr.term(0.375, mu=mu, beta=1, alpha=2.0))
+    out = apply_op_grid(op, g)
+    assert g.values.tobytes() == before
+    assert not np.shares_memory(out.values, g.values)
+
+
 # -- exponential sums -------------------------------------------------------
 
 

@@ -233,6 +233,15 @@ PARSE_REFUSALS = [  # text, message, 0-based position
     ("T^1/2^", "expected digits", 6),
     ("T^1/0", "zero denominator", 4),
     ("T^²", "expected exponent", 2),  # a digit to str.isdigit, but not a decimal digit
+    ("1e400 + T^-1", "number beyond the float range", 0),
+    ("1/2*T^1e400", "number beyond the float range", 6),
+    ("1/" + "9" * 400, "number beyond the float range", 2),
+    ("T^" + "9" * 400 + "/3", "exponent beyond the float range", 2),
+    # more digits than Python converts to an int (sys.get_int_max_str_digits)
+    ("T^" + "1" * 5000, "integer of 5000 digits is too long", 2),
+    ("T^-" + "1" * 5000 + "/3", "integer of 5000 digits is too long", 3),
+    ("T^1/" + "1" * 5000, "integer of 5000 digits is too long", 4),
+    ("T^1/2^" + "1" * 5000, "integer of 5000 digits is too long", 6),
 ]
 
 

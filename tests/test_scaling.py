@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reference import term_by_term
-from waveq.gridfn import GridFunction, GridResolutionError
+from waveq.gridfn import GridFunction, GridResolutionError, apply_op_grid
 from waveq.laurent import Dyadic, EvaluationOverflowError, parse_laurent
 from waveq.opalgebra import OpExpr
 from waveq.qdeform import phase_index_minus, w_minus
@@ -155,6 +155,40 @@ def test_cascade_rejects_negative_iters():
         cascade(haar_system(), box_grid(3), -1)
 
 
+def _cascade_written_out(sys, start, iters):
+    """history, residual and phi of `cascade`, each difference a GridFunction."""
+    op, phi, history = sys.two_scale_op(), start, []
+    for _ in range(iters):
+        nxt = apply_op_grid(op, phi)
+        history.append(math.sqrt(phi.step * float(np.sum(np.abs((nxt - phi).values) ** 2))))
+        phi = nxt
+    return history, float(np.max(np.abs((apply_op_grid(op, phi) - phi).values))), phi
+
+
+@pytest.mark.parametrize("iters", [0, 1, 3])
+@pytest.mark.parametrize("amp", [0.75, 0.75 - 0.5j])
+def test_cascade_only_reads_its_start_and_keeps_the_written_out_bits(amp, iters):
+    start = box_grid(5) * amp  # not the b2 fixed point: every difference is nonzero
+    before = start.values.tobytes()
+    res = cascade(b2_system(), start, iters)
+    assert start.values.tobytes() == before
+    assert not np.shares_memory(res.phi.values, start.values)
+    history, residual, phi = _cascade_written_out(b2_system(), start, iters)
+    assert [h.hex() for h in res.history] == [h.hex() for h in history]
+    assert res.residual.hex() == residual.hex() and residual > 0.0
+    assert res.phi.values.tobytes() == phi.values.tobytes()
+
+
+@pytest.mark.parametrize("amp", [0.75, 0.75 - 0.5j])
+def test_l2_norm_only_reads_its_grid(amp):
+    g = box_grid(6) * amp
+    g.values[::7] *= -3.0
+    before = g.values.tobytes()
+    want = math.sqrt(g.step * float(np.sum(np.abs(g.values) ** 2)))
+    assert scaling._l2_norm(g).hex() == want.hex()
+    assert g.values.tobytes() == before
+
+
 # -- wavelets --------------------------------------------------------------------
 
 
@@ -219,6 +253,12 @@ def test_limit_build_is_the_written_out_difference_bit_for_bit(preset, delta, n)
         want = (at(0.0) - 2.0 * at(0.5) + at(1.0)) / 2.0 ** (n - 1)
     got = limit_build(preset, delta, n, 6, (-3, 4)).values
     assert got.tobytes() == want.tobytes()
+
+
+def test_limit_build_returns_an_array_of_its_own():
+    first, second = (limit_build("b2", "tri", 12, 6) for _ in range(2))
+    assert first.values.tobytes() == second.values.tobytes()
+    assert not np.shares_memory(first.values, second.values)
 
 
 def test_limit_build_arctan_accuracy():
@@ -479,3 +519,27 @@ def test_profiles_exact_values():
     assert list(box_profile(xs)) == [0, 1, 1, 1, 1, 0, 0]
     assert list(box_midpoint_profile(xs)) == [0, 0.5, 1, 1, 1, 0.5, 0]
     assert list(hat_profile(xs)) == [0, 0, 1, 2, 1, 0, 0]
+
+
+# the one-expression forms that the profiles and seeds compute in arrays of their own
+WRITTEN_OUT = {
+    box_profile: lambda x: np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0),
+    box_midpoint_profile: lambda x: (np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
+                                     + np.where((x == 0.0) | (x == 1.0), 0.5, 0.0)),
+    hat_profile: lambda x: np.maximum(0.0, 2.0 - np.abs(4.0 * x - 2.0)),
+    scaling._seed_arctan: lambda y: np.arctan(2.0 * y) / np.pi,
+    scaling._seed_tanh: lambda y: 0.5 * np.tanh(2.0 * y),
+    scaling._seed_tri: lambda y: ((2.0 * y / np.pi) * np.arctan(2.0 * y)
+                                  - np.log1p(4.0 * y * y) / (2.0 * np.pi)),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**12, 2.0**60])
+@pytest.mark.parametrize("fn", list(WRITTEN_OUT), ids=lambda fn: fn.__name__)
+def test_profiles_and_seeds_only_read_their_input(fn, scale):
+    xs = scale * scaling._lattice_points(8, (-2, 3))
+    before = xs.tobytes()
+    got = fn(xs)
+    assert xs.tobytes() == before
+    assert not np.shares_memory(got, xs)
+    assert got.tobytes() == WRITTEN_OUT[fn](xs).tobytes()
