@@ -40,7 +40,7 @@ from .funceq import (
 from .gridfn import apply_op_grid
 from .laurent import parse_laurent
 from .opalgebra import OpExpr
-from .qdeform import DYADIC_F, AlgebraParams, build_generators, check_closure, fourier_limit_report
+from .qdeform import DYADIC_F, AlgebraParams, _dyadic_generators, check_closure, fourier_limit_report
 from .scaling import (
     algebraic_form_check,
     b2_system,
@@ -150,11 +150,10 @@ def check_dyadic_closure():
     The raising/lowering commutator must equal
     (T^2 + T^{-1} - T^{1/2} - T^{-1/2}) / 4 coefficient for coefficient.
     """
-    params = AlgebraParams(1.0, 1.0)
-    rep = check_closure(params)
+    rep = check_closure(AlgebraParams(1.0, 1.0))
     return [
         *((r, rep[r], "==", 0.0) for r in ("r1", "r2", "r3")),
-        ("f", build_generators(params).f.to_laurent(), "==", parse_laurent(DYADIC_F)),
+        ("f", _dyadic_generators().f.to_laurent(), "==", parse_laurent(DYADIC_F)),
     ]
 
 

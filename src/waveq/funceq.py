@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from . import _numpy as np
 from .laurent import Dyadic, Exponent, LaurentPoly, _float_range, _pow2
 from .gridfn import ExpSum, apply_op_expsum
-from .qdeform import AlgebraParams, build_generators, q_number
+from .qdeform import AlgebraParams, _dyadic_generators, build_generators, q_number
 
 RESIDUAL_TOL = 1e-12
 
@@ -211,7 +211,7 @@ def casimir_constancy_check(n_range: Iterable[int], a_tilde: float) -> dict:
             "a_tilde": 0.0,
             "skipped": "rate family degenerates to constants at a_tilde = 0",
         }
-    gs = build_generators(AlgebraParams(1.0, 1.0))
+    gs = _dyadic_generators()
     f_symbol = gs.f.to_laurent()
     chi = solve_casimir_chi(f_symbol).chi
 

@@ -25,6 +25,8 @@ from .laurent import Exponent, ExponentRangeError, _exp, _merged, _NormalForm, _
 from .opalgebra import OpExpr
 
 MAX_SAMPLES = 1 << 22  # 32 MiB a float64 lattice; `check` samples 3 * 2^18 = 786,432 points
+SCRATCH_BYTES = 1 << 16  # `apply_op_grid`'s block; under glibc's 128 KiB mmap threshold, so it is
+                         # carved from the heap and does not fault pages in on every call
 
 
 class GridResolutionError(ValueError):
@@ -250,17 +252,42 @@ def apply_op_grid(
     # a real coefficient times a real sample is the real part of the complex product
     real = not (np.iscomplexobj(f.values) or any(c.imag or mu for c, mu, _, _ in plan))
     out = np.zeros(n_out, float if real else complex)
-    scratch = np.empty_like(out)  # each term's weighted samples, before they are added
+    # each term's weighted samples go through one scratch a block at a time; with a phase
+    # term, its second half holds the block's phase factors
+    phased = any(mu for _, mu, _, _ in plan)
+    width = min(n_out, SCRATCH_BYTES // out.itemsize // (2 if phased else 1))
+    scratch = np.empty(2 * width if phased else width, out.dtype)
     for coeff, mu, base, s in plan:
+        weight = coeff.real if real else coeff
         # output i reads source base + i*s; keep the i with 0 <= base + i*s < n_src
         lo, hi = max(0, -(base // s)), min(n_out, -((base - n_src) // s))
-        if lo >= hi:
-            continue
-        picked = f.values[base + lo * s : base + (hi - 1) * s + 1 : s]
-        if mu != 0.0:
-            picked = picked * np.exp(1j * mu * (out_lo + np.arange(lo, hi) * out_step))
-        out[lo:hi] += np.multiply(coeff.real if real else coeff, picked, out=scratch[: hi - lo])
+        for i in range(lo, hi, width):
+            m = min(width, hi - i)
+            block = scratch[:m]
+            picked = f.values[base + i * s : base + (i + m - 1) * s + 1 : s]
+            if picked.dtype != block.dtype:  # cast in the block, not in a ufunc buffer
+                np.copyto(block, picked)
+                picked = block
+            if mu != 0.0:
+                phase = _phase_factors(scratch[width : width + m], mu, out_lo + i * out_step,
+                                       out_step)
+                picked = np.multiply(picked, phase, out=block)
+            out[i : i + m] += np.multiply(weight, picked, out=block)
     return GridFunction(res_out, window, out)
+
+
+def _phase_factors(phase: np.ndarray, mu: float, x0: float, step: float) -> np.ndarray:
+    """e^(i mu x) at x = x0 + k step, k = 0 .. len(phase) - 1, formed in phase alone.
+
+    The points are summed up in its real part: each partial sum is a lattice point, an
+    exact dyadic, so it has the bits of x0 + k step however that is formed."""
+    x = phase.real
+    x.fill(step)
+    x[0] = x0
+    np.cumsum(x, out=x)
+    phase.imag = 0.0
+    np.multiply(1j * mu, phase, out=phase)
+    return np.exp(phase, out=phase)
 
 
 @_own_arithmetic

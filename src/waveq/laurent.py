@@ -51,7 +51,18 @@ def _exact_value(num: int, log2_den: int) -> float:
         return num / (1 << log2_den)
     except OverflowError:
         bits = num.bit_length() - 1 - log2_den
-        raise ExponentRangeError(f"exact exponent ~2^{bits} is beyond the float range") from None
+        raise ExponentRangeError(f"exact exponent ~2^{_power_text(bits)} is beyond the float "
+                                 "range") from None
+
+
+def _power_text(k: int) -> str:
+    """k itself up to 18 digits, else its sign and digit count: a parsed literal may have
+    thousands of digits, and a message quoting them all is unreadable."""
+    if abs(k) < 10**18:
+        return str(k)
+    digits = math.ceil(abs(k).bit_length() * math.log10(2))  # str(k) refuses past 4,300 digits
+    digits -= abs(k) < 10 ** (digits - 1)
+    return f"{'-' if k < 0 else ''}({digits}-digit integer)"
 
 
 class ApproximateExponentWarning(UserWarning):

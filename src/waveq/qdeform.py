@@ -192,6 +192,12 @@ def build_generators(p: AlgebraParams) -> GeneratorSet:
 
 
 @functools.cache
+def _dyadic_generators() -> GeneratorSet:
+    """The all-dyadic triple s = alpha = 1, built once per process; callers only read it."""
+    return build_generators(AlgebraParams(1.0, 1.0))
+
+
+@functools.cache
 def _w0_alpha0() -> complex:
     """The one coefficient of W0(1, 0), built once per process."""
     (t,) = w_zero(1.0, 0.0).terms()

@@ -22,7 +22,9 @@ from . import _numpy as np
 from .gridfn import (
     GridFunction,
     GridResolutionError,
+    _index_units,
     _lattice_points,
+    _sample_count,
     apply_op_grid,
 )
 from .laurent import Dyadic, EvaluationOverflowError, LaurentPoly
@@ -386,8 +388,10 @@ def limit_build(
     sum_k b_k seed(2^n (x + e_k)) / 2^((m-1)(n-1)).  haar: (1 - T^{-1}) D^n
     on an odd sigmoid seed (arctan or tanh flavor) converges to the box with
     midpoint values at its jumps; b2: (1 - 2T^{-1/2} + T^{-1}) D^n on the
-    even kink seed converges to the peak-2 hat.  Evaluated in closed form on
-    the target lattice; no grid iteration.
+    even kink seed converges to the peak-2 hat.  Evaluated in closed form,
+    with no grid iteration: the seed is sampled once, on the lattice fine
+    enough for the output points and every step e_k, and each term reads a
+    strided slice of it, since T^{e_k} is an index shift there.
     """
     p = _preset(preset)
     if delta not in p.seeds:
@@ -398,16 +402,25 @@ def limit_build(
         raise EvaluationOverflowError(
             f"amplitude compensation overflows past n = 60, got {n}"
         )
-    seed, scale, xs = _SEEDS[delta], 2.0**n, _lattice_points(resolution, window)
-    y, vals = np.empty_like(xs), None
-    for e, c in p.word.terms():
-        np.add(xs, e.value, out=y)
-        y *= scale
-        term = seed(y)
-        term *= c.real
+    n_out = _sample_count(resolution, window)  # only the output window is held to MAX_SAMPLES
+    terms = p.word.terms()
+    fine = max(resolution, *(e.dyadic.log2_den for e, _ in terms))
+    shifts = [_index_units(e, fine, "word step") for e, _ in terms]
+    first, stride = min(shifts), 1 << (fine - resolution)
+    span = (n_out - 1) * stride + 1
+    # y = 2^n (lo + j 2^-fine + min_k e_k); output i of term k reads j = i stride + shift_k - first.
+    # Every y is an exact dyadic, so it has the bits of 2^n (x_i + e_k) formed per term
+    y = np.arange(span + max(shifts) - first, dtype=float)
+    y *= 2.0**-fine
+    y += window[0] + first * 2.0**-fine
+    y *= 2.0**n
+    seeded, vals, term = _SEEDS[delta](y), None, None
+    for shift, (_, c) in zip(shifts, terms):
+        picked = seeded[shift - first : shift - first + span : stride]
         if vals is None:  # summed in term order from the first: 0 + (-0.0) loses a zero's sign
-            vals = term
+            vals = np.multiply(picked, c.real)
         else:
+            term = np.multiply(picked, c.real, out=term)
             vals += term
     vals /= 2.0 ** ((p.zero_order - 1) * (n - 1))
     return GridFunction(resolution, window, vals)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .gridfn import ExpSum, apply_op_expsum
 from .laurent import EvaluationOverflowError, _float_range, _pow2
-from .qdeform import AlgebraParams, build_generators
+from .qdeform import _dyadic_generators
 
 CLOSED_FORM_TAGS = ("cos-branch", "cosh-branch", "none")
 
@@ -162,7 +162,7 @@ def ladder_check(
     """
     if a_tilde == 0.0:
         raise ValueError("a_tilde must be nonzero; the rate family degenerates")
-    gs = build_generators(AlgebraParams(1.0, 1.0))
+    gs = _dyadic_generators()
 
     ladder_rows = []
     for n in n_range:

@@ -182,6 +182,13 @@ def test_exponent_beyond_the_float_range_is_usage_error_naming_the_flag(tmp_path
         assert flag in err and "beyond the float range" in err
 
 
+def test_an_exponent_of_a_400_digit_power_is_named_by_its_digit_count(tmp_path, capsys):
+    assert run(tmp_path, "solve-b", "--c", "1 + T^1/2^" + "9" * 400) == 2
+    err = capsys.readouterr().err
+    assert "~2^-(400-digit integer) is beyond the float range" in err
+    assert max(len(line) for line in err.splitlines()) < 200
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert dispatch(["bogus"]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -254,6 +261,20 @@ GRID_GOLDEN = {
     "cascade --resolution 14": (
         "c1d546c6512eeadf1cc3fd700a189f8866d61216d6d142996419a73d70a0560a",
         "a3cbeca8d69dd733bae11bc6b24d3bd225bce07b591a50acdb241a36ee5ce5b7"),
+    # at resolution 0 the b2 word's half step is finer than the lattice
+    "limit --preset b2 --resolution 0": (
+        "fe0b007c333a17fcd8471abe32ab55096258cf64fe5afc82720d29e7bd932b58",
+        "e674ea4f3b8286dec000415f4f5c4aa11da0be12a585646747b9ab5b12d8851e"),
+    "limit --delta tanh": (
+        "c2a4cea85a323208e14e612c98a2d5f9bd2f7eb7937c2c32e721959743279b94",
+        "b9f16e921f3dd1885945190c8414ab7d370245a345a8e62ac9ff7048d9ddbe4b"),
+    "wavelet --system b2 --resolution 13": (
+        "bacb8bafb4e1d984584589f34758afe9e3610b9d408fc6f1f065d016e61b3375",
+        "ba400fe8d31bb2ef7b3ca2c9d1ef3765d54ec2890a133f4ee324fd5db5127b58"),
+    "ladder": ("313a4488a4a8ec2c1e91b93c40a4897ca6f53c81e8bd38d3144a0a1e789c7684",
+               "590bdb0d3382eb70bb1ae3ab54c79c1af39dd59cc90a08bd9494d91035a0c3dd"),
+    "casimir": ("a2746572562b41d93972c8530f3e21d8eebe55f5cf109af9bba98b744d0f04de",
+                "13bbf056aeb804ba13652a19821fa18147e5e4b0d983de192377abe894154368"),
 }
 
 

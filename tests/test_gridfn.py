@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,61 @@ def test_apply_op_grid_only_reads_its_source(weight, mu):
     out = apply_op_grid(op, g)
     assert g.values.tobytes() == before
     assert not np.shares_memory(out.values, g.values)
+
+
+def _applied_full_size(op, f):
+    """apply_op_grid on f's own lattice, one full-size array per term: each term adds
+    coeff * (samples * e^(i mu x)) where its source index is in the window.  The phase is
+    held in a name: numpy reuses an unnamed temporary of 256 KiB or more as the product's
+    output with the factors swapped, and its fused complex multiply is not commutative."""
+    n, res = len(f.values), f.resolution
+    xs = f.lo + np.arange(n) * f.step
+    real = not (np.iscomplexobj(f.values) or any(t.coeff.imag or t.mu.value for t in op.terms()))
+    out = np.zeros(n, float if real else complex)
+    for t in op.terms():
+        b = t.beta.dyadic.num
+        shift = Fraction(t.alpha.dyadic.num, 1 << t.alpha.dyadic.log2_den) * (1 << res)
+        idx = ((f.lo << (b + res)) - (f.lo << res) + int(shift)) + np.arange(n) * (1 << b)
+        inside = (idx >= 0) & (idx < n)
+        samples = f.values[idx[inside]]
+        if t.mu.value != 0.0:
+            phase = np.exp(1j * t.mu.value * xs[inside])
+            samples = samples * phase
+        out[inside] += (t.coeff.real if real else t.coeff) * samples
+    return out
+
+
+APPLIED_AT_14 = {
+    "real, 3 terms": (False, OpExpr.term(0.5, beta=1, alpha=0.25) + OpExpr.term(-1.25, alpha=-1.0)
+                      + OpExpr.term(0.375, beta=1, alpha=Dyadic(-3, 14))),
+    # shifts past both window edges, phases on two terms, a complex source
+    "complex, phases": (True, OpExpr.term(0.5 - 0.25j, mu=1.5, alpha=Dyadic(4097, 12))
+                        + OpExpr.term(-1.25, alpha=-2.5) + OpExpr.term(2.0, mu=-3.0, beta=1,
+                                                                      alpha=Dyadic(-7, 14))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLIED_AT_14))
+def test_apply_op_grid_at_2_to_the_minus_14_is_the_full_size_formula(name):
+    cplx, op = APPLIED_AT_14[name]
+    rng = np.random.default_rng(26)
+    n = 3 << 14
+    samples = rng.integers(-256, 256, n) / 256
+    if cplx:
+        samples = samples + 1j * (rng.integers(-256, 256, n) / 256)
+    samples[::11] *= -0.0  # signed zeros
+    g = GridFunction(14, (-1, 2), samples)
+    apply_op_grid(op, g)  # the first call also builds the op's term tuple and numpy's caches
+    tracemalloc.start()
+    try:
+        got = apply_op_grid(op, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.values.dtype == (complex if cplx else float)
+    assert got.values.tobytes() == _applied_full_size(op, g).tobytes()
+    # the output plus one block of weighted samples, with 8 KiB for the Python objects
+    assert peak <= got.values.nbytes + waveq.gridfn.SCRATCH_BYTES + (8 << 10)
 
 
 # -- exponential sums -------------------------------------------------------

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from waveq import qdeform
+from waveq.funceq import casimir_constancy_check
 from waveq.gridfn import ExpSum, apply_op_expsum
 from waveq.laurent import Dyadic, EvaluationOverflowError, LaurentPoly
 from waveq.opalgebra import OpExpr, commutator
@@ -23,6 +24,7 @@ from waveq.qdeform import (
     w_plus,
     w_zero,
 )
+from waveq.spectra import ladder_check
 
 SINH_1 = math.sinh(1.0)
 
@@ -163,6 +165,24 @@ def test_closure_builds_the_w0_alpha0_constant_at_most_once(monkeypatch):
     assert first == second == w0_alpha0_report()
     first["from_formula"][1] = 0.0  # each report owns its dict and lists
     assert second == w0_alpha0_report()
+
+
+def test_ladder_and_casimir_build_the_dyadic_generators_once(monkeypatch):
+    built = []
+
+    def counting(p):
+        built.append((p.s, p.alpha))
+        return build_generators(p)
+
+    qdeform._dyadic_generators.cache_clear()
+    monkeypatch.setattr(qdeform, "build_generators", counting)
+    try:
+        ladders = [ladder_check(0.5, range(3)) for _ in range(2)]
+        casimirs = [casimir_constancy_check(range(3), 0.5) for _ in range(2)]
+    finally:
+        qdeform._dyadic_generators.cache_clear()
+    assert built == [(1.0, 1.0)]
+    assert ladders[0] == ladders[1] and casimirs[0] == casimirs[1]
 
 
 def test_ladder_commutator_matches_f_on_exponentials():

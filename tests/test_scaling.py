@@ -255,6 +255,27 @@ def test_limit_build_is_the_written_out_difference_bit_for_bit(preset, delta, n)
     assert got.tobytes() == want.tobytes()
 
 
+def _limit_written_out(preset, delta, n, resolution, window):
+    """sum_k b_k seed(2^n (x + e_k)) / 2^((m-1)(n-1)), one full-size seed sampling per term
+    of the preset's word, the terms summed in order from the first."""
+    p, xs = PRESETS[preset], scaling._lattice_points(resolution, window)
+    total = None
+    for e, c in p.word.terms():
+        term = c.real * scaling._SEEDS[delta](2.0**n * (xs + e.value))
+        total = term if total is None else total + term
+    return total / 2.0 ** ((p.zero_order - 1) * (n - 1))
+
+
+@pytest.mark.parametrize("window", [(-1, 2), (-3, 1)])
+@pytest.mark.parametrize("resolution", [0, 1, 11, 14])
+@pytest.mark.parametrize("n", [1, 8, 20, 60])
+@pytest.mark.parametrize("preset,delta", [(p, d) for p in sorted(PRESETS) for d in PRESETS[p].seeds])
+def test_limit_build_is_the_per_term_sampling_bit_for_bit(preset, delta, n, resolution, window):
+    # limit_build samples the seed once and reads each term as a strided slice of it
+    got = limit_build(preset, delta, n, resolution, window).values
+    assert got.tobytes() == _limit_written_out(preset, delta, n, resolution, window).tobytes()
+
+
 def test_limit_build_returns_an_array_of_its_own():
     first, second = (limit_build("b2", "tri", 12, 6) for _ in range(2))
     assert first.values.tobytes() == second.values.tobytes()
