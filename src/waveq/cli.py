@@ -63,7 +63,7 @@ from .scaling import (
 )
 from .spectra import a2half_step, fig1_report, iterate_spectrum, ladder_check
 
-__all__ = ["NonFiniteOutputError", "RunConfig", "dispatch", "main"]
+__all__ = ["NonFiniteOutputError", "dispatch", "main"]
 
 
 class UsageError(Exception):
@@ -116,18 +116,16 @@ def _split(v) -> list:
     raise ValueError(f"expected a comma-separated list, got {v!r}")
 
 
-def _as_int_list(v) -> list[int]:
-    out = [_as_int(p) for p in _split(v)]
-    if not out:
-        raise ValueError("list must not be empty")
-    return out
+def _list_of(coerce: Callable) -> Callable[[object], list]:
+    """A nonempty comma-separated list (or JSON array), each entry through coerce."""
 
+    def coerce_all(v) -> list:
+        out = [coerce(p) for p in _split(v)]
+        if not out:
+            raise ValueError("list must not be empty")
+        return out
 
-def _as_float_list(v) -> list[float]:
-    out = [_as_float(p) for p in _split(v)]
-    if not out:
-        raise ValueError("list must not be empty")
-    return out
+    return coerce_all
 
 
 def _at_least(bound: int, coerce: Callable = _as_int) -> Callable:
@@ -171,7 +169,7 @@ def _gamma_scale(v) -> float:
 
 def _as_ladder_steps(v) -> list[int]:
     """An integer list that sorts to at least two consecutive indices."""
-    ns = _as_int_list(v)
+    ns = _list_of(_as_int)(v)
     steps = sorted(ns)
     if len(steps) < 2 or any(b != a + 1 for a, b in zip(steps, steps[1:])):
         raise ValueError(f"expected at least two consecutive indices, got {ns}")
@@ -209,7 +207,7 @@ def _choice(*options: str) -> Callable[[object], str]:
     return coerce
 
 
-# -- flag tables ---------------------------------------------------------------------
+# -- flags ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -232,178 +230,6 @@ _COMMON = (
 
 _PROFILES = {"box": box_profile, "box-midpoint": box_midpoint_profile, "hat": hat_profile}
 _SYSTEM = _Opt("--system", _choice(*PRESETS), "haar", "mask preset")
-
-_SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
-    "cascade": (
-        "iterate the two-scale map on a start profile",
-        (
-            _SYSTEM,
-            _Opt(
-                "--start",
-                _choice("auto", *_PROFILES),
-                "auto",
-                "start profile; auto picks the system's fixed point",
-            ),
-            _Opt("--iters", _at_least(0), 1, "number of iterations"),
-            _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J (step 2^-J)"),
-            _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
-        ),
-    ),
-    "wavelet": (
-        "build the mother wavelet from a scaling profile",
-        (
-            _SYSTEM,
-            _Opt(
-                "--start",
-                _choice("auto", *_PROFILES),
-                "auto",
-                "scaling profile; auto picks the system's fixed point",
-            ),
-            _Opt("--resolution", _at_least(0), 6, "grid spacing exponent J"),
-            _Opt(
-                "--form",
-                _choice("canonical", "literal"),
-                "canonical",
-                "alternating-mask form (canonical covers half-step masks)",
-            ),
-        ),
-    ),
-    "limit": (
-        "convergence of the one-word limit construction",
-        (
-            _Opt("--preset", _choice(*PRESETS), "haar", "target profile"),
-            _Opt(
-                "--delta",
-                _choice("auto", "arctan", "tanh", "tri"),
-                "auto",
-                "seed flavor; auto picks arctan (haar) or tri (b2)",
-            ),
-            _Opt("--n", _at_least(1, _as_int_list), [8, 12, 16, 20],
-                 "word orders, comma-separated"),
-            _Opt("--resolution", _at_least(0), 10, "grid spacing exponent J"),
-            _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
-            _Opt(
-                "--emit",
-                _choice("errors", "profile"),
-                "errors",
-                "CSV payload: the error table or the highest-order profile",
-            ),
-        ),
-    ),
-    "spectrum": (
-        "iterate an eigenvalue map and emit the trace",
-        (
-            _Opt("--a0", _as_float, 0.9, "starting value"),
-            _Opt("--n", _at_least(0), 16, "number of steps"),
-            _Opt(
-                "--map",
-                _choice("doubling", "half"),
-                "doubling",
-                "doubling: a -> 2a^2 - 1; half: hyperbolic-sine doubling",
-            ),
-        ),
-    ),
-    "ladder": (
-        "raising/lowering actions on exponential modes",
-        (
-            _Opt("--a-tilde", _nonzero, math.log(2.0), "base rate (nonzero)"),
-            _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings, comma-separated"),
-            _Opt("--modes", _at_least(1, _as_int_list), [2, 3, 4, 8],
-                 "oscillating mode orders (>= 1)"),
-        ),
-    ),
-    "closure": (
-        "commutator residuals of the generator triple",
-        (
-            _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
-            _Opt("--alpha", _as_float, 1.0, "offset parameter"),
-        ),
-    ),
-    "general-closure": (
-        "closure residuals for caller-supplied symbols",
-        (
-            _Opt("--j0", _as_symbol, None, "averaging symbol, e.g. '1/2*T^1 + 1/2*T^-1'", required=True),
-            _Opt("--j", _as_symbol, None, "ladder symbol, e.g. '1/2 + 1/2*T^-1'", required=True),
-            _Opt("--s", _as_float, 1.0, "scale parameter"),
-        ),
-    ),
-    "solve-b": (
-        "solve the refinement-commutant equation for the detail symbol",
-        (
-            _Opt("--c", _as_symbol, None, "mask symbol, e.g. '1 + T^-1'", required=True),
-            _Opt("--window", _at_least(1), 4, "support bound: |exponent| <= window"),
-        ),
-    ),
-    "casimir": (
-        "telescoping potential and the conserved combination",
-        (
-            _Opt("--r", _as_symbol, parse_laurent(DYADIC_F),
-                 "driving symbol for the telescoping equation"),
-            _Opt("--a-tilde", _as_float, math.log(2.0), "base rate for the constancy scan"),
-            _Opt("--n", _as_int_list, [0, 1, 2, 3], "rate doublings for the scan"),
-        ),
-    ),
-    "prop1": (
-        "windowed commutant system: nullspace and candidate pattern",
-        (
-            _Opt("--window", _at_least(4), 8, "exponent window half-width K"),
-        ),
-    ),
-    "gamma": (
-        "logarithmic relabeling of the coarsening step",
-        (
-            _Opt("--b", _gamma_scale, 1.0, "scale constant (positive)"),
-            _Opt("--sign", _as_sign, 1, "orientation, 1 or -1"),
-            _Opt("--points", _at_least(2), 100, "log-spaced grid size"),
-            _Opt("--lo", _above_one, 1.001, "grid start (must exceed 1)"),
-            _Opt("--hi", _as_float, 1.0e3, "grid end (must exceed --lo)"),
-        ),
-    ),
-    "bridge": (
-        "relabel the eigenvalue ladder and tabulate against q-integers",
-        (
-            _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
-            _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
-            _Opt("--b", _as_float, None, "relabeling scale (positive); defaults to a-tilde"),
-            _Opt("--sign", _as_sign, 1, "relabeling orientation"),
-            _Opt("--n", _as_ladder_steps, [0, 1, 2, 3], "consecutive ladder steps"),
-            _Opt("--j0", _as_float_list, [0.0, -1.0, -2.0], "table abscissas"),
-        ),
-    ),
-    "fig1": (
-        "eigenvalue curves over the unit interval",
-        (
-            _Opt("--n", _at_least(0, _as_int_list), [2, 4, 6],
-                 "iteration orders, comma-separated"),
-            _Opt("--grid", _at_least(2), 512, "points across [0, 1]"),
-        ),
-    ),
-    "fig2": (
-        "deformed profile family against the box",
-        (
-            _Opt("--s-values", _as_float_list, [0.0, 0.25, 0.5, 0.75, 1.0],
-                 "deformation parameters, comma-separated"),
-            _Opt("--n", _at_least(1), 16, "word order"),
-            _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J"),
-        ),
-    ),
-    "check": (
-        "run every acceptance check and report pass/fail per name",
-        (),
-    ),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A subcommand plus its full effective parameter set.
-
-    ``params`` holds every option after merging flags, config-file values,
-    and defaults, so echoing it reproduces the run exactly.
-    """
-
-    subcommand: str
-    params: dict
 
 
 # -- JSON-safe conversion --------------------------------------------------------------
@@ -429,11 +255,7 @@ def _jsonable(obj, key: str):
         return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, float) and not math.isfinite(obj):
         raise NonFiniteOutputError(f"manifest value {key} is {obj!r}")
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if hasattr(obj, "item"):
-        return _jsonable(obj.item(), key)
-    return repr(obj)
+    return obj  # json.dumps refuses any other type: a bug, with its traceback
 
 
 def _fmt(x: float, name: str) -> str:
@@ -481,7 +303,7 @@ def _cosh_is_one(x: float, n: int = 0) -> bool:
         return False
 
 
-# -- runners ---------------------------------------------------------------------------
+# -- subcommands -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -492,12 +314,36 @@ class RunResult:
     exit_code: int = 0
 
 
+# name -> (blurb, flags, runner), in the order @_subcommand registers them and --help lists them
+_SUBCOMMANDS: dict[str, tuple[str, tuple[_Opt, ...], Callable[[dict], RunResult]]] = {}
+
+
+def _subcommand(name: str, blurb: str, *opts: _Opt):
+    """Register the decorated runner as the subcommand name, with its blurb and flags."""
+
+    def register(run: Callable[[dict], RunResult]) -> Callable[[dict], RunResult]:
+        _SUBCOMMANDS[name] = (blurb, opts, run)
+        return run
+
+    return register
+
+
 def _start_grid(p: dict, window) -> GridFunction:
     auto = p["start"] == "auto"
     profile = PRESETS[p["system"]].profile if auto else _PROFILES[p["start"]]
     return GridFunction.from_callable(profile, p["resolution"], window)
 
 
+@_subcommand(
+    "cascade",
+    "iterate the two-scale map on a start profile",
+    _SYSTEM,
+    _Opt("--start", _choice("auto", *_PROFILES), "auto",
+         "start profile; auto picks the system's fixed point"),
+    _Opt("--iters", _at_least(0), 1, "number of iterations"),
+    _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J (step 2^-J)"),
+    _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
+)
 def _run_cascade(p: dict) -> RunResult:
     res = cascade(PRESETS[p["system"]].system, _start_grid(p, p["window"]), p["iters"])
     results = {
@@ -508,6 +354,16 @@ def _run_cascade(p: dict) -> RunResult:
     return RunResult(_grid_csv(res.phi), results, f"residual {_fmt(res.residual, 'residual')}")
 
 
+@_subcommand(
+    "wavelet",
+    "build the mother wavelet from a scaling profile",
+    _SYSTEM,
+    _Opt("--start", _choice("auto", *_PROFILES), "auto",
+         "scaling profile; auto picks the system's fixed point"),
+    _Opt("--resolution", _at_least(0), 6, "grid spacing exponent J"),
+    _Opt("--form", _choice("canonical", "literal"), "canonical",
+         "alternating-mask form (canonical covers half-step masks)"),
+)
 def _run_wavelet(p: dict) -> RunResult:
     phi = _start_grid(p, (-1, 2))
     psi = wavelet_from_scaling(PRESETS[p["system"]].system, phi, form=p["form"])
@@ -520,6 +376,19 @@ def _run_wavelet(p: dict) -> RunResult:
     return RunResult(_grid_csv(psi), results, f"integral magnitude {abs(mean):.3g}")
 
 
+@_subcommand(
+    "limit",
+    "convergence of the one-word limit construction",
+    _Opt("--preset", _choice(*PRESETS), "haar", "target profile"),
+    _Opt("--delta",
+         _choice("auto", *dict.fromkeys(seed for pre in PRESETS.values() for seed in pre.seeds)),
+         "auto", "seed flavor; auto picks arctan (haar) or tri (b2)"),
+    _Opt("--n", _at_least(1, _list_of(_as_int)), [8, 12, 16, 20], "word orders, comma-separated"),
+    _Opt("--resolution", _at_least(0), 10, "grid spacing exponent J"),
+    _Opt("--window", _as_window, (-1, 2), "grid window lo,hi"),
+    _Opt("--emit", _choice("errors", "profile"), "errors",
+         "CSV payload: the error table or the highest-order profile"),
+)
 def _run_limit(p: dict) -> RunResult:
     delta = PRESETS[p["preset"]].seeds[0] if p["delta"] == "auto" else p["delta"]
     orders = p["n"]
@@ -546,6 +415,14 @@ def _run_limit(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "spectrum",
+    "iterate an eigenvalue map and emit the trace",
+    _Opt("--a0", _as_float, 0.9, "starting value"),
+    _Opt("--n", _at_least(0), 16, "number of steps"),
+    _Opt("--map", _choice("doubling", "half"), "doubling",
+         "doubling: a -> 2a^2 - 1; half: hyperbolic-sine doubling"),
+)
 def _run_spectrum(p: dict) -> RunResult:
     if p["map"] == "doubling":
         trace = iterate_spectrum(p["a0"], n=p["n"])
@@ -562,6 +439,14 @@ def _run_spectrum(p: dict) -> RunResult:
     return RunResult(csv, results, f"{len(trace.values) - 1} steps, a_final {last_a:.6g}")
 
 
+@_subcommand(
+    "ladder",
+    "raising/lowering actions on exponential modes",
+    _Opt("--a-tilde", _nonzero, math.log(2.0), "base rate (nonzero)"),
+    _Opt("--n", _list_of(_as_int), [0, 1, 2, 3], "rate doublings, comma-separated"),
+    _Opt("--modes", _at_least(1, _list_of(_as_int)), [2, 3, 4, 8],
+         "oscillating mode orders (>= 1)"),
+)
 def _run_ladder(p: dict) -> RunResult:
     rep = ladder_check(p["a_tilde"], p["n"], tuple(p["modes"]))
     rows = [
@@ -599,6 +484,12 @@ def _run_ladder(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "closure",
+    "commutator residuals of the generator triple",
+    _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
+    _Opt("--alpha", _as_float, 1.0, "offset parameter"),
+)
 def _run_closure(p: dict) -> RunResult:
     rep = check_closure(AlgebraParams(p["s"], p["alpha"]))
     rows = [[k, rep[k]] for k in ("r1", "r2", "r3", "max_residual")]
@@ -610,6 +501,13 @@ def _run_closure(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "general-closure",
+    "closure residuals for caller-supplied symbols",
+    _Opt("--j0", _as_symbol, None, "averaging symbol, e.g. '1/2*T^1 + 1/2*T^-1'", required=True),
+    _Opt("--j", _as_symbol, None, "ladder symbol, e.g. '1/2 + 1/2*T^-1'", required=True),
+    _Opt("--s", _as_float, 1.0, "scale parameter"),
+)
 def _run_general_closure(p: dict) -> RunResult:
     rep = verify_general_closure(p["j0"], p["j"], p["s"])
     rows = [[k, rep[k]] for k in ("r1", "r2", "r3", "max_residual", "j_at_one")]
@@ -621,6 +519,12 @@ def _run_general_closure(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "solve-b",
+    "solve the refinement-commutant equation for the detail symbol",
+    _Opt("--c", _as_symbol, None, "mask symbol, e.g. '1 + T^-1'", required=True),
+    _Opt("--window", _at_least(1), 4, "support bound: |exponent| <= window"),
+)
 def _run_solve_b(p: dict) -> RunResult:
     try:
         sol = solve_refinement(p["c"], p["window"])
@@ -640,6 +544,13 @@ def _run_solve_b(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "casimir",
+    "telescoping potential and the conserved combination",
+    _Opt("--r", _as_symbol, parse_laurent(DYADIC_F), "driving symbol for the telescoping equation"),
+    _Opt("--a-tilde", _as_float, math.log(2.0), "base rate for the constancy scan"),
+    _Opt("--n", _list_of(_as_int), [0, 1, 2, 3], "rate doublings for the scan"),
+)
 def _run_casimir(p: dict) -> RunResult:
     try:
         solve = solve_casimir_chi(p["r"])
@@ -659,6 +570,11 @@ def _run_casimir(p: dict) -> RunResult:
     return RunResult(csv, results, summary)
 
 
+@_subcommand(
+    "prop1",
+    "windowed commutant system: nullspace and candidate pattern",
+    _Opt("--window", _at_least(4), 8, "exponent window half-width K"),
+)
 def _run_prop1(p: dict) -> RunResult:
     rep = prop1_solve(p["window"])
     k = rep["window"]
@@ -669,16 +585,24 @@ def _run_prop1(p: dict) -> RunResult:
         vals = [float(b.get(e, 0.0)) for b in basis]
         if any(v != 0.0 for v in vals):
             rows.append([e, *vals])
-    results = {key: v for key, v in rep.items()}
     return RunResult(
         _csv(header, rows),
-        results,
+        rep,
         f"nullspace dim {rep['nullspace_dim']}, "
         f"trivial residual {_fmt(rep['trivial_residual'], 'trivial residual')}, "
         f"pattern residual {_fmt(rep['pattern_constraint_residual'], 'pattern residual')}",
     )
 
 
+@_subcommand(
+    "gamma",
+    "logarithmic relabeling of the coarsening step",
+    _Opt("--b", _gamma_scale, 1.0, "scale constant (positive)"),
+    _Opt("--sign", _as_sign, 1, "orientation, 1 or -1"),
+    _Opt("--points", _at_least(2), 100, "log-spaced grid size"),
+    _Opt("--lo", _above_one, 1.001, "grid start (must exceed 1)"),
+    _Opt("--hi", _as_float, 1.0e3, "grid end (must exceed --lo)"),
+)
 def _run_gamma(p: dict) -> RunResult:
     if not p["lo"] < p["hi"]:
         raise UsageError("--hi", f"--hi must exceed --lo, got --lo={p['lo']!r}, --hi={p['hi']!r}")
@@ -691,6 +615,16 @@ def _run_gamma(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "bridge",
+    "relabel the eigenvalue ladder and tabulate against q-integers",
+    _Opt("--s", _nonzero, 1.0, "deformation parameter (nonzero)"),
+    _Opt("--a-tilde", _as_float, math.log(2.0), "base rate (nonzero)"),
+    _Opt("--b", _as_float, None, "relabeling scale (positive); defaults to a-tilde"),
+    _Opt("--sign", _as_sign, 1, "relabeling orientation"),
+    _Opt("--n", _as_ladder_steps, [0, 1, 2, 3], "consecutive ladder steps"),
+    _Opt("--j0", _list_of(_as_float), [0.0, -1.0, -2.0], "table abscissas"),
+)
 def _run_bridge(p: dict) -> RunResult:
     if _cosh_is_one(p["a_tilde"], n := min(p["n"])):  # Gamma(a_n) needs a_n > 1
         raise UsageError(
@@ -716,6 +650,12 @@ def _run_bridge(p: dict) -> RunResult:
     )
 
 
+@_subcommand(
+    "fig1",
+    "eigenvalue curves over the unit interval",
+    _Opt("--n", _at_least(0, _list_of(_as_int)), [2, 4, 6], "iteration orders, comma-separated"),
+    _Opt("--grid", _at_least(2), 512, "points across [0, 1]"),
+)
 def _run_fig1(p: dict) -> RunResult:
     rep = fig1_report(p["n"], p["grid"])
     csv = _csv("a0,n,a_n", rep["rows"])  # refused before the summary reads the counts
@@ -727,6 +667,14 @@ def _run_fig1(p: dict) -> RunResult:
     return RunResult(csv, results, summary)
 
 
+@_subcommand(
+    "fig2",
+    "deformed profile family against the box",
+    _Opt("--s-values", _list_of(_as_float), [0.0, 0.25, 0.5, 0.75, 1.0],
+         "deformation parameters, comma-separated"),
+    _Opt("--n", _at_least(1), 16, "word order"),
+    _Opt("--resolution", _at_least(0), 8, "grid spacing exponent J"),
+)
 def _run_fig2(p: dict) -> RunResult:
     rep = deformed_scaling_report(tuple(p["s_values"]), p["n"], p["resolution"])
     csv = _csv("s,l1_to_box,integral_error",
@@ -744,6 +692,7 @@ def _run_fig2(p: dict) -> RunResult:
     return RunResult(csv, results, summary)
 
 
+@_subcommand("check", "run every acceptance check and report pass/fail per name")
 def _run_check(p: dict) -> RunResult:
     checks = run_all()
     rows = [[r.name, "pass" if r.passed else "fail"] for r in checks]
@@ -769,25 +718,6 @@ def _run_check(p: dict) -> RunResult:
     )
 
 
-_RUNNERS: dict[str, Callable[[dict], RunResult]] = {
-    "cascade": _run_cascade,
-    "wavelet": _run_wavelet,
-    "limit": _run_limit,
-    "spectrum": _run_spectrum,
-    "ladder": _run_ladder,
-    "closure": _run_closure,
-    "general-closure": _run_general_closure,
-    "solve-b": _run_solve_b,
-    "casimir": _run_casimir,
-    "prop1": _run_prop1,
-    "gamma": _run_gamma,
-    "bridge": _run_bridge,
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "check": _run_check,
-}
-
-
 # -- parsing and dispatch ---------------------------------------------------------------
 
 
@@ -805,7 +735,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="waveq", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     by_name = {}
-    for name, (blurb, opts) in _SUBCOMMANDS.items():
+    for name, (blurb, opts, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=blurb, description=blurb)
         for opt in (*opts, *_COMMON):
             sub.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help)
@@ -864,27 +794,27 @@ def _effective_params(name: str, ns: argparse.Namespace) -> dict:
     return params
 
 
-def _manifest(cfg: RunConfig, result: RunResult) -> str:
+def _manifest(name: str, params: dict, result: RunResult) -> str:
     manifest = {
-        "subcommand": cfg.subcommand,
+        "subcommand": name,
         "config": _jsonable(
-            {k: v for k, v in cfg.params.items() if k not in ("output", "config")}, "config"
+            {k: v for k, v in params.items() if k not in ("output", "config")}, "config"
         ),
-        "files": {"csv": f"{cfg.subcommand}.csv"},
+        "files": {"csv": f"{name}.csv"},
         "results": _jsonable(result.results, "results"),
     }
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(cfg: RunConfig, csv: str, manifest: str) -> tuple[str, str]:
-    out_dir = cfg.params.get("output") or "."
+def _write_outputs(name: str, params: dict, csv: str, manifest: str) -> tuple[str, str]:
+    out_dir = params["output"] or "."
     os.makedirs(out_dir, exist_ok=True)
-    names = (f"{cfg.subcommand}.csv", f"{cfg.subcommand}.manifest.json")
+    names = (f"{name}.csv", f"{name}.manifest.json")
     # write over the old bytes, then cut to length: a file opened with O_TRUNC and
     # rewritten has ext4 (auto_da_alloc) start its writeback at close, which then waits
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    for name, text in zip(names, (csv, manifest)):
-        with open(os.open(os.path.join(out_dir, name), flags, 0o666), "wb") as fh:
+    for file, text in zip(names, (csv, manifest)):
+        with open(os.open(os.path.join(out_dir, file), flags, 0o666), "wb") as fh:
             fh.write(text.encode())  # ASCII: numbers, header names, ensure_ascii JSON
             fh.truncate()
     return names
@@ -901,21 +831,22 @@ def dispatch(argv: list[str]) -> int:
         usage = " ".join(parser.format_usage().split())
         sys.stderr.write(f"error: a subcommand is required\n{usage}\n")
         return 2
+    name = ns.subcommand
     # catch what a valid configuration can still run into; a bug keeps its traceback
     try:
-        cfg = RunConfig(ns.subcommand, _effective_params(ns.subcommand, ns))
-        result = _RUNNERS[cfg.subcommand](cfg.params)
-        manifest = _manifest(cfg, result)  # refuses a non-finite value before any file opens
+        params = _effective_params(name, ns)
+        result = _SUBCOMMANDS[name][2](params)
+        manifest = _manifest(name, params, result)  # a non-finite value: refused, no file opened
     except UsageError as exc:
-        usage = " ".join(by_name[ns.subcommand].format_usage().split())
+        usage = " ".join(by_name[name].format_usage().split())
         sys.stderr.write(f"error: {exc} (offending flag: {exc.flag})\n{usage}\n")
         return 2
     except (ValueError, LaurentError, CascadeDivergenceError, OverflowError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    csv_name, manifest_name = _write_outputs(cfg, result.csv, manifest)
+    csv_name, manifest_name = _write_outputs(name, params, result.csv, manifest)
     print(result.summary)
-    print(f"wrote {csv_name} and {manifest_name} in {cfg.params.get('output') or '.'}")
+    print(f"wrote {csv_name} and {manifest_name} in {params['output'] or '.'}")
     return result.exit_code
 
 

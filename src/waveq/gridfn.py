@@ -313,8 +313,8 @@ class ExpSum(_NormalForm):
                              [[False] * n, [False] * n]))
 
     @staticmethod
-    def exponential(rate: complex, coeff: complex = 1.0) -> "ExpSum":
-        return ExpSum([(coeff, rate)])
+    def exponential(rate: complex) -> "ExpSum":
+        return ExpSum([(1.0, rate)])
 
     @staticmethod
     def constant(c: complex = 1.0) -> "ExpSum":
@@ -328,8 +328,8 @@ class ExpSum(_NormalForm):
 
     terms = _pairs  # the public name; methods below call _pairs, so a wrapper of terms misses them
 
-    def coefficient_of(self, rate: complex, tol: float = 1e-9) -> complex:
-        hits = [c for c, r in self._pairs() if abs(r - rate) <= tol]
+    def coefficient_of(self, rate: complex) -> complex:
+        hits = [c for c, r in self._pairs() if abs(r - rate) <= 1e-9]
         return sum(hits, 0j)
 
     def eval(self, x):

@@ -86,12 +86,12 @@ class OpExpr(_NormalForm):
         return OpExpr._normal(*_columns([coeff], [[mu], [beta], [alpha]]))
 
     @staticmethod
-    def translation(alpha, coeff: complex = 1.0) -> "OpExpr":
-        return OpExpr.term(coeff, alpha=alpha)
+    def translation(alpha) -> "OpExpr":
+        return OpExpr.term(1.0, alpha=alpha)
 
     @staticmethod
-    def dilation(beta, coeff: complex = 1.0) -> "OpExpr":
-        return OpExpr.term(coeff, beta=beta)
+    def dilation(beta) -> "OpExpr":
+        return OpExpr.term(1.0, beta=beta)
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "OpExpr":

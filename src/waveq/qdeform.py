@@ -264,26 +264,27 @@ def verify_general_closure(j0: LaurentPoly, j: LaurentPoly, s: float) -> dict:
 # -- the small-s (Fourier) limit ------------------------------------------------
 
 
-def fourier_limit_report(
-    s_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    frequencies: tuple[int, ...] = (1, 2, 3),
-) -> dict:
+FOURIER_S_VALUES = (1e-2, 1e-3, 1e-4)
+FOURIER_FREQUENCIES = (1, 2, 3)
+
+
+def fourier_limit_report() -> dict:
     """How the family degenerates to plain Fourier analysis as s -> 0.
 
     On e^{inx}, W0(s, 2) has an eigenvalue tending to n (the derivative),
     and W+/- tend to unit-coefficient frequency shifts n -> n +/- 1.
-    Reports per (s, n): the W0 eigenvalue error and the W+/- coefficient
-    errors and output frequencies, plus whether the W0 error shrinks
-    monotonically along the s grid.
+    Reports per (s, n) on FOURIER_S_VALUES x FOURIER_FREQUENCIES: the W0
+    eigenvalue error and the W+/- coefficient errors and output frequencies,
+    plus whether the W0 error shrinks monotonically along the s grid.
     """
     from .gridfn import ExpSum, apply_op_expsum
 
     rows = []
-    for s in s_values:
+    for s in FOURIER_S_VALUES:
         w0 = w_zero(s, 2.0)
         wp = w_plus(s)
         wm = w_minus(s)
-        for n in frequencies:
+        for n in FOURIER_FREQUENCIES:
             basis = ExpSum.exponential(1j * n)
             ev = apply_op_expsum(w0, basis).coefficient_of(1j * n)
             plus = apply_op_expsum(wp, basis)
@@ -304,7 +305,7 @@ def fourier_limit_report(
                 }
             )
     monotone = True
-    for n in frequencies:
+    for n in FOURIER_FREQUENCIES:
         errs = [r["w0_eigenvalue_error"] for r in rows if r["n"] == n]
         monotone = monotone and all(a > b for a, b in zip(errs, errs[1:]))
     return {"rows": rows, "w0_error_monotone": monotone}

@@ -191,12 +191,6 @@ def check_admissibility(sys: ScalingSystem) -> dict:
         "system": sys.name,
         "coefficient_sum": total,
         "overlaps": overlaps,
-        "normalization_note": (
-            "overlap target is 2*delta_{l,0}; the delta_{l,0}-normalized "
-            "variant is inconsistent with the box mask {1, 1} and with "
-            "sum C_k = 2, so the doubled form is used and the deviation "
-            "recorded here"
-        ),
     }
 
 
@@ -542,12 +536,7 @@ def _unit_integral(raw: GridFunction) -> GridFunction:
     return GridFunction(raw.resolution, raw.window, raw.values / mass)
 
 
-def deformed_scaling(
-    s: float,
-    n: int,
-    resolution: int,
-    window: tuple[int, int] = (-1, 2),
-) -> GridFunction:
+def deformed_scaling(s: float, n: int, resolution: int) -> GridFunction:
     """Exploratory deformation: the limit-sequence word with 2 W-(s) in
     place of the two-scale operator, normalized to unit integral.
 
@@ -559,23 +548,18 @@ def deformed_scaling(
     claim.  The word is linear, so normalizing once at the end equals
     normalizing after every step.
     """
-    return _unit_integral(_deformed_raw(s, n, resolution, window))
+    return _unit_integral(_deformed_raw(s, n, resolution, (-1, 2)))
 
 
-def deformed_scaling_report(
-    s_values: tuple[float, ...],
-    n: int,
-    resolution: int,
-    window: tuple[int, int] = (-1, 2),
-) -> dict:
+def deformed_scaling_report(s_values: tuple[float, ...], n: int, resolution: int) -> dict:
     """L1 distance of each deformed profile to the exact box.  Only the
     s = 1 endpoint carries an accuracy claim; the rest is survey data.  Each
     row also carries the raw mass |integral raw| the normalization divides
     by, and its cancellation ratio integral |raw| / |integral raw|."""
-    target = GridFunction.from_callable(box_midpoint_profile, resolution, window)
+    target = GridFunction.from_callable(box_midpoint_profile, resolution, (-1, 2))
     rows = []
     for s in s_values:
-        raw = _deformed_raw(s, n, resolution, window)
+        raw = _deformed_raw(s, n, resolution, (-1, 2))
         f, mass = _unit_integral(raw), abs(raw.integral())
         rows.append({"s": s, "l1_to_box": f.l1_distance(target),
                      "integral_error": abs(f.integral() - 1.0), "raw_mass": mass,

@@ -22,6 +22,7 @@ from waveq.gridfn import GridFunction, apply_op_grid
 from waveq.opalgebra import OpExpr
 from waveq.scaling import ScalingSystem
 from waveq.spectra import haar_closed_form, iterate_spectrum
+from test_golden import GOLDEN
 from test_gridfn import real_case
 
 
@@ -194,6 +195,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_the_readme_table_lists_the_registered_subcommands_in_order():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.+) \|$", section, re.M)
+    assert rows == [(name, blurb) for name, (blurb, _, _) in cli._SUBCOMMANDS.items()]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert dispatch([]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -233,88 +241,6 @@ def test_non_finite_mask_weight_is_a_computation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: NonFiniteWeightError: term ")
 
 
-# SHA-256 of the CSV and the manifest, keyed by the arguments, so a change to
-# the lattice path cannot move a byte unnoticed.  cascade and wavelet samples
-# are exact dyadic arithmetic, so their bytes hold on any machine.  limit's
-# seeds go through numpy's arctan and log1p; its bytes are the same with
-# numpy's AVX-512 kernels on and switched off (NPY_DISABLE_CPU_FEATURES).
-GRID_GOLDEN = {
-    "cascade": ("57204f0c14098c18b4a220f60aa5d2da1f010a1496efce939aaf3cd3451292db",
-                "11a4e023c1d7e7b97476d925f9d23b2f6c8dbbb0369728d061c320f6ba2814aa"),
-    "wavelet": ("94aacc9e7f75c9f8ee9949266f9f9b0e5653f9e60aeff5539bf90364c6741ee9",
-                "94c69603364e0fa0f5514c3fc32935d8ddec99e838123950f6b474e827e07ab9"),
-    "cascade --system b2 --iters 3": (
-        "24ff4d4a74db75c72c76273191a0be4a9118ff5d9d16c32e3845aa62a856f5f9",
-        "57dfc70f2a0a8fce5535851f2afc6f17fde4ffaf2b4a02b871718432ffc3dd8d"),
-    "wavelet --system b2": (
-        "eb050d902a0931873be28f5e045243ddd875846b47d839e84cb3d1634d2f59d0",
-        "903fb56143eab0c505db918c159040a0aa089828c7e7111cfcb9fb07e767c608"),
-    "wavelet --form literal": (
-        "32c07c29cdf9c99f2fb979f5e5eed7e4ce84eeba18fcb9a9b978665149399118",
-        "264f877a2d707fe997bf2a2136bb53f0403d33391dd78550f99d3f15f4b7a683"),
-    "limit": ("549fb38c6103aacb61be6d4ef95413a3994496dfc15d2e9dcc811a54e2786aa5",
-              "160cb428077d034c8036281f5f9f6a82a89a050e1ae29e7ddcb240a0e6d81c83"),
-    "limit --preset b2": (
-        "d5236dda09fdcaef7b82cbc9ecaa5cacec88338e3fdab47b9975015c5ee4bb22",
-        "14bc35799528be9e6b0957705e84c52349386d24eeeff67838ad63754660c763"),
-    # 3 * 2^14 samples, 384 KiB a lattice: the size at which temporaries cost page faults
-    "cascade --resolution 14": (
-        "c1d546c6512eeadf1cc3fd700a189f8866d61216d6d142996419a73d70a0560a",
-        "a3cbeca8d69dd733bae11bc6b24d3bd225bce07b591a50acdb241a36ee5ce5b7"),
-    # at resolution 0 the b2 word's half step is finer than the lattice
-    "limit --preset b2 --resolution 0": (
-        "fe0b007c333a17fcd8471abe32ab55096258cf64fe5afc82720d29e7bd932b58",
-        "e674ea4f3b8286dec000415f4f5c4aa11da0be12a585646747b9ab5b12d8851e"),
-    "limit --delta tanh": (
-        "c2a4cea85a323208e14e612c98a2d5f9bd2f7eb7937c2c32e721959743279b94",
-        "b9f16e921f3dd1885945190c8414ab7d370245a345a8e62ac9ff7048d9ddbe4b"),
-    "wavelet --system b2 --resolution 13": (
-        "bacb8bafb4e1d984584589f34758afe9e3610b9d408fc6f1f065d016e61b3375",
-        "ba400fe8d31bb2ef7b3ca2c9d1ef3765d54ec2890a133f4ee324fd5db5127b58"),
-    "ladder": ("313a4488a4a8ec2c1e91b93c40a4897ca6f53c81e8bd38d3144a0a1e789c7684",
-               "590bdb0d3382eb70bb1ae3ab54c79c1af39dd59cc90a08bd9494d91035a0c3dd"),
-    "casimir": ("a2746572562b41d93972c8530f3e21d8eebe55f5cf109af9bba98b744d0f04de",
-                "13bbf056aeb804ba13652a19821fa18147e5e4b0d983de192377abe894154368"),
-}
-
-
-def _written_hashes(tmp_path, args: str) -> tuple[str, str]:
-    sub, *rest = args.split()
-    assert run(tmp_path, sub, *rest) == 0
-    names = (f"{sub}.csv", f"{sub}.manifest.json")
-    return tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
-
-
-@pytest.mark.parametrize("sub", [k for k in GRID_GOLDEN if " " not in k])
-def test_grid_subcommands_write_the_recorded_bytes_at_their_defaults(tmp_path, sub):
-    assert _written_hashes(tmp_path, sub) == GRID_GOLDEN[sub]
-
-
-@pytest.mark.parametrize("args", [k for k in GRID_GOLDEN if " " in k])
-def test_grid_subcommand_variants_write_the_recorded_bytes(tmp_path, args):
-    assert _written_hashes(tmp_path, args) == GRID_GOLDEN[args]
-
-
-# SHA-256 of (CSV, manifest) of solve-b, keyed by the mask: the solver's
-# recursion is exact, so b = 1 - T^-1 and (1 - T^-1/2)^2 are written digit
-# for digit with residual 0.0, on any machine
-SOLVE_GOLDEN = {
-    "1 + T^-1": ("0dfaa3062d69403d30d6f1cd11f558891d9fb2198b8f1969f99f9334f793a59b",
-                 "497a4e1ee784bcbff1816c753249df4ab66e02e57e52e5b0085c0ea475451e60"),
-    "1/2 + T^-1/2 + 1/2*T^-1": (
-        "bce6e3569117c2da84c001b10cc6e63da7d8e5bee1cbe6b4bf6152c6b1bbdfab",
-        "b3b7f64c51f18bd0844c2a3550ab67c86b479cd03c34ba304aecea7053e1d640"),
-}
-
-
-@pytest.mark.parametrize("mask", list(SOLVE_GOLDEN))
-def test_solve_b_writes_the_recorded_exact_bytes(tmp_path, mask):
-    assert run(tmp_path, "solve-b", "--c", mask) == 0
-    names = ("solve-b.csv", "solve-b.manifest.json")
-    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
-    assert got == SOLVE_GOLDEN[mask]
-
-
 REMOVED_OPTIONS = [
     (("solve-b", "--c", "1 + T^-1"), "--nullspace-tol"),
     (("prop1",), "--nullspace-tol"),
@@ -350,14 +276,10 @@ def test_check_passes_and_lists_every_named_subcheck(tmp_path, capsys):
     assert not _keys(manifest) & VERDICT_KEYS
 
 
-# SHA-256 of check.csv: one name,status row per check, unchanged since the
-# checks became claim lists
-CHECK_CSV_SHA256 = "043b0b5c1a4a24c6d6d87d2c763dee5b857e9c8c0ba9ea31584382655eb84029"
-
-
 def test_check_manifest_carries_every_claim_and_the_csv_its_recorded_bytes(tmp_path):
     assert run(tmp_path, "check") == 0
-    assert hashlib.sha256((tmp_path / "check.csv").read_bytes()).hexdigest() == CHECK_CSV_SHA256
+    csv = hashlib.sha256((tmp_path / "check.csv").read_bytes()).hexdigest()
+    assert csv == GOLDEN[("check",)][0]
     by_name = {r.name: r for r in run_all()}
     for entry in load_manifest(tmp_path, "check")["results"]["checks"]:
         claims = entry["details"]
@@ -536,7 +458,8 @@ def test_programming_error_propagates_instead_of_exit_one(tmp_path, monkeypatch)
     def broken(params):
         raise TypeError("a bug, not a computation error")
 
-    monkeypatch.setitem(cli._RUNNERS, "closure", broken)
+    blurb, opts, _ = cli._SUBCOMMANDS["closure"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "closure", (blurb, opts, broken))
     with pytest.raises(TypeError):
         run(tmp_path, "closure")
 
@@ -588,7 +511,8 @@ def test_non_finite_manifest_value_exits_one_naming_the_key_and_writes_nothing(t
     def spectrum(p):
         return cli.RunResult("a\n", {"trace": {"last": [1.0, float("nan")]}}, "done")
 
-    with mock.patch.dict(cli._RUNNERS, {"spectrum": spectrum}):
+    blurb, opts, _ = cli._SUBCOMMANDS["spectrum"]
+    with mock.patch.dict(cli._SUBCOMMANDS, {"spectrum": (blurb, opts, spectrum)}):
         assert run(tmp_path, "spectrum") == 1
     assert capsys.readouterr().err == (
         "error: NonFiniteOutputError: manifest value results.trace.last[1] is nan\n")
@@ -911,7 +835,7 @@ def test_the_algebra_and_nine_subcommands_run_without_numpy(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     csv = hashlib.sha256((tmp_path / "cascade.csv").read_bytes()).hexdigest()
-    assert csv == GRID_GOLDEN["cascade"][0]  # the first sample loads numpy and keeps the bytes
+    assert csv == GOLDEN[("cascade",)][0]  # the first sample loads numpy and keeps the bytes
 
 
 def _files(out: pathlib.Path) -> dict:

@@ -299,7 +299,7 @@ def test_expsum_products_multiply_the_functions():
 
 
 def test_expsum_text_form():
-    es = ExpSum.exponential(0.5, 2.0)
+    es = ExpSum([(2.0, 0.5)])
     assert str(es) == repr(es) == "ExpSum[((2+0j))e^((0.5+0j))x]"
     assert str(ExpSum()) == "ExpSum[0]"
 

@@ -113,7 +113,7 @@ def test_translation_products_agree_with_the_general_composition(p, q):
     # each type has one product: LaurentPoly adds its one exponent row, OpExpr
     # composes all three, and a dilation carried through one factor changes
     # which terms OpExpr's composition rescales
-    a, b = (sum((OpExpr.translation(e, c) for c, e in terms), OpExpr.zero()) for terms in (p, q))
+    a, b = (sum((OpExpr.term(c, alpha=e) for c, e in terms), OpExpr.zero()) for terms in (p, q))
     d = OpExpr.dilation(1)
     assert (a * b) * d == a * (b * d)
     assert OpExpr.from_laurent(a.to_laurent() * b.to_laurent()) == a * b

@@ -288,9 +288,9 @@ def reference_g_f(s, alpha):
     theta_m = s * (1.0 + 2.0**-s) * (s - 1.0) / 2.0
     one = OpExpr.identity()
     f = (
-        (one + OpExpr.translation((2.0**s) * s, coeff=_unit_phase(theta_p)))
+        (one + OpExpr.term(_unit_phase(theta_p), alpha=(2.0**s) * s))
         * (one + OpExpr.translation(-s))
-        - (one + OpExpr.translation(-(2.0**-s) * s, coeff=_unit_phase(theta_m)))
+        - (one + OpExpr.term(_unit_phase(theta_m), alpha=-(2.0**-s) * s))
         * (one + OpExpr.translation(s))
     ) * 0.25
     return g, f, abs(theta), max(abs(theta_p), abs(theta_m))

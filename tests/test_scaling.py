@@ -84,10 +84,6 @@ def test_admissibility_constant_mask():
     assert rep["overlaps"]["0"] == 4.0
 
 
-def test_admissibility_note_mentions_normalization():
-    assert "2*delta" in check_admissibility(haar_system())["normalization_note"]
-
-
 # -- cascade ---------------------------------------------------------------------
 
 
